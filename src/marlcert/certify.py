@@ -12,10 +12,13 @@ artifacts come out of this module:
   from simultaneous confidence bounds over their action counts.
 
 * ``tcrgr`` lower-bounds the team reward under any perturbation smaller
-  than the weakest per-state radius along the way.  It walks the tree of
-  trajectories reachable through per-agent candidate action sets (the
-  modal action, plus the runner-up wherever the reweighted p-value fails
-  the ``alpha`` gate) and takes the minimum total reward over leaves.
+  than the weakest per-state radius along the way.  Candidate
+  trajectories follow per-agent candidate action sets (the modal action,
+  plus the runner-up wherever the reweighted p-value fails the ``alpha``
+  gate).  Every step advances ``EnvState.step_count``, so the reachable
+  states form a DAG layered by step; one forward pass over its levels
+  yields both the weakest node radius and the least total reward over
+  all candidate trajectories.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvState, GridSpec, reset, step
-from .errors import ConfigError
 from .policy import JointPolicy, counterfactual_values, q_total
 from .smoothing import (
     ActionTally,
@@ -88,8 +90,6 @@ class RewardCertificate:
     epsilon_cert: float
     r_min: float
     nodes_expanded: int
-    nodes_pruned: int
-    trajectories_completed: int
 
 
 def importance_factor(
@@ -218,87 +218,39 @@ def get_node(
     return node_decision(tally, factors, cfg)
 
 
-def tcrgr(
-    policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig, pruning: bool = True
-) -> RewardCertificate:
-    """Lower-bound the team reward over the candidate-action tree.
+def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertificate:
+    """Lower-bound the team reward over all candidate trajectories.
 
-    The reachable tree is expanded fully once, so ``epsilon_cert`` (the
-    weakest node radius) never depends on ``pruning``.  The reward
-    minimum then comes from a depth-first pass over the same tree;
-    with ``pruning`` a branch is dropped as soon as its accumulated
-    reward already matches the incumbent, which is only sound when no
-    step can pay a negative amount.  Subtrees evaluated to completion
-    are memoized by state, which collapses paths that reconverge.
+    The search runs forward one step level at a time.  Each frontier
+    state carries the least reward accumulated on any path reaching it;
+    it is expanded once, lowering ``epsilon_cert`` to its node radius,
+    and each candidate joint action is stepped once.  A finished episode
+    folds its total into ``r_min``; an unfinished successor keeps the
+    smallest total among the paths that merge into it.  Rewards are
+    summed in path order and float addition is monotone, so keeping
+    only that minimum gives exactly the least total an exhaustive walk
+    over every trajectory would find.
     """
-    if pruning:
-        for key, value in spec.reward_table.items():
-            if value < 0:
-                raise ConfigError(
-                    f"branch pruning needs non-negative rewards, got {key}={value}"
-                )
-
-    nodes = {}
-
-    def node_for(state):
-        found = nodes.get(state)
-        if found is None:
-            found = get_node(policy, spec, state, cfg)
-            nodes[state] = found
-        return found
-
-    initial = reset(spec)
     epsilon = np.inf
-    stack = [initial]
-    seen = set()
-    while stack:
-        state = stack.pop()
-        if state.done or state in seen:
-            continue
-        seen.add(state)
-        node = node_for(state)
-        epsilon = min(epsilon, node.radius)
-        for joint in itertools.product(*node.action_sets):
-            stack.append(step(spec, state, joint).next_state)
-
     r_min = np.inf
-    nodes_pruned = 0
-    trajectories = 0
-    complete_value = {}
-
-    def walk(state, acc):
-        """Minimum future reward from ``state``; False when pruned short."""
-        nonlocal r_min, nodes_pruned, trajectories
-        if state.done:
-            r_min = min(r_min, acc)
-            trajectories += 1
-            return 0.0, True
-        memo = complete_value.get(state)
-        if memo is not None:
-            r_min = min(r_min, acc + memo)
-            return memo, True
-        if pruning and acc >= r_min:
-            nodes_pruned += 1
-            return np.inf, False
-        node = nodes[state]
-        best = np.inf
-        complete = True
-        for joint in itertools.product(*node.action_sets):
-            outcome = step(spec, state, joint)
-            future, full = walk(outcome.next_state, acc + outcome.team_reward)
-            best = min(best, outcome.team_reward + future)
-            complete = complete and full
-        if complete:
-            complete_value[state] = best
-        return best, complete
-
-    walk(initial, 0.0)
+    expanded = 0
+    frontier = {reset(spec): 0.0}
+    while frontier:
+        successors = {}
+        for state, acc in frontier.items():
+            node = get_node(policy, spec, state, cfg)
+            epsilon = min(epsilon, node.radius)
+            for joint in itertools.product(*node.action_sets):
+                outcome = step(spec, state, joint)
+                total = acc + outcome.team_reward
+                if outcome.done:
+                    r_min = min(r_min, total)
+                elif total < successors.get(outcome.next_state, np.inf):
+                    successors[outcome.next_state] = total
+        expanded += len(frontier)
+        frontier = successors
     return RewardCertificate(
-        epsilon_cert=float(epsilon),
-        r_min=float(r_min),
-        nodes_expanded=len(seen),
-        nodes_pruned=nodes_pruned,
-        trajectories_completed=trajectories,
+        epsilon_cert=float(epsilon), r_min=float(r_min), nodes_expanded=expanded
     )
 
 

@@ -12,8 +12,8 @@ flags, or both; flags win) and writes into its output directory:
   attacked_reward) row for the reward and attack modes.  Report mode
   merges such rows from many result files into one sorted table.
 
-Exit codes: 0 ok, 2 bad configuration, 3 missing file or checkpoint,
-4 numerical failure (e.g. diverged training).
+Exit codes: 0 ok, 2 bad configuration, 3 missing or corrupt file or
+checkpoint, 4 numerical failure (e.g. diverged training).
 """
 
 from __future__ import annotations
@@ -39,7 +39,12 @@ from .envs import (
     load_grid_config,
     state_to_dict,
 )
-from .errors import ConfigError, MissingArtifactError, NumericalError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    MissingArtifactError,
+    NumericalError,
+)
 from .policy import (
     MIXERS,
     TrainConfig,
@@ -92,7 +97,6 @@ class RunConfig:
     samples: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    pruning: bool = True
     mixer: str = "vdn"
     episodes: int = 2000
     learning_rate: float = 1e-3
@@ -288,7 +292,7 @@ def _run_certify_state(cfg: RunConfig, spec) -> dict:
 def _run_certify_reward(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg)
     noise = _noise_config(cfg)
-    bound = tcrgr(policy, spec, noise, pruning=cfg.pruning)
+    bound = tcrgr(policy, spec, noise)
     clean = attacked_rollout(policy, spec, _attack_config(cfg, noise)).attacked_reward
     results = {
         "env": _env_name(cfg.env),
@@ -299,8 +303,6 @@ def _run_certify_reward(cfg: RunConfig, spec) -> dict:
         "attacked_reward": None,
         "clean_reward": clean,
         "nodes_expanded": bound.nodes_expanded,
-        "nodes_pruned": bound.nodes_pruned,
-        "trajectories_completed": bound.trajectories_completed,
     }
     _write_table_row(cfg, results)
     return results
@@ -310,7 +312,7 @@ def _run_attack(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg)
     noise = _noise_config(cfg)
     certificates = certify_trajectory(policy, spec, noise)
-    bound = tcrgr(policy, spec, noise, pruning=cfg.pruning)
+    bound = tcrgr(policy, spec, noise)
     report = validate_certificates(
         policy,
         spec,
@@ -435,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", type=float)
         p.add_argument("--samples", type=int)
         p.add_argument("--alpha", type=float)
-        p.add_argument("--no-prune", action="store_true")
         p.add_argument("--out", help="output directory")
         if mode == "report":
             p.add_argument("inputs", nargs="*", help="result.json files to merge")
@@ -449,8 +450,6 @@ def _config_from_args(args) -> RunConfig:
         value = getattr(args, name)
         if value is not None:
             fields[name] = value
-    if args.no_prune:
-        fields["pruning"] = False
     if getattr(args, "inputs", None):
         fields["inputs"] = tuple(args.inputs)
     return RunConfig(**fields)
@@ -464,8 +463,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MissingArtifactError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
+    except (MissingArtifactError, CheckpointError) as exc:
+        print(f"missing or corrupt artifact: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -14,4 +14,4 @@ class NumericalError(ArithmeticError):
 
 
 class CheckpointError(ValueError):
-    """Corrupt, truncated, or incompatible checkpoint data."""
+    """Corrupt, truncated, or incompatible checkpoint data (exit code 3)."""

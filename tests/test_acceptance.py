@@ -299,10 +299,9 @@ def test_criterion_5_search_exactness():
                 seed=int(rng.integers(1 << 30)),
             )
             want_eps, want_rmin = _enumerate_reward_bound(policy, spec, cfg)
-            for pruning in (True, False):
-                cert = tcrgr(policy, spec, cfg, pruning=pruning)
-                assert cert.epsilon_cert == want_eps
-                assert cert.r_min == want_rmin
+            cert = tcrgr(policy, spec, cfg)
+            assert cert.epsilon_cert == want_eps
+            assert cert.r_min == want_rmin
 
 
 # --- 6: radius laws on per-agent tallies ---

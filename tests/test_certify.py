@@ -17,7 +17,6 @@ from marlcert.certify import (
     tcrgr,
 )
 from marlcert.envs import parse_grid_config, reset, step
-from marlcert.errors import ConfigError
 from marlcert.policy import JointPolicy, new_policy
 from marlcert.smoothing import ActionTally, NoiseConfig
 from marlcert.stats import binom_pvalue_one_sided
@@ -275,54 +274,49 @@ class TestTcrgr:
             "map: |\n  1..a\nstep_cap: 5\nrewards:\n  apple: 10.0\n"
         )
         policy = _policy([_const_net(47, [0.0, 0.0, 0.0, 1.0, 0.0])])
-        for pruning in (True, False):
-            cert = tcrgr(policy, spec, _cfg(), pruning=pruning)
-            assert cert.r_min == 10.0
-            assert cert.epsilon_cert == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
-            assert cert.trajectories_completed == 1
-            assert cert.nodes_expanded == 3
+        cert = tcrgr(policy, spec, _cfg())
+        assert cert.r_min == 10.0
+        assert cert.epsilon_cert == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
+        assert cert.nodes_expanded == 3
 
     def test_one_step_uncertain_two_leaves(self):
         spec = parse_grid_config(
             "map: |\n  1a\nstep_cap: 1\nrewards:\n  apple: 1.0\n"
         )
         policy = _policy([_flip_net(47, 3, 0)])
-        pruned = tcrgr(policy, spec, _cfg(), pruning=True)
-        full = tcrgr(policy, spec, _cfg(), pruning=False)
-        assert pruned.r_min == 0.0
-        assert full.r_min == 0.0
-        assert full.trajectories_completed == 2
-        assert pruned.epsilon_cert == full.epsilon_cert
-        assert full.epsilon_cert == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
+        cert = tcrgr(policy, spec, _cfg())
+        assert cert.r_min == 0.0
+        assert cert.epsilon_cert == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
 
     def test_matches_enumeration_on_random_toys(self):
         rng = np.random.default_rng(12)
         checked = 0
-        for trial in range(8):
-            spec = _random_toy(rng)
+        for trial, rewards in enumerate([_INTEGER_REWARDS] * 8 + [_FLOAT_REWARDS]):
+            spec = _random_toy(rng, rewards)
             policy = new_policy(spec, "vdn", np.random.default_rng(900 + trial))
             cfg = NoiseConfig(
                 sigma=0.5, samples=60, alpha=0.05, seed=int(rng.integers(1 << 30))
             )
             want_eps, want_rmin = _oracle_enumeration(policy, spec, cfg)
-            for pruning in (True, False):
-                cert = tcrgr(policy, spec, cfg, pruning=pruning)
-                assert cert.r_min == want_rmin
-                assert cert.epsilon_cert == want_eps
+            cert = tcrgr(policy, spec, cfg)
+            assert cert.r_min == want_rmin
+            assert cert.epsilon_cert == want_eps
             checked += 1
-        assert checked == 8
+        assert checked == 9
 
-    def test_pruning_rejects_negative_rewards(self):
-        spec = parse_grid_config(
-            "map: |\n  1a\nstep_cap: 2\nrewards:\n  apple: 1.0\n"
-        )
-        policy = _policy([_const_net(47, [1.0, 0.0, 0.0, 0.0, 0.0])])
-        spec.reward_table["apple"] = -1.0  # bypasses construction validation
-        with pytest.raises(ConfigError):
-            tcrgr(policy, spec, _cfg(), pruning=True)
+    def test_long_horizon(self):
+        spec = parse_grid_config("map: |\n  1a\nstep_cap: 1200\n")
+        policy = _policy([_const_net(47, [-50.0, -50.0, -50.0, -50.0, 0.0])])
+        cert = tcrgr(policy, spec, _cfg(samples=10))
+        assert cert.nodes_expanded == 1200
+        assert cert.r_min == 0.0
 
 
-def _random_toy(rng):
+_INTEGER_REWARDS = "  apple: 1.0\n"
+_FLOAT_REWARDS = "  apple: 0.1\n  lemon: 0.7\n"
+
+
+def _random_toy(rng, rewards):
     width, height = 4, 3
     cells = [(x, y) for x in range(width) for y in range(height)]
     rng.shuffle(cells)
@@ -343,7 +337,7 @@ def _random_toy(rng):
         for y in range(height)
     ]
     text = "map: |\n" + "".join(f"  {row}\n" for row in rows)
-    text += f"step_cap: {int(rng.integers(2, 4))}\nrewards:\n  apple: 1.0\n"
+    text += f"step_cap: {int(rng.integers(2, 4))}\nrewards:\n{rewards}"
     return parse_grid_config(text)
 
 

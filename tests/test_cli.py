@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestModes:
             "c.yaml",
             env=corridor_env,
             checkpoint=str(tmp_path / "nope"),
+            out=str(tmp_path / "o"),
+        )
+        assert main(["certify-state", "--config", path]) == 3
+
+    def test_corrupt_checkpoint_exit_code(self, trained):
+        env, checkpoint, tmp_path = trained
+        net = Path(checkpoint) / "agent_0.mlp"
+        blob = bytearray(net.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        net.write_bytes(bytes(blob))
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env=env,
+            checkpoint=checkpoint,
             out=str(tmp_path / "o"),
         )
         assert main(["certify-state", "--config", path]) == 3
@@ -232,20 +248,3 @@ class TestFlags:
         )
         assert record["config"]["sigma"] == 0.07
         assert record["schema_version"] == 1
-
-    def test_no_prune_flag(self, trained, tmp_path):
-        env, checkpoint, _ = trained
-        path = _write_config(
-            tmp_path,
-            "np.yaml",
-            env=env,
-            checkpoint=checkpoint,
-            out=str(tmp_path / "np1"),
-            sigma=0.05,
-            samples=100,
-        )
-        assert main(["certify-reward", "--config", path, "--no-prune"]) == 0
-        record = json.loads(
-            (tmp_path / "np1" / "result.json").read_text(encoding="utf-8")
-        )
-        assert record["config"]["pruning"] is False
