@@ -27,7 +27,7 @@ from .certify import RewardCertificate
 from .envs import EnvState, GridSpec, N_ACTIONS, observe, reset, step
 from .policy import JointPolicy
 from .seeds import derive_seed
-from .smoothing import NoiseConfig, gaussian_noise_block
+from .smoothing import NoiseConfig, _noise_block
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,7 @@ def _smoothed_modal(
     base = observe(spec, state, agent)
     if delta is not None:
         base = base + delta
-    block = gaussian_noise_block(
-        base.size, noise.sigma, noise.seed, state.step_count, agent, noise.samples
-    )
+    block = _noise_block(base.size, noise, state.step_count, agent)
     values = nn.forward_batch(policy.agent_nets[agent], base[None, :] + block)
     counts = np.bincount(np.argmax(values, axis=1), minlength=N_ACTIONS)
     return int(np.argmax(counts))

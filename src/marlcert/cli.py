@@ -471,3 +471,7 @@ def main(argv=None) -> int:
         return 4
     print(f"{cfg.mode}: wrote {os.path.join(cfg.out, 'result.json')}")
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,13 @@ rows bit-identical to per-sample `gaussian_noise` calls, no matter how the
 work is batched or parallelized.  Uniform draws map to normals through the
 inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
 factor.
+
+`sample_tally` and the attacks draw their noise through `_noise_block`,
+which keeps each agent's last unit-sigma block and returns it times sigma:
+the same final multiply `gaussian_noise_block` does, so the result is
+bit-identical.  The tree search expands one step at a time and the attacks
+revisit one state many times, so consecutive calls for an agent mostly share
+an address; one block per agent bounds the memory kept.
 """
 
 from __future__ import annotations
@@ -136,6 +143,26 @@ def gaussian_noise_block(
     return _uniform_to_normal(u[:, :dim], sigma)
 
 
+# agent -> ((dim, seed, step_index, samples), unit-sigma noise block)
+_last_unit_block: dict = {}
+
+
+def _noise_block(
+    dim: int, cfg: NoiseConfig, step_index: int, agent: int
+) -> np.ndarray:
+    """``gaussian_noise_block(dim, cfg.sigma, cfg.seed, step_index, agent,
+    cfg.samples)``, drawn once per address while the agent's address stays
+    the same."""
+    key = (dim, cfg.seed, step_index, cfg.samples)
+    slot = _last_unit_block.get(agent)
+    if slot is None or slot[0] != key:
+        block = gaussian_noise_block(
+            dim, 1.0, cfg.seed, step_index, agent, cfg.samples
+        )
+        slot = _last_unit_block[agent] = (key, block)
+    return slot[1] * cfg.sigma
+
+
 def sample_tally(
     policy: JointPolicy, spec: GridSpec, state: EnvState, cfg: NoiseConfig
 ) -> ActionTally:
@@ -148,9 +175,7 @@ def sample_tally(
     per_agent = np.zeros((n, N_ACTIONS), dtype=np.int64)
     for agent in range(n):
         base = observe(spec, state, agent)
-        noise = gaussian_noise_block(
-            base.size, cfg.sigma, cfg.seed, state.step_count, agent, m
-        )
+        noise = _noise_block(base.size, cfg, state.step_count, agent)
         values = nn.forward_batch(policy.agent_nets[agent], base[None, :] + noise)
         picks = np.argmax(values, axis=1)  # first max: lowest-index ties
         actions[:, agent] = picks

@@ -151,7 +151,8 @@ def _poly(coeffs, r):
     # Horner from the highest-order coefficient; works on arrays.
     acc = np.full_like(r, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
@@ -175,23 +176,29 @@ def std_normal_quantile_vec(p):
     if p.size and (np.any(p <= 0.0) or np.any(p >= 1.0)):
         raise ValueError("quantile arguments must lie strictly inside (0, 1)")
     q = p - 0.5
+    x = np.empty_like(p)
+    # each branch runs only on its own lanes
     central = np.abs(q) <= 0.425
+    q_c = q[central]
+    r_c = 0.180625 - q_c * q_c
+    x[central] = q_c * _poly(_PPND_A, r_c) / _poly(_PPND_B, r_c)
 
-    r_c = 0.180625 - q * q
-    x_central = q * _poly(_PPND_A, r_c) / _poly(_PPND_B, r_c)
-
-    p_tail = np.where(q < 0.0, p, 1.0 - p)
-    # clip keeps log's domain valid on lanes that the central branch wins
-    r_t = np.sqrt(-np.log(np.clip(p_tail, 1e-300, 0.5)))
+    tail = ~central
+    q_t = q[tail]
+    p_t = p[tail]
+    lower = q_t < 0.0
+    # p below 1e-300, subnormals included, gets the quantile of 1e-300
+    r_t = np.sqrt(-np.log(np.clip(np.where(lower, p_t, 1.0 - p_t), 1e-300, 0.5)))
+    x_t = np.empty_like(r_t)
     near = r_t <= 5.0
-    r_near = r_t - 1.6
-    r_far = np.where(near, 0.0, r_t - 5.0)
-    x_near = _poly(_PPND_C, r_near) / _poly(_PPND_D, r_near)
-    x_far = _poly(_PPND_E, r_far) / _poly(_PPND_F, r_far)
-    x_tail = np.where(near, x_near, x_far)
-    x_tail = np.where(q < 0.0, -x_tail, x_tail)
-
-    return np.where(central, x_central, x_tail)
+    r_near = r_t[near] - 1.6
+    x_t[near] = _poly(_PPND_C, r_near) / _poly(_PPND_D, r_near)
+    far = ~near
+    if far.any():
+        r_far = r_t[far] - 5.0
+        x_t[far] = _poly(_PPND_E, r_far) / _poly(_PPND_F, r_far)
+    x[tail] = np.where(lower, -x_t, x_t)
+    return x
 
 
 def std_normal_quantile(p):

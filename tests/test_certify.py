@@ -16,7 +16,7 @@ from marlcert.certify import (
     node_decision,
     tcrgr,
 )
-from marlcert.envs import parse_grid_config, reset, step
+from marlcert.envs import ACTION_STAY, parse_grid_config, reset, step
 from marlcert.policy import JointPolicy, new_policy
 from marlcert.smoothing import ActionTally, NoiseConfig
 from marlcert.stats import binom_pvalue_one_sided
@@ -290,10 +290,17 @@ class TestTcrgr:
 
     def test_matches_enumeration_on_random_toys(self):
         rng = np.random.default_rng(12)
-        checked = 0
-        for trial, rewards in enumerate([_INTEGER_REWARDS] * 8 + [_FLOAT_REWARDS]):
-            spec = _random_toy(rng, rewards)
+        # (rewards, apples on every free cell and a costly stay)
+        toys = [(_INTEGER_REWARDS, False)] * 8 + [(_FLOAT_REWARDS, False)]
+        toys += [(_INTEGER_REWARDS, True)] * 8
+        r_mins = []
+        nodes = []
+        for trial, (rewards, filled) in enumerate(toys):
+            spec = _random_toy(rng, rewards, filled)
             policy = new_policy(spec, "vdn", np.random.default_rng(900 + trial))
+            if filled:
+                for net in policy.agent_nets:
+                    net.biases[-1][ACTION_STAY] -= 50.0
             cfg = NoiseConfig(
                 sigma=0.5, samples=60, alpha=0.05, seed=int(rng.integers(1 << 30))
             )
@@ -301,8 +308,12 @@ class TestTcrgr:
             cert = tcrgr(policy, spec, cfg)
             assert cert.r_min == want_rmin
             assert cert.epsilon_cert == want_eps
-            checked += 1
-        assert checked == 9
+            r_mins.append(cert.r_min)
+            nodes.append(cert.nodes_expanded)
+        assert len(r_mins) == 17
+        # the minimum itself is compared, on trees that really branch
+        assert max(r_mins) > 0.0
+        assert max(nodes) > 10
 
     def test_long_horizon(self):
         spec = parse_grid_config("map: |\n  1a\nstep_cap: 1200\n")
@@ -316,7 +327,7 @@ _INTEGER_REWARDS = "  apple: 1.0\n"
 _FLOAT_REWARDS = "  apple: 0.1\n  lemon: 0.7\n"
 
 
-def _random_toy(rng, rewards):
+def _random_toy(rng, rewards, filled=False):
     width, height = 4, 3
     cells = [(x, y) for x in range(width) for y in range(height)]
     rng.shuffle(cells)
@@ -326,7 +337,7 @@ def _random_toy(rng, rewards):
         roll = rng.random()
         if roll < 0.15:
             grid[cell] = "#"
-        elif roll < 0.35:
+        elif filled or roll < 0.35:
             grid[cell] = "a"
         elif roll < 0.5:
             grid[cell] = "l"

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import marlcert
 from marlcert.cli import RunConfig, main, run
 from marlcert.errors import ConfigError, MissingArtifactError
 
@@ -76,6 +80,24 @@ class TestModes:
             out=str(tmp_path / "o"),
         )
         assert main(["certify-state", "--config", path]) == 3
+
+    @pytest.mark.parametrize("module", ["marlcert", "marlcert.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        src = str(Path(marlcert.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "certify-state"]
+            + ["--config", "missing.yaml"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "missing.yaml" in proc.stderr
 
     def test_corrupt_checkpoint_exit_code(self, trained):
         env, checkpoint, tmp_path = trained

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from marlcert import smoothing
 from marlcert.envs import parse_grid_config, reset
 from marlcert.errors import ConfigError
 from marlcert.policy import new_policy
@@ -75,6 +76,48 @@ class TestGaussianNoise:
             1000, 0.5, seed=3, step_index=0, agent=0, count=1000
         )
         assert abs(block.mean()) <= 5 * 0.5 / 1000
+
+
+class TestNoiseBlockSlot:
+    # (agent, step, sigma, seed, M, dim): agents interleave, sigma changes
+    # on one address, and steps, seeds, M and dim move and come back
+    CALLS = [
+        (0, 0, 0.1, 3, 20, 47),
+        (1, 0, 0.1, 3, 20, 47),
+        (0, 0, 0.2, 3, 20, 47),
+        (0, 0, 0.1, 3, 20, 47),
+        (1, 1, 0.1, 3, 20, 47),
+        (0, 1, 0.03, 3, 20, 47),
+        (1, 0, 0.1, 3, 20, 47),
+        (0, 1, 0.03, 4, 20, 47),
+        (0, 1, 0.03, 4, 30, 47),
+        (2, 1, 0.03, 4, 30, 5),
+        (0, 1, 0.06, 4, 30, 47),
+        (2, 1, 0.5, 4, 30, 5),
+        (0, 1, 0.06, 3, 20, 47),
+    ]
+
+    def test_matches_uncached_block(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "_last_unit_block", {})
+        drawn = []
+
+        def counting(*args):
+            drawn.append(args)
+            return gaussian_noise_block(*args)
+
+        monkeypatch.setattr(smoothing, "gaussian_noise_block", counting)
+        for agent, step_index, sigma, seed, m, dim in self.CALLS:
+            cfg = NoiseConfig(sigma=sigma, samples=m, alpha=0.05, seed=seed)
+            got = smoothing._noise_block(dim, cfg, step_index, agent)
+            want = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
+            assert np.array_equal(got, want)
+            got[:] = np.nan  # a caller writing into its noise changes nothing
+            assert set(smoothing._last_unit_block) <= {0, 1, 2}
+            key, unit = smoothing._last_unit_block[agent]
+            assert key == (dim, seed, step_index, m) and unit.shape == (m, dim)
+        # a block is drawn only when the agent's address changes
+        assert len(drawn) == 9
+        assert all(args[1] == 1.0 for args in drawn)
 
 
 class TestSampleTally:

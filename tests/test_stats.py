@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from marlcert import stats
 from marlcert.stats import (
     BhOutcome,
     bh_procedure,
@@ -91,6 +92,46 @@ class TestStdNormalQuantile:
         xs = std_normal_quantile_vec(ps)
         for p, x in zip(ps, xs):
             assert x == pytest.approx(std_normal_quantile(float(p)), abs=1e-11)
+
+    def test_vectorized_bit_identical_to_all_lanes_formula(self):
+        rng = np.random.default_rng(4)
+        block = np.maximum(rng.random((10000, 48)), 2.0**-54)
+        assert np.array_equal(
+            std_normal_quantile_vec(block), _all_lanes_quantile(block)
+        )
+        edges = np.array(
+            [2.0**-54, 1e-300, 1e-310, 0.075, 0.5, 0.925, 1.0 - 2.0**-53, 1e-20]
+        )
+        assert np.sqrt(-np.log(edges[-1])) > 5.0
+        assert np.array_equal(
+            std_normal_quantile_vec(edges), _all_lanes_quantile(edges)
+        )
+
+
+def _all_lanes_quantile(p):
+    """The quantile as first written: every branch on every lane, then a
+    per-lane pick.  Reference for the branch-per-lane version."""
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    r_c = 0.180625 - q * q
+    x_central = q * _horner(stats._PPND_A, r_c) / _horner(stats._PPND_B, r_c)
+    p_tail = np.where(q < 0.0, p, 1.0 - p)
+    r_t = np.sqrt(-np.log(np.clip(p_tail, 1e-300, 0.5)))
+    near = r_t <= 5.0
+    r_near = r_t - 1.6
+    r_far = np.where(near, 0.0, r_t - 5.0)
+    x_near = _horner(stats._PPND_C, r_near) / _horner(stats._PPND_D, r_near)
+    x_far = _horner(stats._PPND_E, r_far) / _horner(stats._PPND_F, r_far)
+    x_tail = np.where(near, x_near, x_far)
+    x_tail = np.where(q < 0.0, -x_tail, x_tail)
+    return np.where(central, x_central, x_tail)
+
+
+def _horner(coeffs, r):
+    acc = np.full_like(r, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * r + c
+    return acc
 
 
 class TestChi2Quantile:
