@@ -25,6 +25,7 @@ import numpy as np
 from . import nn
 from .certify import RewardCertificate
 from .envs import EnvState, GridSpec, N_ACTIONS, observe, reset, step
+from .errors import ConfigError
 from .policy import JointPolicy
 from .seeds import derive_seed
 from .smoothing import NoiseConfig, _noise_block
@@ -49,13 +50,13 @@ class AttackConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ValueError("epsilon must be finite and non-negative")
+            raise ConfigError("epsilon must be finite and non-negative")
         if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+            raise ConfigError("steps must be at least 1")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise ConfigError("restarts must be at least 1")
         if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive when given")
+            raise ConfigError("step_size must be positive when given")
 
     def resolved_step_size(self) -> float:
         if self.step_size is not None:

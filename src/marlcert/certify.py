@@ -18,7 +18,9 @@ artifacts come out of this module:
   gate).  Every step advances ``EnvState.step_count``, so the reachable
   states form a DAG layered by step; one forward pass over its levels
   yields both the weakest node radius and the least total reward over
-  all candidate trajectories.
+  all candidate trajectories.  The smoothed policy's own episode follows
+  the modal actions, which every candidate set starts with, so its clean
+  reward is read off the same pass without a second smoothed decision.
 """
 
 from __future__ import annotations
@@ -87,9 +89,12 @@ class SearchNode:
 
 @dataclass(frozen=True)
 class RewardCertificate:
+    """``clean_reward`` is the unattacked episode of the smoothed policy."""
+
     epsilon_cert: float
     r_min: float
     nodes_expanded: int
+    clean_reward: float
 
 
 def importance_factor(
@@ -230,16 +235,23 @@ def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertif
     summed in path order and float addition is monotone, so keeping
     only that minimum gives exactly the least total an exhaustive walk
     over every trajectory would find.
+
+    Each expanded state also records its modal joint action, the first
+    entry of every candidate set.  The smoothed policy's clean episode
+    only visits such states, so walking those actions from ``reset``
+    sums its reward, in rollout order, without drawing any noise.
     """
     epsilon = np.inf
     r_min = np.inf
     expanded = 0
+    modal = {}
     frontier = {reset(spec): 0.0}
     while frontier:
         successors = {}
         for state, acc in frontier.items():
             node = get_node(policy, spec, state, cfg)
             epsilon = min(epsilon, node.radius)
+            modal[state] = tuple(actions[0] for actions in node.action_sets)
             for joint in itertools.product(*node.action_sets):
                 outcome = step(spec, state, joint)
                 total = acc + outcome.team_reward
@@ -249,8 +261,17 @@ def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertif
                     successors[outcome.next_state] = total
         expanded += len(frontier)
         frontier = successors
+    state = reset(spec)
+    clean = 0.0
+    while not state.done:
+        outcome = step(spec, state, modal[state])
+        clean += outcome.team_reward
+        state = outcome.next_state
     return RewardCertificate(
-        epsilon_cert=float(epsilon), r_min=float(r_min), nodes_expanded=expanded
+        epsilon_cert=float(epsilon),
+        r_min=float(r_min),
+        nodes_expanded=expanded,
+        clean_reward=clean,
     )
 
 

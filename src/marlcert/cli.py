@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import yaml
 
 from . import __version__
-from .attack import AttackConfig, attacked_rollout, validate_certificates
+from .attack import AttackConfig, validate_certificates
 from .certify import certify_trajectory, tcrgr
 from .envs import (
     builtin_spec,
@@ -293,7 +293,6 @@ def _run_certify_reward(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg)
     noise = _noise_config(cfg)
     bound = tcrgr(policy, spec, noise)
-    clean = attacked_rollout(policy, spec, _attack_config(cfg, noise)).attacked_reward
     results = {
         "env": _env_name(cfg.env),
         "mixer": policy.mixer,
@@ -301,7 +300,7 @@ def _run_certify_reward(cfg: RunConfig, spec) -> dict:
         "epsilon_cert": bound.epsilon_cert,
         "r_min": bound.r_min,
         "attacked_reward": None,
-        "clean_reward": clean,
+        "clean_reward": bound.clean_reward,
         "nodes_expanded": bound.nodes_expanded,
     }
     _write_table_row(cfg, results)
@@ -330,9 +329,7 @@ def _run_attack(cfg: RunConfig, spec) -> dict:
         "epsilon_cert": bound.epsilon_cert,
         "r_min": bound.r_min,
         "attacked_reward": sum(rewards) / len(rewards),
-        "clean_reward": attacked_rollout(
-            policy, spec, _attack_config(cfg, noise)
-        ).attacked_reward,
+        "clean_reward": bound.clean_reward,
         "validation": {
             "states_checked": report.states_checked,
             "agents_checked": report.agents_checked,

@@ -2,10 +2,9 @@
 
 The smoothed policy replaces each agent's greedy action with its most
 frequent action over M noisy copies of the observation.  This module owns
-the noise streams, the action tallies, and the two certification recipes
-built on them: a joint-action radius (top-2 joint actions, binomial gate,
-simultaneous confidence box) and per-agent radii (one confidence box per
-agent over its five action counts).
+the noise streams, the per-agent action tallies, and the per-agent radii
+certified from them (one confidence box per agent over its five action
+counts).
 
 Noise streams are counter-based so every draw is addressable: the stream for
 (seed, step_index, agent) is a Philox generator keyed by hashing those
@@ -27,7 +26,6 @@ an address; one block per agent bounds the memory kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,12 +34,7 @@ from .envs import N_ACTIONS, EnvState, GridSpec, observe
 from .errors import ConfigError
 from .policy import JointPolicy
 from .seeds import philox_key
-from .stats import (
-    binom_pvalue_two_sided,
-    goodman_bounds,
-    std_normal_quantile,
-    std_normal_quantile_vec,
-)
+from .stats import goodman_bounds, std_normal_quantile, std_normal_quantile_vec
 
 
 @dataclass(frozen=True)
@@ -64,10 +57,9 @@ class NoiseConfig:
 
 @dataclass(eq=False)
 class ActionTally:
-    """Per-agent and joint action counts over one shared set of M samples."""
+    """Per-agent action counts over one shared set of M samples."""
 
     per_agent: np.ndarray  # (n_agents, N_ACTIONS) int64
-    joint: dict  # joint action tuple -> count
     samples: int
 
     def __post_init__(self):
@@ -76,17 +68,6 @@ class ActionTally:
             raise ValueError("per_agent must be (n_agents, n_actions)")
         if not np.all(self.per_agent.sum(axis=1) == self.samples):
             raise ValueError("per-agent counts must sum to the sample count")
-        if sum(self.joint.values()) != self.samples:
-            raise ValueError("joint counts must sum to the sample count")
-        n = self.per_agent.shape[0]
-        marginals = np.zeros_like(self.per_agent)
-        for joint_action, count in self.joint.items():
-            if len(joint_action) != n:
-                raise ValueError("joint action arity mismatch")
-            for agent, action in enumerate(joint_action):
-                marginals[agent, action] += count
-        if not np.array_equal(marginals, self.per_agent):
-            raise ValueError("joint counts disagree with per-agent counts")
 
     @property
     def n_agents(self) -> int:
@@ -95,16 +76,11 @@ class ActionTally:
 
 @dataclass(frozen=True)
 class SmoothedDecision:
-    """Outcome of certifying one tally.
-
-    `chosen`/`runner_up` are joint actions for the joint recipe and tuples
-    of per-agent actions for the per-agent recipe; `per_agent_radius` is
-    None for the joint recipe, which only produces the shared radius.
-    """
+    """Per-agent modal and runner-up actions with their certified radii."""
 
     chosen: tuple
-    runner_up: Optional[tuple]
-    per_agent_radius: Optional[tuple]
+    runner_up: tuple
+    per_agent_radius: tuple
     joint_radius: float
     certified: tuple  # one flag per agent
 
@@ -170,68 +146,14 @@ def sample_tally(
     if state.done:
         raise ValueError("cannot smooth a finished episode")
     n = policy.n_agents
-    m = cfg.samples
-    actions = np.empty((m, n), dtype=np.int64)
     per_agent = np.zeros((n, N_ACTIONS), dtype=np.int64)
     for agent in range(n):
         base = observe(spec, state, agent)
         noise = _noise_block(base.size, cfg, state.step_count, agent)
         values = nn.forward_batch(policy.agent_nets[agent], base[None, :] + noise)
         picks = np.argmax(values, axis=1)  # first max: lowest-index ties
-        actions[:, agent] = picks
         per_agent[agent] = np.bincount(picks, minlength=N_ACTIONS)
-    joint = {}
-    rows, counts = np.unique(actions, axis=0, return_counts=True)
-    for row, count in zip(rows, counts):
-        joint[tuple(int(a) for a in row)] = int(count)
-    return ActionTally(per_agent, joint, m)
-
-
-def _ranked_joint(tally: ActionTally):
-    return sorted(tally.joint.items(), key=lambda item: (-item[1], item[0]))
-
-
-def certify_joint(tally: ActionTally, cfg: NoiseConfig) -> SmoothedDecision:
-    """Radius for the modal joint action (top-2 gate + simultaneous box).
-
-    The modal and runner-up joint actions are compared with a two-sided
-    binomial test on their conditional counts; if that passes at level
-    alpha, simultaneous confidence bounds over the observed joint-action
-    counts give the radius.  A failed gate certifies nothing and reports
-    radius 0.
-    """
-    ranked = _ranked_joint(tally)
-    n = tally.n_agents
-    chosen = ranked[0][0]
-    ct1 = ranked[0][1]
-    if len(ranked) > 1:
-        runner_up, ct2 = ranked[1]
-    else:
-        runner_up, ct2 = None, 0
-
-    pvalue = binom_pvalue_two_sided(ct1, ct1 + ct2, 0.5)
-    if pvalue > cfg.alpha:
-        return SmoothedDecision(
-            chosen=chosen,
-            runner_up=runner_up,
-            per_agent_radius=None,
-            joint_radius=0.0,
-            certified=(False,) * n,
-        )
-    counts = [count for _, count in ranked]
-    if len(counts) == 1:
-        counts.append(0)  # synthetic bucket standing in for "anything else"
-    box = goodman_bounds(counts, cfg.alpha)
-    radius = 0.5 * cfg.sigma * (
-        std_normal_quantile(box.lower[0]) - std_normal_quantile(box.upper[1])
-    )
-    return SmoothedDecision(
-        chosen=chosen,
-        runner_up=runner_up,
-        per_agent_radius=None,
-        joint_radius=max(0.0, radius),
-        certified=(True,) * n,
-    )
+    return ActionTally(per_agent, cfg.samples)
 
 
 def _agent_top_two(counts: np.ndarray):

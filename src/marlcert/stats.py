@@ -284,10 +284,15 @@ def chi2_quantile(df, p):
     """
     if int(df) != df or df < 1:
         raise ValueError(f"df must be a positive integer, got {df!r}")
-    df = int(df)
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"chi2_quantile requires 0 < p < 1, got {p!r}")
+    return _chi2_quantile(int(df), p)
+
+
+@lru_cache(maxsize=64)
+def _chi2_quantile(df, p):
+    """The bisection behind `chi2_quantile`, cached per (df, p)."""
     a = df / 2.0
     hi = max(4.0, 4.0 * df)
     while _reg_lower_gamma(a, hi / 2.0) < p:
@@ -340,12 +345,18 @@ def binom_tail(k, M, p0):
         return 0.0
     if p0 == 1.0:
         return 1.0
+    return _tail_sum(*_tail_terms(k, M), p0)
+
+
+def _tail_terms(k, M):
+    """log C(M, i), i and M - i for i = k..M: the p0-free parts of a tail."""
     idx = np.arange(k, M + 1, dtype=np.float64)
-    log_terms = (
-        _log_binom_coeffs(M)[k:]
-        + idx * math.log(p0)
-        + (M - idx) * math.log1p(-p0)
-    )
+    return _log_binom_coeffs(M)[k:], idx, M - idx
+
+
+def _tail_sum(log_coeffs, idx, rest, p0):
+    """P(X >= k) from `_tail_terms`, for 0 < p0 < 1."""
+    log_terms = log_coeffs + idx * math.log(p0) + rest * math.log1p(-p0)
     peak = float(log_terms.max())
     log_sum = peak + math.log(float(np.exp(log_terms - peak).sum()))
     if log_sum >= 0.0:
@@ -390,10 +401,11 @@ def binom_lower_bound(k, M, alpha):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if k == 0:
         return 0.0
+    terms = _tail_terms(k, M)  # shared by every bisection step
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if binom_tail(k, M, mid) < alpha:
+        if _tail_sum(*terms, mid) < alpha:
             lo = mid
         else:
             hi = mid

@@ -312,18 +312,13 @@ def _sampled_tally(rng, n_agents, samples=1000):
     for _ in range(n_agents):
         probs = rng.dirichlet(np.full(N_ACTIONS, 0.7))
         draws.append(rng.choice(N_ACTIONS, size=samples, p=probs))
-    joint = {}
-    for combo in zip(*draws):
-        key = tuple(int(a) for a in combo)
-        joint[key] = joint.get(key, 0) + 1
     rows = np.stack([np.bincount(d, minlength=N_ACTIONS) for d in draws])
-    return ActionTally(rows, joint, samples)
+    return ActionTally(rows, samples)
 
 
 def _single_agent_tally(counts):
     counts = [int(c) for c in counts]
-    joint = {(a,): c for a, c in enumerate(counts) if c}
-    return ActionTally(np.array([counts]), joint, sum(counts))
+    return ActionTally(np.array([counts]), sum(counts))
 
 
 def test_criterion_6_radius_laws():

@@ -15,6 +15,7 @@ from marlcert.attack import (
 )
 from marlcert.certify import certify_trajectory, tcrgr
 from marlcert.envs import observe, parse_grid_config, reset
+from marlcert.errors import ConfigError
 from marlcert.policy import JointPolicy
 from marlcert.smoothing import NoiseConfig
 
@@ -66,6 +67,12 @@ class TestAttackConfig:
             _cfg(0.1, restarts=0)
         with pytest.raises(ValueError):
             _cfg(0.1, step_size=0.0)
+
+    def test_errors_are_config_errors(self):
+        with pytest.raises(ConfigError):
+            _cfg(0.1, steps=0)
+        with pytest.raises(ConfigError):
+            _cfg(float("nan"))
 
     def test_default_step_size_scales_with_budget(self):
         cfg = AttackConfig(epsilon=0.4, noise=_noise(), steps=10)

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from marlcert import nn
+from marlcert.attack import AttackConfig, attacked_rollout
 from marlcert.certify import (
     ImportanceFactors,
     certify_trajectory,
@@ -16,8 +18,9 @@ from marlcert.certify import (
     node_decision,
     tcrgr,
 )
-from marlcert.envs import ACTION_STAY, parse_grid_config, reset, step
-from marlcert.policy import JointPolicy, new_policy
+from marlcert.envs import ACTION_STAY, builtin_spec, parse_grid_config, reset, step
+from marlcert.policy import JointPolicy, load_policy, new_policy
+from marlcert.seeds import derive_seed
 from marlcert.smoothing import ActionTally, NoiseConfig
 from marlcert.stats import binom_pvalue_one_sided
 
@@ -29,6 +32,9 @@ _NULL_COMPONENT = 20
 # sigma * quantile(alpha^(1/M)) for a unanimous one-sided lower bound
 _UNANIMOUS_GOODMAN = 0.1536395640059247
 _UNANIMOUS_LOWER = 0.18879988918577367
+
+# the stored checkers/vdn acceptance checkpoint the benchmark certifies
+_CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
 
 
 def _cfg(**kw):
@@ -62,9 +68,9 @@ def _policy(nets):
     return JointPolicy(tuple(nets), "vdn", None)
 
 
-def _tally(rows, joint):
+def _tally(rows):
     rows = np.asarray(rows, dtype=np.int64)
-    return ActionTally(rows, joint, int(rows[0].sum()))
+    return ActionTally(rows, int(rows[0].sum()))
 
 
 class TestImportanceFactor:
@@ -76,10 +82,7 @@ class TestImportanceFactor:
                 _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0]),
             ]
         )
-        tally = _tally(
-            [[80, 20, 0, 0, 0], [60, 40, 0, 0, 0]],
-            {(0, 0): 48, (0, 1): 32, (1, 0): 12, (1, 1): 8},
-        )
+        tally = _tally([[80, 20, 0, 0, 0], [60, 40, 0, 0, 0]])
         factors = importance_factor(policy, spec, reset(spec), (0, 0), tally)
         assert factors.raw[0] == pytest.approx(-0.4, abs=1e-12)
         assert factors.raw[1] == pytest.approx(0.6, abs=1e-12)
@@ -88,10 +91,7 @@ class TestImportanceFactor:
     def test_constant_counterfactuals_zero(self):
         spec = _spec2()
         policy = _policy([_const_net(47, np.zeros(5)), _const_net(47, np.zeros(5))])
-        tally = _tally(
-            [[70, 30, 0, 0, 0], [50, 50, 0, 0, 0]],
-            {(0, 0): 35, (0, 1): 35, (1, 0): 15, (1, 1): 15},
-        )
+        tally = _tally([[70, 30, 0, 0, 0], [50, 50, 0, 0, 0]])
         factors = importance_factor(policy, spec, reset(spec), (0, 0), tally)
         assert factors.raw == (0.0, 0.0)
         assert factors.normalized == (1.0, 1.0)
@@ -99,7 +99,7 @@ class TestImportanceFactor:
     def test_single_agent_deterministic_tally(self):
         spec = parse_grid_config("map: |\n  1..\nstep_cap: 4\n")
         policy = _policy([_const_net(47, [5.0, 1.0, 0.0, 0.0, 0.0])])
-        tally = _tally([[100, 0, 0, 0, 0]], {(0,): 100})
+        tally = _tally([[100, 0, 0, 0, 0]])
         factors = importance_factor(policy, spec, reset(spec), (0,), tally)
         assert factors.raw == (0.0,)
         assert factors.normalized == (1.0,)
@@ -114,11 +114,7 @@ class TestImportanceFactor:
             rows = np.stack(
                 [np.bincount(actions[:, n], minlength=5) for n in range(2)]
             )
-            joint = {}
-            for a in actions:
-                key = (int(a[0]), int(a[1]))
-                joint[key] = joint.get(key, 0) + 1
-            tally = ActionTally(rows, joint, 60)
+            tally = ActionTally(rows, 60)
             modal = tuple(int(np.argmax(rows[n])) for n in range(2))
             factors = importance_factor(policy, spec, state, modal, tally)
             for i in range(2):
@@ -182,7 +178,7 @@ class TestCrsc:
 
 class TestNodeDecision:
     def test_certified_singleton(self):
-        tally = _tally([[100, 0, 0, 0, 0]], {(0,): 100})
+        tally = _tally([[100, 0, 0, 0, 0]])
         factors = ImportanceFactors(raw=(0.0,), normalized=(1.0,))
         node = node_decision(tally, factors, _cfg())
         assert node.action_sets == ((0,),)
@@ -191,7 +187,7 @@ class TestNodeDecision:
     def test_uncertain_pair_uses_combined_count(self):
         # 55/45 split: one-sided p-value is far above alpha, so both actions
         # stay and the lower bound uses ct1 + ct2 = M
-        tally = _tally([[55, 45, 0, 0, 0]], {(0,): 55, (1,): 45})
+        tally = _tally([[55, 45, 0, 0, 0]])
         factors = ImportanceFactors(raw=(0.0,), normalized=(1.0,))
         node = node_decision(tally, factors, _cfg())
         assert node.action_sets == ((0, 1),)
@@ -201,10 +197,7 @@ class TestNodeDecision:
         # pv(58/100) = 0.0666 > alpha, but a 0.05 importance weight drags the
         # corrected value under alpha; the resulting lower bound 0.4928 < 0.5
         # clamps the radius to zero and keeps the runner-up anyway
-        tally = _tally(
-            [[58, 42, 0, 0, 0], [100, 0, 0, 0, 0]],
-            {(0, 0): 58, (1, 0): 42},
-        )
+        tally = _tally([[58, 42, 0, 0, 0], [100, 0, 0, 0, 0]])
         factors = ImportanceFactors(raw=(-1.0, 2.0), normalized=(0.05, 1.0))
         node = node_decision(tally, factors, _cfg())
         assert node.action_sets[0] == (0, 1)
@@ -213,10 +206,7 @@ class TestNodeDecision:
         assert node.radius == 0.0
 
     def test_node_radius_min_over_agents(self):
-        tally = _tally(
-            [[100, 0, 0, 0, 0], [55, 45, 0, 0, 0]],
-            {(0, 0): 55, (0, 1): 45},
-        )
+        tally = _tally([[100, 0, 0, 0, 0], [55, 45, 0, 0, 0]])
         factors = ImportanceFactors(raw=(0.0, 0.0), normalized=(1.0, 1.0))
         node = node_decision(tally, factors, _cfg())
         assert node.radius == min(node.per_agent_radius)
@@ -268,6 +258,12 @@ def _oracle_enumeration(policy, spec, cfg):
     return eps, r_min
 
 
+def _clean_rollout_reward(policy, spec, cfg):
+    """The smoothed policy's own episode, replayed by an unbudgeted attack."""
+    clean = AttackConfig(epsilon=0.0, noise=cfg)
+    return attacked_rollout(policy, spec, clean).attacked_reward
+
+
 class TestTcrgr:
     def test_fully_certified_single_trajectory(self):
         spec = parse_grid_config(
@@ -276,6 +272,7 @@ class TestTcrgr:
         policy = _policy([_const_net(47, [0.0, 0.0, 0.0, 1.0, 0.0])])
         cert = tcrgr(policy, spec, _cfg())
         assert cert.r_min == 10.0
+        assert cert.clean_reward == 10.0
         assert cert.epsilon_cert == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
         assert cert.nodes_expanded == 3
 
@@ -308,6 +305,7 @@ class TestTcrgr:
             cert = tcrgr(policy, spec, cfg)
             assert cert.r_min == want_rmin
             assert cert.epsilon_cert == want_eps
+            assert cert.clean_reward == _clean_rollout_reward(policy, spec, cfg)
             r_mins.append(cert.r_min)
             nodes.append(cert.nodes_expanded)
         assert len(r_mins) == 17
@@ -321,6 +319,19 @@ class TestTcrgr:
         cert = tcrgr(policy, spec, _cfg(samples=10))
         assert cert.nodes_expanded == 1200
         assert cert.r_min == 0.0
+        assert cert.clean_reward == _clean_rollout_reward(
+            policy, spec, _cfg(samples=10)
+        )
+
+    @pytest.mark.parametrize("sigma", [0.03, 0.06, 0.1])
+    def test_clean_reward_on_stored_checkpoint(self, sigma):
+        policy = load_policy(str(_CHECKERS_VDN))
+        spec = builtin_spec("checkers")
+        cfg = NoiseConfig(
+            sigma=sigma, samples=10000, alpha=0.01, seed=derive_seed(1, "smoothing")
+        )
+        cert = tcrgr(policy, spec, cfg)
+        assert cert.clean_reward == _clean_rollout_reward(policy, spec, cfg)
 
 
 _INTEGER_REWARDS = "  apple: 1.0\n"

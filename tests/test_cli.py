@@ -168,6 +168,33 @@ class TestModes:
         assert float(rows[0]["r_min"]) == record.results["r_min"]
         assert record.results["r_min"] <= record.results["clean_reward"]
 
+    def test_certify_reward_draws_each_noise_block_once(self, trained, monkeypatch):
+        from marlcert import smoothing
+
+        env, checkpoint, tmp_path = trained
+        monkeypatch.setattr(smoothing, "_last_unit_block", {})
+        drawn = []
+        inner = smoothing.gaussian_noise_block
+
+        def counting(dim, sigma, seed, step_index, agent, count):
+            drawn.append((step_index, agent))
+            return inner(dim, sigma, seed, step_index, agent, count)
+
+        monkeypatch.setattr(smoothing, "gaussian_noise_block", counting)
+        cfg = RunConfig(
+            mode="certify-reward",
+            env=env,
+            checkpoint=checkpoint,
+            out=str(tmp_path / "once"),
+            sigma=0.05,
+            samples=200,
+            seed=4,
+        )
+        run(cfg)
+        # the corridor has one agent: one draw per step the search reaches
+        assert len(drawn) >= 2
+        assert sorted(drawn) == [(t, 0) for t in range(len(drawn))]
+
     def test_attack_mode_reports_no_violations(self, trained):
         env, checkpoint, tmp_path = trained
         out = tmp_path / "atk"

@@ -10,7 +10,6 @@ from marlcert.policy import new_policy
 from marlcert.smoothing import (
     ActionTally,
     NoiseConfig,
-    certify_joint,
     gaussian_noise,
     gaussian_noise_block,
     per_agent_radii,
@@ -22,9 +21,9 @@ def _spec():
     return parse_grid_config("map: |\n  1.a\n  2.l\nstep_cap: 6\n")
 
 
-def _tally(rows, joint):
+def _tally(rows):
     rows = np.asarray(rows, dtype=np.int64)
-    return ActionTally(rows, joint, int(rows[0].sum()))
+    return ActionTally(rows, int(rows[0].sum()))
 
 
 class TestNoiseConfig:
@@ -127,7 +126,6 @@ class TestSampleTally:
         cfg = NoiseConfig(sigma=1e-9, samples=50, alpha=0.05, seed=5)
         tally = sample_tally(policy, spec, reset(spec), cfg)
         assert tally.per_agent.max(axis=1).tolist() == [50, 50]
-        assert len(tally.joint) == 1
 
     def test_constant_net_all_mass_on_zero(self):
         spec = _spec()
@@ -142,7 +140,6 @@ class TestSampleTally:
         cfg = NoiseConfig(sigma=0.5, samples=40, alpha=0.05, seed=5)
         tally = sample_tally(policy, spec, reset(spec), cfg)
         assert tally.per_agent[:, 0].tolist() == [40, 40]
-        assert tally.joint == {(0, 0): 40}
 
     def test_marginal_consistency_and_determinism(self):
         spec = _spec()
@@ -151,14 +148,7 @@ class TestSampleTally:
         t1 = sample_tally(policy, spec, reset(spec), cfg)
         t2 = sample_tally(policy, spec, reset(spec), cfg)
         assert np.array_equal(t1.per_agent, t2.per_agent)
-        assert t1.joint == t2.joint
         assert t1.per_agent.sum(axis=1).tolist() == [200, 200]
-        assert sum(t1.joint.values()) == 200
-        for agent in range(2):
-            marginal = np.zeros(5, dtype=np.int64)
-            for joint_action, count in t1.joint.items():
-                marginal[joint_action[agent]] += count
-            assert np.array_equal(marginal, t1.per_agent[agent])
 
     def test_done_state_rejected(self):
         spec = parse_grid_config("map: |\n  1a\nstep_cap: 5\n")
@@ -172,86 +162,16 @@ class TestSampleTally:
 
     def test_tally_invariants_enforced(self):
         with pytest.raises(ValueError):
-            _tally([[10, 0, 0, 0, 0]], {(0,): 9})
+            ActionTally([[10, 0, 0, 0, 0]], 9)
         with pytest.raises(ValueError):
-            _tally([[10, 0, 0, 0, 0], [10, 0, 0, 0, 0]], {(0, 0): 9, (0, 1): 1})
-
-
-class TestCertifyJoint:
-    def test_tie_fails(self):
-        tally = _tally(
-            [[50, 50, 0, 0, 0], [100, 0, 0, 0, 0]],
-            {(0, 0): 50, (1, 0): 50},
-        )
-        cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        decision = certify_joint(tally, cfg)
-        assert decision.certified == (False, False)
-        assert decision.joint_radius == 0.0
-
-    def test_marginal_majority_fails_gate(self):
-        # 60/40 two-sided p-value 0.0569 just misses alpha = 0.05
-        tally = _tally(
-            [[60, 40, 0, 0, 0], [100, 0, 0, 0, 0]],
-            {(0, 0): 60, (1, 0): 40},
-        )
-        cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        assert certify_joint(tally, cfg).certified == (False, False)
-
-    def test_clear_majority_passes_gate(self):
-        tally = _tally(
-            [[70, 30, 0, 0, 0], [100, 0, 0, 0, 0]],
-            {(0, 0): 70, (1, 0): 30},
-        )
-        cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        decision = certify_joint(tally, cfg)
-        assert decision.certified == (True, True)
-        assert decision.chosen == (0, 0)
-        assert decision.runner_up == (1, 0)
-
-    def test_unanimous_closed_form(self):
-        # all M samples on one joint action: D = sigma * quantile(M/(M+A))
-        # with A the Goodman chi-square constant for two categories
-        tally = _tally([[100, 0, 0, 0, 0]], {(0,): 100})
-        cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        decision = certify_joint(tally, cfg)
-        assert decision.certified == (True,)
-        assert decision.runner_up is None
-        from marlcert.stats import std_normal_quantile
-
-        a2 = 5.023886187314887  # chi2_quantile(1, 1 - 0.05/2)
-        lo = 100 / (100 + a2)
-        want = 0.05 * (std_normal_quantile(lo) - std_normal_quantile(1 - lo))
-        assert decision.joint_radius == pytest.approx(want, rel=1e-12)
-
-    def test_three_category_derived_value(self):
-        tally = _tally(
-            [[85, 15, 0, 0, 0], [95, 5, 0, 0, 0]],
-            {(0, 0): 80, (1, 0): 15, (0, 1): 5},
-        )
-        cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        decision = certify_joint(tally, cfg)
-        assert decision.chosen == (0, 0)
-        assert decision.runner_up == (1, 0)
-        assert decision.joint_radius == pytest.approx(0.05773943540815262, rel=1e-10)
-
-    def test_radius_scales_with_sigma(self):
-        tally = _tally(
-            [[85, 15, 0, 0, 0], [95, 5, 0, 0, 0]],
-            {(0, 0): 80, (1, 0): 15, (0, 1): 5},
-        )
-        lo = NoiseConfig(sigma=0.05, samples=100, alpha=0.05, seed=0)
-        hi = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        d_lo = certify_joint(tally, lo).joint_radius
-        d_hi = certify_joint(tally, hi).joint_radius
-        assert d_hi == 2.0 * d_lo
+            ActionTally([[10, 0, 0, 0, 0], [9, 0, 0, 0, 0]], 10)
+        with pytest.raises(ValueError):
+            ActionTally([[10, 0, 0, 0]], 10)
 
 
 class TestPerAgentRadii:
     def test_uniform_counts_clamp_to_zero(self):
-        tally = _tally(
-            [[20, 20, 20, 20, 20], [100, 0, 0, 0, 0]],
-            {(a, 0): 20 for a in range(5)},
-        )
+        tally = _tally([[20, 20, 20, 20, 20], [100, 0, 0, 0, 0]])
         cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
         decision = per_agent_radii(tally, cfg)
         assert decision.per_agent_radius[0] == 0.0
@@ -259,7 +179,7 @@ class TestPerAgentRadii:
         assert decision.certified[1] is True
 
     def test_unanimous_closed_form(self):
-        tally = _tally([[100, 0, 0, 0, 0]], {(0,): 100})
+        tally = _tally([[100, 0, 0, 0, 0]])
         cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
         decision = per_agent_radii(tally, cfg)
         assert decision.chosen == (0,)
@@ -273,16 +193,13 @@ class TestPerAgentRadii:
         cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
         last = -1.0
         for modal in (60, 70, 80, 90, 100):
-            tally = _tally(
-                [[modal, 100 - modal, 0, 0, 0]],
-                {(0,): modal, (1,): 100 - modal},
-            )
+            tally = _tally([[modal, 100 - modal, 0, 0, 0]])
             d = per_agent_radii(tally, cfg).per_agent_radius[0]
             assert d >= last
             last = d
 
     def test_alpha_monotone(self):
-        tally = _tally([[90, 10, 0, 0, 0]], {(0,): 90, (1,): 10})
+        tally = _tally([[90, 10, 0, 0, 0]])
         strict = NoiseConfig(sigma=0.1, samples=100, alpha=0.01, seed=0)
         loose = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
         d_strict = per_agent_radii(tally, strict).per_agent_radius[0]
@@ -290,7 +207,7 @@ class TestPerAgentRadii:
         assert d_strict <= d_loose
 
     def test_sigma_scaling_exact(self):
-        tally = _tally([[90, 6, 2, 2, 0]], {(0,): 90, (1,): 6, (2,): 2, (3,): 2})
+        tally = _tally([[90, 6, 2, 2, 0]])
         lo = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
         hi = NoiseConfig(sigma=0.2, samples=100, alpha=0.05, seed=0)
         assert per_agent_radii(tally, hi).per_agent_radius[0] == 2.0 * (
@@ -299,30 +216,18 @@ class TestPerAgentRadii:
 
     def test_other_agents_do_not_affect_radius(self):
         cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        t1 = _tally(
-            [[90, 10, 0, 0, 0], [60, 40, 0, 0, 0]],
-            {(0, 0): 60, (0, 1): 30, (1, 1): 10},
-        )
-        t2 = _tally(
-            [[90, 10, 0, 0, 0], [100, 0, 0, 0, 0]],
-            {(0, 0): 90, (1, 0): 10},
-        )
+        t1 = _tally([[90, 10, 0, 0, 0], [60, 40, 0, 0, 0]])
+        t2 = _tally([[90, 10, 0, 0, 0], [100, 0, 0, 0, 0]])
         d1 = per_agent_radii(t1, cfg).per_agent_radius[0]
         d2 = per_agent_radii(t2, cfg).per_agent_radius[0]
         assert d1 == d2
 
     def test_joint_radius_min_over_certified(self):
         cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
-        tally = _tally(
-            [[20, 20, 20, 20, 20], [100, 0, 0, 0, 0]],
-            {(a, 0): 20 for a in range(5)},
-        )
+        tally = _tally([[20, 20, 20, 20, 20], [100, 0, 0, 0, 0]])
         decision = per_agent_radii(tally, cfg)
         # agent 0 is uncertified (radius 0); the joint radius is the min
         # over the certified agents only
         assert decision.joint_radius == decision.per_agent_radius[1]
-        all_zero = _tally(
-            [[50, 50, 0, 0, 0]],
-            {(0,): 50, (1,): 50},
-        )
+        all_zero = _tally([[50, 50, 0, 0, 0]])
         assert per_agent_radii(all_zero, cfg).joint_radius == 0.0
