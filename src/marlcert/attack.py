@@ -7,13 +7,20 @@ stream used during certification, so any action flip is attributable to
 the perturbation alone.  An unattacked agent therefore keeps its
 certified action by construction, never by luck.
 
-``pgd_attack_state`` runs projected gradient ascent on the margin
+``pgd_attack_batch`` runs projected gradient ascent on the margin
 between the best non-modal action value and the modal action value of
-one agent's network.  ``random_search_attack`` probes uniform l2-sphere
-directions at the full budget as a gradient-free cross-check.
-``attacked_rollout`` applies the attack persistently along an episode,
-and ``validate_certificates`` exercises every certified (state, agent)
-pair at its certified radius and at twice that radius as a contrast.
+one agent's network.  Every restart of every config in a batch is one
+row of a single array, stepped together through ``nn.forward_batch``
+and ``nn.backward_batch``; restart 0 starts at the clean observation
+and depends on no seed, so the batch holds it once for all configs.
+Each row's end point is still judged on its own by the full CRN smoothed
+decision.  ``pgd_attack_state`` is the one-config batch.
+``random_search_attack`` probes uniform l2-sphere directions at the full
+budget as a gradient-free cross-check.  ``attacked_rollout`` applies the
+attack persistently along an episode, and ``validate_certificates``
+attacks every certified (state, agent) pair with all its trials in one
+batch at its certified radius, and again at twice that radius as a
+contrast.
 """
 
 from __future__ import annotations
@@ -68,11 +75,17 @@ class AttackConfig:
 class AttackResult:
     """Perturbations (one vector per agent, within budget), per-agent
     flip flags against the clean smoothed actions, and the episode
-    reward for rollout attacks (nan for single-state attacks)."""
+    reward for rollout attacks (nan for single-state attacks).
+
+    ``action`` is the target agent's smoothed action under its
+    perturbation for single-state attacks: the clean action unless the
+    attack flipped it.  Rollout attacks leave it None.
+    """
 
     perturbations: tuple
     flipped: tuple
     attacked_reward: float
+    action: int | None = None
 
 
 @dataclass(frozen=True)
@@ -85,13 +98,6 @@ class ValidationReport:
     contrast_flips: int
     rollout_rewards: tuple
     rmin_violated: bool
-
-
-def _project(delta: np.ndarray, epsilon: float) -> np.ndarray:
-    norm = float(np.linalg.norm(delta))
-    if norm > epsilon:
-        return delta * (epsilon / norm)
-    return delta
 
 
 def _smoothed_modal(
@@ -112,25 +118,138 @@ def _smoothed_modal(
     return int(np.argmax(counts))
 
 
-def _margin(net: nn.Mlp, x: np.ndarray, modal: int) -> float:
-    values = nn.forward(net, x)
-    rival = np.delete(values, modal).max()
-    return float(rival - values[modal])
+def _margins(net: nn.Mlp, X: np.ndarray, modal: int) -> np.ndarray:
+    """Best non-modal value minus the modal value, per row of X."""
+    values = nn.forward_batch(net, X)
+    return np.delete(values, modal, axis=1).max(axis=1) - values[:, modal]
 
 
-def _result_for_target(policy, spec, state, agent, delta, flipped):
+def _result_for_target(policy, spec, state, agent, delta, action, clean):
     perturbations = []
     flips = []
     for n in range(policy.n_agents):
         if n == agent:
             perturbations.append(np.array(delta, dtype=np.float64))
-            flips.append(bool(flipped))
+            flips.append(action != clean)
         else:
             # untouched observation + identical noise stream: the
             # smoothed decision is bitwise the clean one
             perturbations.append(np.zeros(observe(spec, state, n).size))
             flips.append(False)
-    return AttackResult(tuple(perturbations), tuple(flips), float("nan"))
+    return AttackResult(tuple(perturbations), tuple(flips), float("nan"), action)
+
+
+def _shared_schedule(cfgs: tuple) -> AttackConfig:
+    """The schedule every config of a batch shares; only seeds may differ."""
+    if not cfgs:
+        raise ConfigError("a PGD batch needs at least one config")
+    first = cfgs[0]
+    schedule = (first.epsilon, first.steps, first.restarts, first.step_size, first.noise)
+    for cfg in cfgs[1:]:
+        if (cfg.epsilon, cfg.steps, cfg.restarts, cfg.step_size, cfg.noise) != schedule:
+            raise ConfigError(
+                "configs in one PGD batch must share epsilon, steps, restarts, "
+                "step_size and noise"
+            )
+    return first
+
+
+def _restart_starts(cfg: AttackConfig, step_index: int, agent: int, dim: int):
+    """Starts of restarts 1.. of one config, uniform in the budget ball."""
+    rng = np.random.default_rng(derive_seed(cfg.seed, "pgd", step_index, agent))
+    starts = np.zeros((cfg.restarts - 1, dim))
+    for start in starts:
+        direction = rng.standard_normal(dim)
+        norm = np.linalg.norm(direction)
+        radius = cfg.epsilon * rng.random() ** (1.0 / dim)
+        if norm > 0:
+            start[:] = direction * (radius / norm)
+    return starts
+
+
+def _pgd_rows(net, base, deltas, clean, cfg: AttackConfig) -> np.ndarray:
+    """Margin-ascent PGD on every row of ``deltas`` at once, in place.
+
+    A row whose input gradient is zero cannot make progress and stops
+    where it is; the others keep stepping and projecting onto the ball.
+    """
+    step_size = cfg.resolved_step_size()
+    live = np.arange(len(deltas))
+    for _ in range(cfg.steps):
+        X = base + deltas[live]
+        values = nn.forward_batch(net, X)
+        values[:, clean] = -np.inf
+        grad_out = np.zeros_like(values)
+        grad_out[np.arange(len(live)), np.argmax(values, axis=1)] = 1.0
+        grad_out[:, clean] = -1.0
+        _, grad_in = nn.backward_batch(net, X, grad_out)
+        norms = np.linalg.norm(grad_in, axis=1)
+        moving = norms != 0.0
+        live = live[moving]
+        if live.size == 0:
+            break
+        stepped = deltas[live] + step_size * grad_in[moving] / norms[moving, None]
+        lengths = np.linalg.norm(stepped, axis=1)
+        over = lengths > cfg.epsilon
+        stepped[over] *= (cfg.epsilon / lengths[over])[:, None]
+        deltas[live] = stepped
+    return deltas
+
+
+def pgd_attack_batch(
+    policy: JointPolicy,
+    spec: GridSpec,
+    state: EnvState,
+    agent: int,
+    cfgs,
+) -> tuple:
+    """Margin-ascent PGD on one agent's observation, one result per config.
+
+    The configs must share everything but their seeds (ConfigError
+    otherwise).  Restart 0 starts from the clean observation and is one
+    row shared by every config; each config's further restarts start
+    uniformly inside the budget ball, drawn from its own seed.  A
+    config's result is its first restart, in restart order, that flips
+    the smoothed decision, otherwise the one with the largest final
+    margin.
+    """
+    cfgs = tuple(cfgs)
+    schedule = _shared_schedule(cfgs)
+    base = observe(spec, state, agent)
+    clean = _smoothed_modal(policy, spec, state, agent, schedule.noise)
+    if schedule.epsilon == 0.0:
+        zero = np.zeros(base.size)
+        return tuple(
+            _result_for_target(policy, spec, state, agent, zero, clean, clean)
+            for _ in cfgs
+        )
+    net = policy.agent_nets[agent]
+    starts = [np.zeros((1, base.size))]
+    starts += [_restart_starts(cfg, state.step_count, agent, base.size) for cfg in cfgs]
+    deltas = _pgd_rows(net, base, np.concatenate(starts), clean, schedule)
+    margins = _margins(net, base + deltas, clean)
+    modes = {}
+
+    def mode(row):
+        if row not in modes:
+            modes[row] = _smoothed_modal(
+                policy, spec, state, agent, schedule.noise, deltas[row]
+            )
+        return modes[row]
+
+    own = schedule.restarts - 1
+    results = []
+    for c in range(len(cfgs)):
+        rows = [0, *range(1 + c * own, 1 + (c + 1) * own)]
+        chosen = next((row for row in rows if mode(row) != clean), None)
+        if chosen is None:
+            chosen = rows[int(np.argmax(margins[rows]))]
+        results.append(
+            _result_for_target(
+                policy, spec, state, agent, deltas[chosen], mode(chosen), clean
+            )
+        )
+    return tuple(results)
 
 
 def pgd_attack_state(
@@ -140,49 +259,8 @@ def pgd_attack_state(
     agent: int,
     cfg: AttackConfig,
 ) -> AttackResult:
-    """Margin-ascent PGD on one agent's observation.
-
-    Restart 0 starts from the clean observation; further restarts start
-    uniformly inside the budget ball.  Returns the first flipping
-    perturbation, otherwise the one with the largest final margin.
-    """
-    base = observe(spec, state, agent)
-    if cfg.epsilon == 0.0:
-        return _result_for_target(policy, spec, state, agent, np.zeros(base.size), False)
-    net = policy.agent_nets[agent]
-    clean = _smoothed_modal(policy, spec, state, agent, cfg.noise)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "pgd", state.step_count, agent))
-    step_size = cfg.resolved_step_size()
-    best_delta = np.zeros(base.size)
-    best_margin = -np.inf
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            delta = np.zeros(base.size)
-        else:
-            direction = rng.standard_normal(base.size)
-            norm = np.linalg.norm(direction)
-            radius = cfg.epsilon * rng.random() ** (1.0 / base.size)
-            delta = direction * (radius / norm) if norm > 0 else np.zeros(base.size)
-        for _ in range(cfg.steps):
-            values = nn.forward(net, base + delta)
-            masked = values.copy()
-            masked[clean] = -np.inf
-            rival = int(np.argmax(masked))
-            grad_out = np.zeros(N_ACTIONS)
-            grad_out[rival] = 1.0
-            grad_out[clean] = -1.0
-            _, grad_in = nn.backward(net, base + delta, grad_out)
-            norm = float(np.linalg.norm(grad_in))
-            if norm == 0.0:
-                break  # dead gradient; this restart cannot make progress
-            delta = _project(delta + step_size * grad_in / norm, cfg.epsilon)
-        if _smoothed_modal(policy, spec, state, agent, cfg.noise, delta) != clean:
-            return _result_for_target(policy, spec, state, agent, delta, True)
-        margin = _margin(net, base + delta, clean)
-        if margin > best_margin:
-            best_margin = margin
-            best_delta = delta
-    return _result_for_target(policy, spec, state, agent, best_delta, False)
+    """``pgd_attack_batch`` with the single config ``cfg``."""
+    return pgd_attack_batch(policy, spec, state, agent, (cfg,))[0]
 
 
 def random_search_attack(
@@ -197,28 +275,25 @@ def random_search_attack(
     Guards against gradient masking; tries steps * restarts directions.
     """
     base = observe(spec, state, agent)
-    if cfg.epsilon == 0.0:
-        return _result_for_target(policy, spec, state, agent, np.zeros(base.size), False)
-    net = policy.agent_nets[agent]
     clean = _smoothed_modal(policy, spec, state, agent, cfg.noise)
+    if cfg.epsilon == 0.0:
+        return _result_for_target(
+            policy, spec, state, agent, np.zeros(base.size), clean, clean
+        )
     rng = np.random.default_rng(
         derive_seed(cfg.seed, "random-search", state.step_count, agent)
     )
-    best_delta = np.zeros(base.size)
-    best_margin = -np.inf
-    for _ in range(cfg.steps * cfg.restarts):
-        direction = rng.standard_normal(base.size)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            continue
-        delta = direction * (cfg.epsilon / norm)
-        if _smoothed_modal(policy, spec, state, agent, cfg.noise, delta) != clean:
-            return _result_for_target(policy, spec, state, agent, delta, True)
-        margin = _margin(net, base + delta, clean)
-        if margin > best_margin:
-            best_margin = margin
-            best_delta = delta
-    return _result_for_target(policy, spec, state, agent, best_delta, False)
+    directions = rng.standard_normal((cfg.steps * cfg.restarts, base.size))
+    norms = np.linalg.norm(directions, axis=1)
+    nonzero = norms > 0.0
+    deltas = directions[nonzero] * (cfg.epsilon / norms[nonzero])[:, None]
+    for delta in deltas:
+        action = _smoothed_modal(policy, spec, state, agent, cfg.noise, delta)
+        if action != clean:
+            return _result_for_target(policy, spec, state, agent, delta, action, clean)
+    margins = _margins(policy.agent_nets[agent], base + deltas, clean)
+    best = deltas[int(np.argmax(margins))] if len(deltas) else np.zeros(base.size)
+    return _result_for_target(policy, spec, state, agent, best, clean, clean)
 
 
 def attacked_rollout(
@@ -242,12 +317,10 @@ def attacked_rollout(
         perturbations = []
         for agent in range(policy.n_agents):
             result = pgd_attack_state(policy, spec, state, agent, cfg)
-            delta = result.perturbations[agent]
-            perturbations.append(delta)
-            action = _smoothed_modal(policy, spec, state, agent, cfg.noise, delta)
+            perturbations.append(result.perturbations[agent])
+            actions.append(result.action)
             if result.flipped[agent]:
                 ever_flipped[agent] = True
-            actions.append(action)
         last = tuple(perturbations)
         outcome = step(spec, state, tuple(actions))
         total += outcome.team_reward
@@ -266,15 +339,16 @@ def validate_certificates(
 ) -> ValidationReport:
     """Stress-test certificates with repeated attacks.
 
-    Every certified (state, agent) pair gets ``trials`` PGD runs at its
-    certified radius (flips here would falsify the certificate) and
-    ``trials`` more at twice the radius as a contrast.  Rollout attacks
-    at the reward certificate's epsilon check that no episode scores
-    below its bound.  Raises ValueError when a certificate's recorded
-    actions disagree with this policy and noise configuration.
+    Every certified (state, agent) pair gets one PGD batch of ``trials``
+    configs at its certified radius (flips here would falsify the
+    certificate) and one more at twice the radius as a contrast.
+    Rollout attacks at the reward certificate's epsilon check that no
+    episode scores below its bound.  Raises ConfigError when ``trials``
+    is below 1, and ValueError when a certificate's recorded actions
+    disagree with this policy and noise configuration.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ConfigError("trials must be at least 1")
     for cert in state_certificates:
         if cert.step_index != cert.state.step_count:
             raise ValueError("certificate state/step mismatch")
@@ -294,23 +368,24 @@ def validate_certificates(
             agents_checked += 1
             radius = cert.per_agent_radius[agent]
             for scale, inside in ((1.0, True), (2.0, False)):
-                for trial in range(trials):
-                    trial_cfg = replace(
+                trial_cfgs = [
+                    replace(
                         cfg,
                         epsilon=scale * radius,
                         seed=derive_seed(
                             cfg.seed, "validate", cert.step_index, agent, trial, scale
                         ),
                     )
-                    result = pgd_attack_state(
-                        policy, spec, cert.state, agent, trial_cfg
-                    )
-                    if inside:
-                        in_trials += 1
-                        in_flips += int(result.flipped[agent])
-                    else:
-                        contrast_trials += 1
-                        contrast_flips += int(result.flipped[agent])
+                    for trial in range(trials)
+                ]
+                results = pgd_attack_batch(policy, spec, cert.state, agent, trial_cfgs)
+                flips = sum(int(result.flipped[agent]) for result in results)
+                if inside:
+                    in_trials += trials
+                    in_flips += flips
+                else:
+                    contrast_trials += trials
+                    contrast_flips += flips
     rewards = []
     violated = False
     for trial in range(rollout_trials):

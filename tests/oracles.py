@@ -2,14 +2,16 @@
 
 Deliberately slow and simple: arbitrary-precision special functions (mpmath),
 exact rational binomial sums (fractions.Fraction), bisection root finding,
-naive enumeration. Nothing in this file calls into marlcert, so each check in
-the test suite compares two independent routes to the same quantity.
+naive enumeration, one-row-at-a-time gradient ascent. Nothing in this file
+calls into marlcert, so each check in the test suite compares two
+independent routes to the same quantity.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 
 def normal_cdf(x, dps=30):
@@ -113,3 +115,82 @@ def central_difference(f, x, h=1e-5):
         xm[i] -= h
         grad.append((f(xp) - f(xm)) / (2.0 * h))
     return grad
+
+
+def _values_and_input_grad(weights, biases, activation, x, output_grad):
+    """One input vector through a dense net: (outputs, d<output_grad, out>/dx)."""
+    act = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh
+    pres = []
+    h = np.asarray(x, dtype=np.float64)
+    for l, (W, b) in enumerate(zip(weights, biases)):
+        z = W @ h + b
+        if l == len(weights) - 1:
+            h = z
+        else:
+            pres.append(z)
+            h = act(z)
+    grad = np.asarray(output_grad, dtype=np.float64)
+    for l in range(len(weights) - 1, -1, -1):
+        grad = weights[l].T @ grad
+        if l > 0:
+            z = pres[l - 1]
+            grad = grad * ((z > 0.0) if activation == "relu" else 1.0 - np.tanh(z) ** 2)
+    return h, grad
+
+
+def pgd_single_row(
+    weights, biases, activation, base, clean, epsilon, steps, step_size,
+    restarts, seed, judge,
+):
+    """Margin-ascent PGD run one restart and one input vector at a time.
+
+    Restart 0 starts at ``base``; restart r > 0 starts at a uniform point
+    of the epsilon ball drawn from ``numpy.random.default_rng(seed)``
+    (a normal direction, then a radius).  Each step moves step_size along
+    the normalised input gradient of (best non-clean value - clean value)
+    and projects back onto the ball; a zero gradient ends the restart.
+    ``judge(delta)`` gives the smoothed action at ``base + delta``.
+    Returns (delta, flipped) for the first restart that the judge flips,
+    else for the restart with the largest final margin.
+    """
+    base = np.asarray(base, dtype=np.float64)
+    dim = base.size
+    rng = np.random.default_rng(seed)
+    best, best_margin = np.zeros(dim), -math.inf
+    for restart in range(restarts):
+        delta = np.zeros(dim)
+        if restart > 0:
+            direction = rng.standard_normal(dim)
+            norm = math.sqrt(float(direction @ direction))
+            radius = epsilon * rng.random() ** (1.0 / dim)
+            if norm > 0:
+                delta = direction * (radius / norm)
+        for _ in range(steps):
+            values, _ = _values_and_input_grad(
+                weights, biases, activation, base + delta, np.zeros(len(biases[-1]))
+            )
+            rival = max(
+                (a for a in range(len(values)) if a != clean), key=lambda a: (values[a], -a)
+            )
+            output_grad = np.zeros(len(values))
+            output_grad[rival] = 1.0
+            output_grad[clean] = -1.0
+            _, grad = _values_and_input_grad(
+                weights, biases, activation, base + delta, output_grad
+            )
+            norm = math.sqrt(float(grad @ grad))
+            if norm == 0.0:
+                break
+            delta = delta + step_size * grad / norm
+            length = math.sqrt(float(delta @ delta))
+            if length > epsilon:
+                delta = delta * (epsilon / length)
+        if judge(delta) != clean:
+            return delta, True
+        values, _ = _values_and_input_grad(
+            weights, biases, activation, base + delta, np.zeros(len(biases[-1]))
+        )
+        margin = max(v for a, v in enumerate(values) if a != clean) - values[clean]
+        if margin > best_margin:
+            best, best_margin = delta, margin
+    return best, False

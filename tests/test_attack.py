@@ -1,25 +1,33 @@
 """Tests for the l2-bounded observation attacks and certificate validation."""
 
 import math
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marlcert import nn
+import oracles
+from marlcert import attack, nn
 from marlcert.attack import (
     AttackConfig,
+    _smoothed_modal,
     attacked_rollout,
+    pgd_attack_batch,
     pgd_attack_state,
     random_search_attack,
     validate_certificates,
 )
 from marlcert.certify import certify_trajectory, tcrgr
-from marlcert.envs import observe, parse_grid_config, reset
+from marlcert.envs import builtin_spec, observe, parse_grid_config, reset, step
 from marlcert.errors import ConfigError
-from marlcert.policy import JointPolicy
+from marlcert.policy import JointPolicy, load_policy
+from marlcert.seeds import derive_seed
 from marlcert.smoothing import NoiseConfig
 
 _NULL_COMPONENT = 20
+_CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
 
 
 def _noise(**kw):
@@ -55,6 +63,70 @@ def _policy(nets):
 
 def _spec2():
     return parse_grid_config("map: |\n  1.a\n  2.l\nstep_cap: 6\n")
+
+
+def _random_net(seed, hidden, activation, scale=1.0):
+    rng = np.random.default_rng(seed)
+    net = nn.mlp_init((47, *hidden, 5), activation, rng)
+    for l, W in enumerate(net.weights):
+        net.weights[l] = W * scale
+        net.biases[l] = rng.normal(0.0, 0.5, size=net.biases[l].shape)
+    return net
+
+
+def _linear_net(seed, bias):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 0.01, size=(5, 47))
+    return nn.Mlp((47, 5), [w], [np.asarray(bias, dtype=np.float64)], "relu")
+
+
+def _gated_net(seed):
+    """Two relu units that are off on the clean observation.
+
+    Restart 0 and the restarts that start with both units off have a
+    zero input gradient and stop at once, the rest climb toward action
+    0, and only some configs flip: every branch of a batch at once.
+    """
+    rng = np.random.default_rng(seed)
+    w1 = np.zeros((2, 47))
+    w1[:, _NULL_COMPONENT : _NULL_COMPONENT + 6] = rng.normal(size=(2, 6))
+    w2 = np.zeros((5, 2))
+    w2[0] = 3.0
+    b2 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    return nn.Mlp((47, 2, 5), [w1, w2], [np.full(2, -0.3), b2], "relu")
+
+
+def _assert_matches_reference(policy, spec, state, agent, cfgs):
+    """Batched PGD against the sequential single-row oracle, per config."""
+    net = policy.agent_nets[agent]
+    base = observe(spec, state, agent)
+    noise = cfgs[0].noise
+    clean = _smoothed_modal(policy, spec, state, agent, noise)
+
+    def judge(delta):
+        return _smoothed_modal(policy, spec, state, agent, noise, delta)
+
+    results = pgd_attack_batch(policy, spec, state, agent, cfgs)
+    assert len(results) == len(cfgs)
+    for cfg, result in zip(cfgs, results):
+        want_delta, want_flipped = oracles.pgd_single_row(
+            net.weights,
+            net.biases,
+            net.activation,
+            base,
+            clean,
+            cfg.epsilon,
+            cfg.steps,
+            cfg.resolved_step_size(),
+            cfg.restarts,
+            derive_seed(cfg.seed, "pgd", state.step_count, agent),
+            judge,
+        )
+        assert result.flipped[agent] is want_flipped
+        assert np.allclose(result.perturbations[agent], want_delta, rtol=0.0, atol=1e-12)
+        assert result.action == judge(result.perturbations[agent])
+        assert (result.action != clean) is want_flipped
+    return results
 
 
 class TestAttackConfig:
@@ -152,6 +224,109 @@ class TestPgdAttackState:
             assert result.flipped[0] is False
 
 
+class TestPgdAttackBatch:
+    @pytest.mark.parametrize(
+        "net",
+        [
+            _flip_net(47),
+            _linear_net(3, [1.0, 0.9, -5.0, -5.0, -5.0]),
+            _random_net(5, (16,), "relu"),
+            _random_net(6, (16, 8), "tanh", scale=3.0),
+            _gated_net(2),
+        ],
+        ids=["flip", "linear", "relu", "tanh", "gated"],
+    )
+    def test_matches_single_row_reference_on_toy_nets(self, net):
+        spec = _spec2()
+        other = _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])
+        policy = _policy([net, other])
+        state = step(spec, reset(spec), (3, 0)).next_state
+        for eps in (0.05, 0.5, 2.0):
+            cfgs = [_cfg(eps, restarts=3, seed=40 + trial) for trial in range(5)]
+            results = _assert_matches_reference(policy, spec, state, 0, cfgs)
+            for result in results:
+                assert np.linalg.norm(result.perturbations[0]) <= eps * (1 + 1e-12)
+                assert result.flipped[1] is False
+                assert not result.perturbations[1].any()
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_matches_single_row_reference_on_stored_checkpoint(self, scale):
+        policy = load_policy(str(_CHECKERS_VDN))
+        spec = builtin_spec("checkers")
+        noise = NoiseConfig(
+            sigma=0.06, samples=1000, alpha=0.01, seed=derive_seed(1, "smoothing")
+        )
+        certificates = certify_trajectory(policy, spec, noise)
+        flips = 0
+        batches = 0
+        for cert in certificates:
+            for agent in sorted(cert.certified_set):
+                radius = cert.per_agent_radius[agent]
+                cfgs = [
+                    AttackConfig(
+                        epsilon=scale * radius,
+                        noise=noise,
+                        steps=30,
+                        restarts=2,
+                        seed=derive_seed(23, "validate", cert.step_index, agent, trial),
+                    )
+                    for trial in range(20)
+                ]
+                results = _assert_matches_reference(policy, spec, cert.state, agent, cfgs)
+                flips += sum(result.flipped[agent] for result in results)
+                batches += 1
+        assert batches > 0
+        if scale == 1.0:
+            assert flips == 0
+        else:
+            assert flips > 0  # the contrast exercises the flip path
+
+    def test_constant_net_rows_stay_at_their_starts(self, monkeypatch):
+        spec = _spec2()
+        policy = _policy([_const_net(47, [1.0, 3.0, 0.0, 0.0, 0.0])] * 2)
+        calls = Counter()
+        backward_batch = nn.backward_batch
+
+        def counting(net, X, G):
+            calls[len(X)] += 1
+            return backward_batch(net, X, G)
+
+        monkeypatch.setattr(nn, "backward_batch", counting)
+        cfgs = [_cfg(0.5, restarts=3, seed=trial) for trial in range(4)]
+        results = pgd_attack_batch(policy, spec, reset(spec), 0, cfgs)
+        # one shared restart-0 row plus two own restarts per config, all of
+        # which stop at the first step with a zero input gradient
+        assert calls == Counter({1 + 4 * 2: 1})
+        for result in results:
+            assert result.flipped == (False, False)
+            assert result.action == 1
+            assert not result.perturbations[0].any()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(epsilon=0.2),
+            dict(steps=21),
+            dict(restarts=4),
+            dict(step_size=0.01),
+            dict(noise=_noise(seed=24)),
+        ],
+        ids=["epsilon", "steps", "restarts", "step_size", "noise"],
+    )
+    def test_configs_must_share_their_schedule(self, change):
+        spec = _spec2()
+        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
+        cfg = _cfg(0.1)
+        with pytest.raises(ConfigError):
+            pgd_attack_batch(policy, spec, reset(spec), 0, [cfg, replace(cfg, **change)])
+
+    def test_empty_batch_is_a_config_error(self):
+        spec = _spec2()
+        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
+        with pytest.raises(ConfigError):
+            pgd_attack_batch(policy, spec, reset(spec), 0, [])
+
+
 class TestRandomSearchAttack:
     def test_zero_budget_is_identity(self):
         spec = _spec2()
@@ -173,6 +348,9 @@ class TestRandomSearchAttack:
         policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
         result = random_search_attack(policy, spec, reset(spec), 0, _cfg(5.0))
         assert result.flipped[0] is True
+        delta = result.perturbations[0]
+        noise = _cfg(5.0).noise
+        assert result.action == _smoothed_modal(policy, spec, reset(spec), 0, noise, delta)
 
 
 class TestAttackedRollout:
@@ -197,6 +375,29 @@ class TestAttackedRollout:
         )
         result = attacked_rollout(policy, spec, cfg)
         assert result.attacked_reward >= bound.r_min
+
+    def test_one_smoothed_decision_per_judged_row(self, monkeypatch):
+        spec = parse_grid_config(
+            "map: |\n  1..a\n  2...\nstep_cap: 4\nrewards:\n  apple: 10.0\n"
+        )
+        policy = _policy(
+            [_linear_net(1, [0.0, 0.0, 0.0, 1.0, 0.0]), _linear_net(2, [0.0, 1.0, 0.0, 0.0, 0.0])]
+        )
+        calls = Counter()
+
+        def counting(policy, spec, state, agent, noise, delta=None):
+            calls[state.step_count, agent] += 1
+            return _smoothed_modal(policy, spec, state, agent, noise, delta)
+
+        monkeypatch.setattr(attack, "_smoothed_modal", counting)
+        cfg = _cfg(0.05, restarts=3)
+        result = attacked_rollout(policy, spec, cfg)
+        assert result.flipped == (False, False)
+        # the clean decision, then one per restart end point; the action
+        # executed is the attack's own, not a further decision
+        steps = 1 + max(t for t, _ in calls)
+        assert steps > 1
+        assert calls == Counter({(t, n): 1 + 3 for t in range(steps) for n in range(2)})
 
 
 class TestValidateCertificates:
@@ -225,6 +426,47 @@ class TestValidateCertificates:
         assert len(report.rollout_rewards) == 2
         for reward in report.rollout_rewards:
             assert reward >= bound.r_min
+
+    def test_one_batch_per_state_agent_and_scale(self, monkeypatch):
+        spec = parse_grid_config(
+            "map: |\n  1..a\nstep_cap: 5\nrewards:\n  apple: 10.0\n"
+        )
+        policy = _policy([_linear_net(4, [0.0, 0.0, 0.0, 1.0, 0.0])])
+        noise = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=17)
+        certs = certify_trajectory(policy, spec, noise)
+        bound = tcrgr(policy, spec, noise)
+        checked = [(c.step_index, n) for c in certs for n in sorted(c.certified_set)]
+        assert len(checked) == 3
+        backward = Counter()
+        clean = Counter()
+        backward_batch = nn.backward_batch
+
+        def counting_backward(net, X, G):
+            backward[len(X)] += 1
+            return backward_batch(net, X, G)
+
+        def counting_modal(policy, spec, state, agent, noise, delta=None):
+            if delta is None:
+                clean[state.step_count, agent] += 1
+            return _smoothed_modal(policy, spec, state, agent, noise, delta)
+
+        monkeypatch.setattr(nn, "backward_batch", counting_backward)
+        monkeypatch.setattr(attack, "_smoothed_modal", counting_modal)
+        cfg = AttackConfig(epsilon=0.0, noise=noise, steps=15, restarts=2, seed=9)
+        report = validate_certificates(
+            policy, spec, certs, bound, cfg, trials=4, rollout_trials=0
+        )
+        assert report.in_ball_flips == 0
+        assert report.in_ball_trials == report.contrast_trials == 4 * 3
+        # no row freezes on this net: every batch of 1 + 4 rows takes 15 steps
+        assert backward == Counter({1 + 4: 15 * 2 * len(checked)})
+        # one decision checks the certificate, then one per scale's batch
+        assert clean == Counter({key: 1 + 2 for key in checked})
+
+    def test_trials_below_one_is_a_config_error(self):
+        spec, policy, certs, bound, cfg = self._setup()
+        with pytest.raises(ConfigError):
+            validate_certificates(policy, spec, certs, bound, cfg, trials=0)
 
     def test_rejects_foreign_certificates(self):
         spec, policy, certs, bound, cfg = self._setup()
