@@ -14,13 +14,12 @@ row of a single array, stepped together through ``nn.forward_batch``
 and ``nn.backward_batch``; restart 0 starts at the clean observation
 and depends on no seed, so the batch holds it once for all configs.
 Each row's end point is still judged on its own by the full CRN smoothed
-decision.  ``pgd_attack_state`` is the one-config batch.
-``random_search_attack`` probes uniform l2-sphere directions at the full
-budget as a gradient-free cross-check.  ``attacked_rollout`` applies the
-attack persistently along an episode, and ``validate_certificates``
-attacks every certified (state, agent) pair with all its trials in one
-batch at its certified radius, and again at twice that radius as a
-contrast.
+decision, which counts actions exactly as ``smoothing.sample_tally``
+does for the certificates.  ``pgd_attack_state`` is the one-config
+batch.  ``attacked_rollout`` applies the attack persistently along an
+episode, and ``validate_certificates`` attacks every certified (state,
+agent) pair with all its trials in one batch at its certified radius,
+and again at twice that radius as a contrast.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ import numpy as np
 
 from . import nn
 from .certify import RewardCertificate
-from .envs import EnvState, GridSpec, N_ACTIONS, observe, reset, step
+from .envs import EnvState, GridSpec, observe, reset, step
 from .errors import ConfigError
 from .policy import JointPolicy
 from .seeds import derive_seed
-from .smoothing import NoiseConfig, _noise_block
+from .smoothing import NoiseConfig, _action_counts
 
 
 @dataclass(frozen=True)
@@ -109,13 +108,7 @@ def _smoothed_modal(
     delta: np.ndarray | None = None,
 ) -> int:
     """Modal greedy action under the certification noise stream."""
-    base = observe(spec, state, agent)
-    if delta is not None:
-        base = base + delta
-    block = _noise_block(base.size, noise, state.step_count, agent)
-    values = nn.forward_batch(policy.agent_nets[agent], base[None, :] + block)
-    counts = np.bincount(np.argmax(values, axis=1), minlength=N_ACTIONS)
-    return int(np.argmax(counts))
+    return int(np.argmax(_action_counts(policy, spec, state, agent, noise, delta)))
 
 
 def _margins(net: nn.Mlp, X: np.ndarray, modal: int) -> np.ndarray:
@@ -261,39 +254,6 @@ def pgd_attack_state(
 ) -> AttackResult:
     """``pgd_attack_batch`` with the single config ``cfg``."""
     return pgd_attack_batch(policy, spec, state, agent, (cfg,))[0]
-
-
-def random_search_attack(
-    policy: JointPolicy,
-    spec: GridSpec,
-    state: EnvState,
-    agent: int,
-    cfg: AttackConfig,
-) -> AttackResult:
-    """Gradient-free probe: uniform sphere directions at the full budget.
-
-    Guards against gradient masking; tries steps * restarts directions.
-    """
-    base = observe(spec, state, agent)
-    clean = _smoothed_modal(policy, spec, state, agent, cfg.noise)
-    if cfg.epsilon == 0.0:
-        return _result_for_target(
-            policy, spec, state, agent, np.zeros(base.size), clean, clean
-        )
-    rng = np.random.default_rng(
-        derive_seed(cfg.seed, "random-search", state.step_count, agent)
-    )
-    directions = rng.standard_normal((cfg.steps * cfg.restarts, base.size))
-    norms = np.linalg.norm(directions, axis=1)
-    nonzero = norms > 0.0
-    deltas = directions[nonzero] * (cfg.epsilon / norms[nonzero])[:, None]
-    for delta in deltas:
-        action = _smoothed_modal(policy, spec, state, agent, cfg.noise, delta)
-        if action != clean:
-            return _result_for_target(policy, spec, state, agent, delta, action, clean)
-    margins = _margins(policy.agent_nets[agent], base + deltas, clean)
-    best = deltas[int(np.argmax(margins))] if len(deltas) else np.zeros(base.size)
-    return _result_for_target(policy, spec, state, agent, best, clean, clean)
 
 
 def attacked_rollout(

@@ -1,26 +1,30 @@
 """Per-state robustness certificates and a team-reward lower bound.
 
 Certification works on the smoothed policy: each agent's action is the
-modal greedy choice under ``M`` Gaussian observation perturbations.  Two
-artifacts come out of this module:
+modal greedy choice under ``M`` Gaussian observation perturbations.  Both
+recipes start from one ``StateDecision`` per state, built by ``decide``:
+the action tally at the state's noise address, the modal joint action,
+and each agent's importance factor at that action.  Two artifacts come
+out of this module:
 
-* ``crsc`` certifies a single state.  Every agent gets a one-sided
-  binomial p-value for "my modal action wins more than half the time",
-  the p-values are reweighted by how much each agent's choice matters to
-  the team value, and a Benjamini-Hochberg pass controls the false
-  discovery rate across agents.  Surviving agents receive an l2 radius
-  from simultaneous confidence bounds over their action counts.
+* ``crsc`` turns a decision into a certificate for that state.  Every
+  agent gets a one-sided binomial p-value for "my modal action wins more
+  than half the time", the p-values are reweighted by how much each
+  agent's choice matters to the team value, and a Benjamini-Hochberg
+  pass controls the false discovery rate across agents.  Surviving
+  agents receive an l2 radius from simultaneous confidence bounds over
+  their action counts.
 
 * ``tcrgr`` lower-bounds the team reward under any perturbation smaller
-  than the weakest per-state radius along the way.  Candidate
-  trajectories follow per-agent candidate action sets (the modal action,
-  plus the runner-up wherever the reweighted p-value fails the ``alpha``
-  gate).  Every step advances ``EnvState.step_count``, so the reachable
-  states form a DAG layered by step; one forward pass over its levels
-  yields both the weakest node radius and the least total reward over
-  all candidate trajectories.  The smoothed policy's own episode follows
-  the modal actions, which every candidate set starts with, so its clean
-  reward is read off the same pass without a second smoothed decision.
+  than the weakest per-state radius along the way.  ``get_node`` decides
+  each state and keeps per-agent candidate action sets (the modal
+  action, plus the runner-up wherever the reweighted p-value fails the
+  ``alpha`` gate).  Every step advances ``EnvState.step_count``, so the
+  reachable states form a DAG layered by step; one forward pass over its
+  levels yields both the weakest node radius and the least total reward
+  over all candidate trajectories.  The smoothed policy's own episode
+  follows the modal actions, which every candidate set starts with, so
+  its decisions and clean reward are read off the same pass.
 """
 
 from __future__ import annotations
@@ -59,6 +63,21 @@ class ImportanceFactors:
     normalized: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class StateDecision:
+    """The smoothed decision at one state that both recipes read.
+
+    ``modal[n]`` is agent n's most frequent action in ``tally``, the
+    lowest index on ties; ``factors`` are the importance factors at
+    ``modal``.
+    """
+
+    state: EnvState
+    tally: ActionTally
+    modal: tuple
+    factors: ImportanceFactors
+
+
 @dataclass(frozen=True)
 class StateCertificate:
     """Outcome of certifying one state.
@@ -82,6 +101,7 @@ class StateCertificate:
 class SearchNode:
     """Candidate action sets and certified radius for one tree state."""
 
+    decision: StateDecision
     action_sets: tuple
     per_agent_radius: tuple
     radius: float
@@ -89,12 +109,14 @@ class SearchNode:
 
 @dataclass(frozen=True)
 class RewardCertificate:
-    """``clean_reward`` is the unattacked episode of the smoothed policy."""
+    """``clean_reward`` is the unattacked episode of the smoothed policy;
+    ``clean_path`` holds that episode's decisions in rollout order."""
 
     epsilon_cert: float
     r_min: float
     nodes_expanded: int
     clean_reward: float
+    clean_path: tuple
 
 
 def importance_factor(
@@ -132,37 +154,41 @@ def importance_factor(
     return ImportanceFactors(raw=tuple(raw), normalized=normalized)
 
 
+def decide(
+    policy: JointPolicy, spec: GridSpec, state: EnvState, cfg: NoiseConfig
+) -> StateDecision:
+    """The tally, modal joint action and importance factors at ``state``."""
+    tally = sample_tally(policy, spec, state, cfg)
+    modal = tuple(int(np.argmax(counts)) for counts in tally.per_agent)
+    factors = importance_factor(policy, spec, state, modal, tally)
+    return StateDecision(state=state, tally=tally, modal=modal, factors=factors)
+
+
 def _corrected_pvalue(count: int, norm: float, cfg: NoiseConfig):
     pv = binom_pvalue_one_sided(count, cfg.samples, 0.5)
     return pv, min(1.0, pv * norm)
 
 
-def crsc(
-    policy: JointPolicy, spec: GridSpec, state: EnvState, cfg: NoiseConfig
-) -> StateCertificate:
-    """Certify one state with importance-reweighted FDR control."""
-    tally = sample_tally(policy, spec, state, cfg)
-    n = tally.n_agents
-    modal = tuple(int(np.argmax(tally.per_agent[agent])) for agent in range(n))
-    factors = importance_factor(policy, spec, state, modal, tally)
+def crsc(decision: StateDecision, cfg: NoiseConfig) -> StateCertificate:
+    """Certify one decided state with importance-reweighted FDR control."""
+    tally = decision.tally
     pvalues = []
     corrected = []
-    for agent in range(n):
-        ct1 = int(tally.per_agent[agent][modal[agent]])
-        pv, cpv = _corrected_pvalue(ct1, factors.normalized[agent], cfg)
+    for agent, action in enumerate(decision.modal):
+        ct1 = int(tally.per_agent[agent][action])
+        pv, cpv = _corrected_pvalue(ct1, decision.factors.normalized[agent], cfg)
         pvalues.append(pv)
         corrected.append(cpv)
     outcome = bh_procedure(corrected, cfg.alpha)
-    bounds = per_agent_radii(tally, cfg)
     radii = tuple(
-        bounds.per_agent_radius[agent] if outcome.reject[agent] else 0.0
-        for agent in range(n)
+        radius if reject else 0.0
+        for radius, reject in zip(per_agent_radii(tally, cfg), outcome.reject)
     )
     certified = frozenset(agent for agent, d in enumerate(radii) if d != 0.0)
     return StateCertificate(
-        state=state,
-        step_index=state.step_count,
-        actions=modal,
+        state=decision.state,
+        step_index=decision.state.step_count,
+        actions=decision.modal,
         pvalues=tuple(pvalues),
         corrected_pvalues=tuple(corrected),
         per_agent_radius=radii,
@@ -171,10 +197,8 @@ def crsc(
     )
 
 
-def node_decision(
-    tally: ActionTally, factors: ImportanceFactors, cfg: NoiseConfig
-) -> SearchNode:
-    """Candidate sets and radius from a tally and importance weights.
+def node_decision(decision: StateDecision, cfg: NoiseConfig) -> SearchNode:
+    """Candidate sets and radius from a decision's tally and importance weights.
 
     Agents whose corrected p-value clears ``alpha`` keep only the modal
     action and the radius certifies that singleton; the rest keep the
@@ -185,12 +209,11 @@ def node_decision(
     """
     sets = []
     radii = []
-    for agent in range(tally.n_agents):
-        counts = tally.per_agent[agent]
+    for agent, counts in enumerate(decision.tally.per_agent):
         modal, runner = _agent_top_two(counts)
         ct1 = int(counts[modal])
         ct2 = int(counts[runner])
-        _, cpv = _corrected_pvalue(ct1, factors.normalized[agent], cfg)
+        _, cpv = _corrected_pvalue(ct1, decision.factors.normalized[agent], cfg)
         if cpv > cfg.alpha:
             keep = (modal, runner)
             p_lower = binom_lower_bound(ct1 + ct2, cfg.samples, cfg.alpha)
@@ -206,6 +229,7 @@ def node_decision(
         sets.append(keep)
         radii.append(radius)
     return SearchNode(
+        decision=decision,
         action_sets=tuple(sets),
         per_agent_radius=tuple(radii),
         radius=min(radii),
@@ -215,12 +239,7 @@ def node_decision(
 def get_node(
     policy: JointPolicy, spec: GridSpec, state: EnvState, cfg: NoiseConfig
 ) -> SearchNode:
-    tally = sample_tally(policy, spec, state, cfg)
-    modal = tuple(
-        int(np.argmax(tally.per_agent[agent])) for agent in range(tally.n_agents)
-    )
-    factors = importance_factor(policy, spec, state, modal, tally)
-    return node_decision(tally, factors, cfg)
+    return node_decision(decide(policy, spec, state, cfg), cfg)
 
 
 def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertificate:
@@ -236,22 +255,23 @@ def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertif
     only that minimum gives exactly the least total an exhaustive walk
     over every trajectory would find.
 
-    Each expanded state also records its modal joint action, the first
-    entry of every candidate set.  The smoothed policy's clean episode
-    only visits such states, so walking those actions from ``reset``
-    sums its reward, in rollout order, without drawing any noise.
+    Each expanded state also keeps its decision.  The smoothed policy's
+    clean episode follows the modal actions, the first entry of every
+    candidate set, so it only visits expanded states: walking their
+    modal actions from ``reset`` collects its decisions and sums its
+    reward, in rollout order, without drawing any noise.
     """
     epsilon = np.inf
     r_min = np.inf
     expanded = 0
-    modal = {}
+    decisions = {}
     frontier = {reset(spec): 0.0}
     while frontier:
         successors = {}
         for state, acc in frontier.items():
             node = get_node(policy, spec, state, cfg)
             epsilon = min(epsilon, node.radius)
-            modal[state] = tuple(actions[0] for actions in node.action_sets)
+            decisions[state] = node.decision
             for joint in itertools.product(*node.action_sets):
                 outcome = step(spec, state, joint)
                 total = acc + outcome.team_reward
@@ -263,8 +283,10 @@ def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertif
         frontier = successors
     state = reset(spec)
     clean = 0.0
+    path = []
     while not state.done:
-        outcome = step(spec, state, modal[state])
+        path.append(decisions[state])
+        outcome = step(spec, state, decisions[state].modal)
         clean += outcome.team_reward
         state = outcome.next_state
     return RewardCertificate(
@@ -272,6 +294,7 @@ def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertif
         r_min=float(r_min),
         nodes_expanded=expanded,
         clean_reward=clean,
+        clean_path=tuple(path),
     )
 
 
@@ -281,12 +304,13 @@ def certify_trajectory(
     """Certificates along the smoothed policy's own rollout.
 
     The rollout follows each state's modal joint action, i.e. the
-    trajectory the certificates actually speak about.
+    trajectory the certificates actually speak about, and makes no
+    branching search.
     """
     certificates = []
     state = reset(spec)
     while not state.done:
-        cert = crsc(policy, spec, state, cfg)
-        certificates.append(cert)
-        state = step(spec, state, cert.actions).next_state
+        decision = decide(policy, spec, state, cfg)
+        certificates.append(crsc(decision, cfg))
+        state = step(spec, state, decision.modal).next_state
     return certificates

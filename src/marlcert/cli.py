@@ -13,7 +13,8 @@ flags, or both; flags win) and writes into its output directory:
   merges such rows from many result files into one sorted table.
 
 Exit codes: 0 ok, 2 bad configuration, 3 missing or corrupt file or
-checkpoint, 4 numerical failure (e.g. diverged training).
+checkpoint, or one that does not fit the grid, 4 numerical failure (e.g.
+diverged training).
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import yaml
 
 from . import __version__
 from .attack import AttackConfig, validate_certificates
-from .certify import certify_trajectory, tcrgr
+from .certify import certify_trajectory, crsc, tcrgr
 from .envs import (
     builtin_spec,
     episode_reward,
     load_grid_config,
+    observation_length,
     state_to_dict,
 )
 from .errors import (
@@ -48,6 +50,7 @@ from .errors import (
 from .policy import (
     MIXERS,
     TrainConfig,
+    global_encoding_length,
     greedy_joint_action,
     load_policy,
     train,
@@ -217,10 +220,28 @@ def _attack_config(cfg: RunConfig, noise: NoiseConfig, epsilon: float = 0.0):
     )
 
 
-def _require_checkpoint(cfg: RunConfig):
+def _require_checkpoint(cfg: RunConfig, spec):
     if not cfg.checkpoint:
         raise ConfigError(f"checkpoint is required for mode {cfg.mode!r}")
-    return load_policy(cfg.checkpoint)
+    policy = load_policy(cfg.checkpoint)
+    if policy.n_agents != spec.n_agents:
+        raise CheckpointError(
+            f"incompatible checkpoint data: {policy.n_agents} agents, "
+            f"the grid has {spec.n_agents}"
+        )
+    width = observation_length(spec)
+    if any(net.layer_dims[0] != width for net in policy.agent_nets):
+        raise CheckpointError(
+            f"incompatible checkpoint data: an agent network does not read "
+            f"{width} observation features"
+        )
+    width = global_encoding_length(spec)
+    if policy.hypernet is not None and policy.hypernet.layer_dims[0] != width:
+        raise CheckpointError(
+            f"incompatible checkpoint data: the hypernetwork reads "
+            f"{policy.hypernet.layer_dims[0]} state features, the grid has {width}"
+        )
+    return policy
 
 
 def _cert_dict(cert) -> dict:
@@ -272,7 +293,7 @@ def _run_train(cfg: RunConfig, spec) -> dict:
 
 
 def _run_certify_state(cfg: RunConfig, spec) -> dict:
-    policy = _require_checkpoint(cfg)
+    policy = _require_checkpoint(cfg, spec)
     certificates = certify_trajectory(policy, spec, _noise_config(cfg))
     n = policy.n_agents
     header = ["step", "min_radius"] + [f"d_{i}" for i in range(n)]
@@ -290,7 +311,7 @@ def _run_certify_state(cfg: RunConfig, spec) -> dict:
 
 
 def _run_certify_reward(cfg: RunConfig, spec) -> dict:
-    policy = _require_checkpoint(cfg)
+    policy = _require_checkpoint(cfg, spec)
     noise = _noise_config(cfg)
     bound = tcrgr(policy, spec, noise)
     results = {
@@ -308,10 +329,10 @@ def _run_certify_reward(cfg: RunConfig, spec) -> dict:
 
 
 def _run_attack(cfg: RunConfig, spec) -> dict:
-    policy = _require_checkpoint(cfg)
+    policy = _require_checkpoint(cfg, spec)
     noise = _noise_config(cfg)
-    certificates = certify_trajectory(policy, spec, noise)
     bound = tcrgr(policy, spec, noise)
+    certificates = [crsc(decision, noise) for decision in bound.clean_path]
     report = validate_certificates(
         policy,
         spec,

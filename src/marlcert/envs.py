@@ -401,14 +401,3 @@ def state_to_dict(state: EnvState) -> dict:
         "step_count": state.step_count,
         "done": state.done,
     }
-
-
-def state_from_dict(blob: dict) -> EnvState:
-    return EnvState(
-        agent_positions=tuple(tuple(p) for p in blob["agent_positions"]),
-        remaining_items=frozenset(
-            (tuple(cell), kind) for cell, kind in blob["remaining_items"]
-        ),
-        step_count=int(blob["step_count"]),
-        done=bool(blob["done"]),
-    )

@@ -4,23 +4,24 @@ The smoothed policy replaces each agent's greedy action with its most
 frequent action over M noisy copies of the observation.  This module owns
 the noise streams, the per-agent action tallies, and the per-agent radii
 certified from them (one confidence box per agent over its five action
-counts).
+counts).  ``certify.decide`` reads a state's tally through `sample_tally`.
 
 Noise streams are counter-based so every draw is addressable: the stream for
 (seed, step_index, agent) is a Philox generator keyed by hashing those
 values, and sample m starts at counter block ``m * ceil(dim / 4)`` (Philox
-counts in blocks of four doubles).  `gaussian_noise_block` therefore yields
-rows bit-identical to per-sample `gaussian_noise` calls, no matter how the
+counts in blocks of four doubles).  `gaussian_noise_block` draws rows
+0..count-1 of a stream in one call, so row m is the same no matter how the
 work is batched or parallelized.  Uniform draws map to normals through the
 inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
 factor.
 
-`sample_tally` and the attacks draw their noise through `_noise_block`,
-which keeps each agent's last unit-sigma block and returns it times sigma:
-the same final multiply `gaussian_noise_block` does, so the result is
-bit-identical.  The tree search expands one step at a time and the attacks
-revisit one state many times, so consecutive calls for an agent mostly share
-an address; one block per agent bounds the memory kept.
+`sample_tally` and the attacks count actions through `_action_counts`,
+which draws its noise through `_noise_block`.  That keeps each agent's last
+unit-sigma block and returns it times sigma: the same final multiply
+`gaussian_noise_block` does, so the result is bit-identical.  The tree
+search expands one step at a time and the attacks revisit one state many
+times, so consecutive calls for an agent mostly share an address; one block
+per agent bounds the memory kept.
 """
 
 from __future__ import annotations
@@ -74,17 +75,6 @@ class ActionTally:
         return self.per_agent.shape[0]
 
 
-@dataclass(frozen=True)
-class SmoothedDecision:
-    """Per-agent modal and runner-up actions with their certified radii."""
-
-    chosen: tuple
-    runner_up: tuple
-    per_agent_radius: tuple
-    joint_radius: float
-    certified: tuple  # one flag per agent
-
-
 def _uniform_to_normal(u: np.ndarray, sigma: float) -> np.ndarray:
     # Generator.random() can emit exactly 0, outside the quantile's domain
     u = np.maximum(u, 2.0**-54)
@@ -95,22 +85,14 @@ def _blocks_per_sample(dim: int) -> int:
     return (dim + 3) // 4  # Philox advances in blocks of four doubles
 
 
-def gaussian_noise(
-    dim: int, sigma: float, seed: int, step_index: int, agent: int, sample: int
-) -> np.ndarray:
-    """The noise vector for one (seed, step, agent, sample) address."""
-    if not sigma > 0.0:
-        raise ConfigError("sigma must be positive")
-    bits = np.random.Philox(key=philox_key(seed, "noise", step_index, agent))
-    bits.advance(sample * _blocks_per_sample(dim))
-    u = np.random.Generator(bits).random(dim)
-    return _uniform_to_normal(u, sigma)
-
-
 def gaussian_noise_block(
     dim: int, sigma: float, seed: int, step_index: int, agent: int, count: int
 ) -> np.ndarray:
-    """Rows 0..count-1 of the stream; row m equals gaussian_noise(sample=m)."""
+    """Rows 0..count-1 of the (seed, step_index, agent) noise stream.
+
+    Row m is the draw at counter block ``m * ceil(dim / 4)``, whatever
+    ``count`` is.
+    """
     if not sigma > 0.0:
         raise ConfigError("sigma must be positive")
     bits = np.random.Philox(key=philox_key(seed, "noise", step_index, agent))
@@ -139,21 +121,37 @@ def _noise_block(
     return slot[1] * cfg.sigma
 
 
+def _action_counts(
+    policy: JointPolicy,
+    spec: GridSpec,
+    state: EnvState,
+    agent: int,
+    cfg: NoiseConfig,
+    delta: np.ndarray | None = None,
+) -> np.ndarray:
+    """Agent's greedy-action counts over the M noisy copies of its
+    observation, shifted by ``delta`` when one is given."""
+    base = observe(spec, state, agent)
+    if delta is not None:
+        base = base + delta
+    noisy = _noise_block(base.size, cfg, state.step_count, agent)
+    noisy += base  # the block is a fresh copy: add in place, no second M-row array
+    values = nn.forward_batch(policy.agent_nets[agent], noisy)
+    picks = np.argmax(values, axis=1)  # first max: lowest-index ties
+    return np.bincount(picks, minlength=N_ACTIONS)
+
+
 def sample_tally(
     policy: JointPolicy, spec: GridSpec, state: EnvState, cfg: NoiseConfig
 ) -> ActionTally:
     """Greedy actions of every agent under M shared noise samples."""
     if state.done:
         raise ValueError("cannot smooth a finished episode")
-    n = policy.n_agents
-    per_agent = np.zeros((n, N_ACTIONS), dtype=np.int64)
-    for agent in range(n):
-        base = observe(spec, state, agent)
-        noise = _noise_block(base.size, cfg, state.step_count, agent)
-        values = nn.forward_batch(policy.agent_nets[agent], base[None, :] + noise)
-        picks = np.argmax(values, axis=1)  # first max: lowest-index ties
-        per_agent[agent] = np.bincount(picks, minlength=N_ACTIONS)
-    return ActionTally(per_agent, cfg.samples)
+    per_agent = [
+        _action_counts(policy, spec, state, agent, cfg)
+        for agent in range(policy.n_agents)
+    ]
+    return ActionTally(np.array(per_agent), cfg.samples)
 
 
 def _agent_top_two(counts: np.ndarray):
@@ -161,32 +159,18 @@ def _agent_top_two(counts: np.ndarray):
     return order[0], order[1]
 
 
-def per_agent_radii(tally: ActionTally, cfg: NoiseConfig) -> SmoothedDecision:
+def per_agent_radii(tally: ActionTally, cfg: NoiseConfig) -> tuple:
     """One radius per agent from simultaneous bounds over its five counts.
 
-    An agent whose radius clamps to zero is uncertified; the joint radius
-    is the minimum over certified agents (zero when there are none).
+    A radius that clamps to zero leaves that agent uncertified.
     """
-    chosen = []
-    runners = []
     radii = []
-    for agent in range(tally.n_agents):
-        counts = tally.per_agent[agent]
+    for counts in tally.per_agent:
         modal, runner = _agent_top_two(counts)
         box = goodman_bounds(counts.tolist(), cfg.alpha)
         radius = 0.5 * cfg.sigma * (
             std_normal_quantile(box.lower[modal])
             - std_normal_quantile(box.upper[runner])
         )
-        chosen.append(modal)
-        runners.append(runner)
         radii.append(max(0.0, radius))
-    certified = tuple(bool(r > 0.0) for r in radii)
-    positive = [r for r in radii if r > 0.0]
-    return SmoothedDecision(
-        chosen=tuple(chosen),
-        runner_up=tuple(runners),
-        per_agent_radius=tuple(radii),
-        joint_radius=min(positive) if positive else 0.0,
-        certified=certified,
-    )
+    return tuple(radii)

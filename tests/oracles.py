@@ -2,9 +2,9 @@
 
 Deliberately slow and simple: arbitrary-precision special functions (mpmath),
 exact rational binomial sums (fractions.Fraction), bisection root finding,
-naive enumeration, one-row-at-a-time gradient ascent. Nothing in this file
-calls into marlcert, so each check in the test suite compares two
-independent routes to the same quantity.
+naive enumeration, one-row-at-a-time gradient ascent and noise draws.
+Nothing in this file calls into marlcert, so each check in the test suite
+compares two independent routes to the same quantity.
 """
 
 import math
@@ -63,6 +63,19 @@ def binom_tail_exact(k, M, p=Fraction(1, 2)):
         Fraction(math.comb(M, i)) * p**i * (1 - p) ** (M - i)
         for i in range(k, M + 1)
     )
+
+
+def gaussian_noise(dim, sigma, key, sample, quantile):
+    """One noise row drawn on its own: row ``sample`` of the Philox stream
+    ``key``, which starts at counter block ``sample * ceil(dim / 4)``.
+
+    The stream addressing is what this reference checks, so it maps
+    uniforms to normals with the ``quantile`` under test.
+    """
+    bits = np.random.Philox(key=key)
+    bits.advance(sample * ((dim + 3) // 4))  # Philox counts in blocks of four
+    u = np.random.Generator(bits).random(dim)
+    return quantile(np.maximum(u, 2.0**-54)) * sigma
 
 
 def binom_tail_float(k, M, p):

@@ -22,7 +22,7 @@ import yaml
 import oracles
 import reference_grids
 from marlcert.attack import AttackConfig, attacked_rollout, validate_certificates
-from marlcert.certify import certify_trajectory, crsc, get_node, tcrgr
+from marlcert.certify import crsc, decide, get_node, tcrgr
 from marlcert.cli import main
 from marlcert.envs import (
     N_ACTIONS,
@@ -330,18 +330,16 @@ def test_criterion_6_radius_laws():
 
         for _ in range(25):
             tally = _sampled_tally(rng, n_agents=int(rng.integers(1, 4)))
-            base = per_agent_radii(tally, cfg(0.03)).per_agent_radius
-            twice = per_agent_radii(tally, cfg(0.06)).per_agent_radius
-            other = per_agent_radii(tally, cfg(0.045)).per_agent_radius
+            base = per_agent_radii(tally, cfg(0.03))
+            twice = per_agent_radii(tally, cfg(0.06))
+            other = per_agent_radii(tally, cfg(0.045))
             for r1, r2, r3 in zip(base, twice, other):
                 assert r2 == 2.0 * r1  # doubling sigma is exact
                 assert r3 == pytest.approx(1.5 * r1, rel=1e-12)
 
             tight = per_agent_radii(tally, cfg(0.03, alpha=0.01))
             loose = per_agent_radii(tally, cfg(0.03, alpha=0.05))
-            for r_tight, r_loose in zip(
-                tight.per_agent_radius, loose.per_agent_radius
-            ):
+            for r_tight, r_loose in zip(tight, loose):
                 assert r_tight <= r_loose + 1e-15
 
         for spread in ((0, 0, 0), (60, 40, 20)):
@@ -349,9 +347,7 @@ def test_criterion_6_radius_laws():
             lo = 500 + sum(spread)
             for k in range(lo, 1001 - sum(spread), 7):
                 counts = [k, 1000 - k - sum(spread), *spread]
-                radius = per_agent_radii(
-                    _single_agent_tally(counts), cfg(0.1)
-                ).per_agent_radius[0]
+                radius = per_agent_radii(_single_agent_tally(counts), cfg(0.1))[0]
                 assert radius >= last  # monotone in the modal count
                 last = radius
             assert last > 0.0
@@ -436,9 +432,9 @@ def test_criterion_8_attack_soundness(trained_models):
     with _criterion(8, 3600.0, carried_seconds=carried):
         policy, spec = model["policy"], model["spec"]
         noise = NoiseConfig(sigma=0.06, samples=1000, alpha=0.01, seed=11)
-        certificates = certify_trajectory(policy, spec, noise)
-        assert any(c.certified_set for c in certificates)
         bound = tcrgr(policy, spec, noise)
+        certificates = [crsc(decision, noise) for decision in bound.clean_path]
+        assert any(c.certified_set for c in certificates)
         attack = AttackConfig(
             epsilon=1.0, noise=noise, steps=30, restarts=2, seed=23
         )
@@ -495,7 +491,7 @@ def test_criterion_9_single_agent_reduction():
                 )
                 state = reset(spec)
                 while not state.done:
-                    cert = crsc(policy, spec, state, cfg)
+                    cert = crsc(decide(policy, spec, state, cfg), cfg)
                     actions, pvalue, radius = _direct_single_agent(
                         policy, spec, state, cfg
                     )

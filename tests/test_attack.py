@@ -16,7 +16,6 @@ from marlcert.attack import (
     attacked_rollout,
     pgd_attack_batch,
     pgd_attack_state,
-    random_search_attack,
     validate_certificates,
 )
 from marlcert.certify import certify_trajectory, tcrgr
@@ -325,32 +324,6 @@ class TestPgdAttackBatch:
         policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
         with pytest.raises(ConfigError):
             pgd_attack_batch(policy, spec, reset(spec), 0, [])
-
-
-class TestRandomSearchAttack:
-    def test_zero_budget_is_identity(self):
-        spec = _spec2()
-        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
-        result = random_search_attack(policy, spec, reset(spec), 0, _cfg(0.0))
-        assert result.flipped == (False, False)
-        for delta in result.perturbations:
-            assert not delta.any()
-
-    def test_budget_respected(self):
-        spec = _spec2()
-        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
-        result = random_search_attack(policy, spec, reset(spec), 0, _cfg(0.25))
-        for delta in result.perturbations:
-            assert np.linalg.norm(delta) <= 0.25 * (1 + 1e-12)
-
-    def test_flips_fragile_agent(self):
-        spec = _spec2()
-        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
-        result = random_search_attack(policy, spec, reset(spec), 0, _cfg(5.0))
-        assert result.flipped[0] is True
-        delta = result.perturbations[0]
-        noise = _cfg(5.0).noise
-        assert result.action == _smoothed_modal(policy, spec, reset(spec), 0, noise, delta)
 
 
 class TestAttackedRollout:

@@ -11,8 +11,10 @@ from marlcert import nn
 from marlcert.attack import AttackConfig, attacked_rollout
 from marlcert.certify import (
     ImportanceFactors,
+    StateDecision,
     certify_trajectory,
     crsc,
+    decide,
     get_node,
     importance_factor,
     node_decision,
@@ -71,6 +73,17 @@ def _policy(nets):
 def _tally(rows):
     rows = np.asarray(rows, dtype=np.int64)
     return ActionTally(rows, int(rows[0].sum()))
+
+
+def _decision(rows, factors):
+    """A decision with a hand-made tally; node_decision reads no state."""
+    tally = _tally(rows)
+    modal = tuple(int(np.argmax(counts)) for counts in tally.per_agent)
+    return StateDecision(state=None, tally=tally, modal=modal, factors=factors)
+
+
+def _crsc(policy, spec, state, cfg):
+    return crsc(decide(policy, spec, state, cfg), cfg)
 
 
 class TestImportanceFactor:
@@ -133,7 +146,7 @@ class TestCrsc:
                 _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0]),
             ]
         )
-        cert = crsc(policy, spec, reset(spec), _cfg())
+        cert = _crsc(policy, spec, reset(spec), _cfg())
         assert cert.certified_set == frozenset({0, 1})
         assert cert.actions == (1, 0)
         for pv, cpv in zip(cert.pvalues, cert.corrected_pvalues):
@@ -148,7 +161,7 @@ class TestCrsc:
         policy = _policy(
             [_flip_net(47, 0, 1), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])]
         )
-        cert = crsc(policy, spec, reset(spec), _cfg())
+        cert = _crsc(policy, spec, reset(spec), _cfg())
         assert cert.certified_set == frozenset({1})
         assert cert.per_agent_radius[0] == 0.0
         assert cert.pvalues[0] > 0.05
@@ -157,7 +170,7 @@ class TestCrsc:
     def test_all_coin_flip_agents(self):
         spec = _spec2()
         policy = _policy([_flip_net(47, 0, 1), _flip_net(47, 3, 4)])
-        cert = crsc(policy, spec, reset(spec), _cfg())
+        cert = _crsc(policy, spec, reset(spec), _cfg())
         assert cert.certified_set == frozenset()
         assert cert.min_radius == 0.0
         assert cert.per_agent_radius == (0.0, 0.0)
@@ -171,25 +184,23 @@ class TestCrsc:
 
         cfg = _cfg()
         tally = sample_tally(policy, spec, reset(spec), cfg)
-        cert = crsc(policy, spec, reset(spec), cfg)
+        cert = _crsc(policy, spec, reset(spec), cfg)
         ct1 = int(tally.per_agent[0].max())
         assert cert.pvalues[0] == binom_pvalue_one_sided(ct1, 100, 0.5)
 
 
 class TestNodeDecision:
     def test_certified_singleton(self):
-        tally = _tally([[100, 0, 0, 0, 0]])
         factors = ImportanceFactors(raw=(0.0,), normalized=(1.0,))
-        node = node_decision(tally, factors, _cfg())
+        node = node_decision(_decision([[100, 0, 0, 0, 0]], factors), _cfg())
         assert node.action_sets == ((0,),)
         assert node.radius == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
 
     def test_uncertain_pair_uses_combined_count(self):
         # 55/45 split: one-sided p-value is far above alpha, so both actions
         # stay and the lower bound uses ct1 + ct2 = M
-        tally = _tally([[55, 45, 0, 0, 0]])
         factors = ImportanceFactors(raw=(0.0,), normalized=(1.0,))
-        node = node_decision(tally, factors, _cfg())
+        node = node_decision(_decision([[55, 45, 0, 0, 0]], factors), _cfg())
         assert node.action_sets == ((0, 1),)
         assert node.radius == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
 
@@ -197,18 +208,18 @@ class TestNodeDecision:
         # pv(58/100) = 0.0666 > alpha, but a 0.05 importance weight drags the
         # corrected value under alpha; the resulting lower bound 0.4928 < 0.5
         # clamps the radius to zero and keeps the runner-up anyway
-        tally = _tally([[58, 42, 0, 0, 0], [100, 0, 0, 0, 0]])
         factors = ImportanceFactors(raw=(-1.0, 2.0), normalized=(0.05, 1.0))
-        node = node_decision(tally, factors, _cfg())
+        decision = _decision([[58, 42, 0, 0, 0], [100, 0, 0, 0, 0]], factors)
+        node = node_decision(decision, _cfg())
         assert node.action_sets[0] == (0, 1)
         assert node.per_agent_radius[0] == 0.0
         assert node.action_sets[1] == (0,)
         assert node.radius == 0.0
 
     def test_node_radius_min_over_agents(self):
-        tally = _tally([[100, 0, 0, 0, 0], [55, 45, 0, 0, 0]])
         factors = ImportanceFactors(raw=(0.0, 0.0), normalized=(1.0, 1.0))
-        node = node_decision(tally, factors, _cfg())
+        decision = _decision([[100, 0, 0, 0, 0], [55, 45, 0, 0, 0]], factors)
+        node = node_decision(decision, _cfg())
         assert node.radius == min(node.per_agent_radius)
 
 
@@ -222,6 +233,8 @@ class TestGetNode:
             ]
         )
         node = get_node(policy, spec, reset(spec), _cfg())
+        assert node.decision.state == reset(spec)
+        assert node.decision.modal == (1, 0)
         assert node.action_sets == ((1,), (0,))
         assert node.radius == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
 
@@ -273,6 +286,8 @@ class TestTcrgr:
         cert = tcrgr(policy, spec, _cfg())
         assert cert.r_min == 10.0
         assert cert.clean_reward == 10.0
+        assert [d.state.step_count for d in cert.clean_path] == [0, 1, 2]
+        assert [d.modal for d in cert.clean_path] == [(3,)] * 3
         assert cert.epsilon_cert == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
         assert cert.nodes_expanded == 3
 
@@ -306,6 +321,9 @@ class TestTcrgr:
             assert cert.r_min == want_rmin
             assert cert.epsilon_cert == want_eps
             assert cert.clean_reward == _clean_rollout_reward(policy, spec, cfg)
+            # the clean path's decisions certify the certify-state rollout
+            certified = [crsc(decision, cfg) for decision in cert.clean_path]
+            assert certified == certify_trajectory(policy, spec, cfg)
             r_mins.append(cert.r_min)
             nodes.append(cert.nodes_expanded)
         assert len(r_mins) == 17

@@ -11,10 +11,16 @@ import numpy as np
 import pytest
 
 import marlcert
+from marlcert import certify, cli, nn, smoothing
 from marlcert.cli import RunConfig, main, run
+from marlcert.envs import builtin_spec
 from marlcert.errors import ConfigError, MissingArtifactError
+from marlcert.policy import JointPolicy, new_policy, save_policy
 
 _CORRIDOR = "map: |\n  1..a\nstep_cap: 5\nrewards:\n  apple: 10.0\n"
+
+# the stored checkers/vdn acceptance checkpoint the benchmark certifies
+_CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
 
 
 @pytest.fixture()
@@ -266,6 +272,104 @@ class TestModes:
         sigmas = [float(r["sigma"]) for r in rows]
         assert sigmas == sorted(sigmas)
         assert record.results["rows"][0]["sigma"] == 0.05
+
+
+    @pytest.mark.parametrize("mode", ["certify-state", "certify-reward", "attack"])
+    @pytest.mark.parametrize("case", ["agents", "observation", "hypernet"])
+    def test_incompatible_checkpoint_exit_code(self, tmp_path, capsys, mode, case):
+        if case == "agents":
+            # a two-agent checkpoint on the four-agent switch grid
+            env, checkpoint = "switch", str(_CHECKERS_VDN)
+        elif case == "observation":
+            # agent networks that read 10 features, not the 47 of a view
+            env, checkpoint = "checkers", str(tmp_path / "narrow")
+            rng = np.random.default_rng(0)
+            nets = tuple(nn.mlp_init((10, 8, 5), "relu", rng) for _ in range(2))
+            save_policy(JointPolicy(nets, "vdn", None), checkpoint)
+        else:
+            # a checkers qmix_mono hypernet reads 16 state features, this
+            # two-agent grid with two apples encodes 6
+            env = str(tmp_path / "short.yaml")
+            Path(env).write_text("map: |\n  1a.a2\nstep_cap: 4\n", encoding="utf-8")
+            checkpoint = str(tmp_path / "qmix")
+            rng = np.random.default_rng(0)
+            save_policy(new_policy(builtin_spec("checkers"), "qmix_mono", rng), checkpoint)
+        path = _write_config(
+            tmp_path, "c.yaml", env=env, checkpoint=checkpoint, out=str(tmp_path / "o")
+        )
+        assert main([mode, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "incompatible checkpoint data" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def _checkers_run(self, tmp_path, mode):
+        return run(
+            RunConfig(
+                mode=mode,
+                env="checkers",
+                checkpoint=str(_CHECKERS_VDN),
+                out=str(tmp_path / mode),
+                sigma=0.06,
+                samples=100,
+                alpha=0.01,
+                seed=2,
+                attack_trials=1,
+                attack_steps=2,
+                attack_restarts=1,
+                rollout_trials=1,
+            )
+        )
+
+    def test_attack_tallies_each_expanded_state_once(self, tmp_path, monkeypatch):
+        tallied = []
+        bounds = []
+        inner_tally = certify.sample_tally
+        inner_tcrgr = cli.tcrgr
+
+        def counting_tally(*args):
+            tallied.append(args[2])
+            return inner_tally(*args)
+
+        def keeping_tcrgr(*args):
+            bounds.append(inner_tcrgr(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(certify, "sample_tally", counting_tally)
+        monkeypatch.setattr(cli, "tcrgr", keeping_tcrgr)
+        self._checkers_run(tmp_path, "attack")
+        assert len(bounds) == 1
+        assert len(tallied) == bounds[0].nodes_expanded
+        assert len(set(tallied)) == len(tallied)
+
+    def test_attack_draws_each_noise_block_once_before_validation(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(smoothing, "_last_unit_block", {})
+        drawn = []
+        before_validation = []
+        inner_block = smoothing.gaussian_noise_block
+        inner_validate = cli.validate_certificates
+
+        def counting_block(dim, sigma, seed, step_index, agent, count):
+            drawn.append((step_index, agent))
+            return inner_block(dim, sigma, seed, step_index, agent, count)
+
+        def validate(*args, **kwargs):
+            before_validation.extend(drawn)
+            return inner_validate(*args, **kwargs)
+
+        monkeypatch.setattr(smoothing, "gaussian_noise_block", counting_block)
+        monkeypatch.setattr(cli, "validate_certificates", validate)
+        record = self._checkers_run(tmp_path, "attack")
+        steps = len(record.results["certificates"])
+        assert steps >= 2
+        assert sorted(before_validation) == [(t, n) for t in range(steps) for n in range(2)]
+
+    def test_attack_and_certify_state_write_the_same_certificates(self, tmp_path):
+        attack = self._checkers_run(tmp_path, "attack").results["certificates"]
+        state = self._checkers_run(tmp_path, "certify-state").results["certificates"]
+        assert any(cert["certified_set"] for cert in attack)
+        assert attack == state
 
 
 class TestFlags:

@@ -1,5 +1,7 @@
 """Tests for the deterministic multi-agent gridworlds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from marlcert.envs import (
     observe,
     parse_grid_config,
     reset,
-    state_from_dict,
     state_to_dict,
     step,
 )
@@ -290,8 +291,16 @@ def test_serialization_round_trip():
     spec = builtin_spec("switch")
     state = reset(spec)
     out = step(spec, state, (ACTION_DOWN, ACTION_UP, ACTION_DOWN, ACTION_UP))
-    blob = state_to_dict(out.next_state)
-    assert state_from_dict(blob) == out.next_state
+    blob = json.loads(json.dumps(state_to_dict(out.next_state)))
+    back = EnvState(
+        agent_positions=tuple(tuple(p) for p in blob["agent_positions"]),
+        remaining_items=frozenset(
+            (tuple(cell), kind) for cell, kind in blob["remaining_items"]
+        ),
+        step_count=blob["step_count"],
+        done=blob["done"],
+    )
+    assert back == out.next_state
 
 
 def test_episode_reward_stay_policy_zero():
