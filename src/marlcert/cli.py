@@ -89,7 +89,8 @@ class RunConfig:
     is required by the certify and attack modes; ``inputs`` lists result
     files for report mode.  ``seed`` is the single master seed: training
     uses it directly, smoothing and attacks use sub-streams derived from
-    it by name.
+    it by name.  ``gamma_train`` and ``obs_noise`` are passed to
+    ``TrainConfig``, which validates them.
     """
 
     mode: str
@@ -103,6 +104,8 @@ class RunConfig:
     mixer: str = "vdn"
     episodes: int = 2000
     learning_rate: float = 1e-3
+    gamma_train: float = 0.99
+    obs_noise: float = 0.0
     attack_steps: int = 40
     attack_restarts: int = 5
     attack_trials: int = 20
@@ -112,7 +115,7 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         # YAML 1.1 reads exponent forms like 1e280 as strings; coerce
-        for name in ("sigma", "alpha", "learning_rate"):
+        for name in ("sigma", "alpha", "learning_rate", "gamma_train", "obs_noise"):
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         for name in (
             "samples",
@@ -275,7 +278,11 @@ def _run_train(cfg: RunConfig, spec) -> dict:
     policy = train(
         spec,
         TrainConfig(
-            episodes=cfg.episodes, seed=cfg.seed, learning_rate=cfg.learning_rate
+            episodes=cfg.episodes,
+            seed=cfg.seed,
+            learning_rate=cfg.learning_rate,
+            gamma_train=cfg.gamma_train,
+            obs_noise=cfg.obs_noise,
         ),
         cfg.mixer,
         checkpoint_path=checkpoint,

@@ -14,6 +14,18 @@ exploration.  Training uses its own discount (default 0.99); certification
 elsewhere evaluates undiscounted returns.  Everything is seeded: the same
 TrainConfig produces bit-identical checkpoints.
 
+The replay buffer is a set of preallocated ring arrays indexed by slot:
+observations and next observations ``(capacity, n, obs_len)``, actions
+``(capacity, n)`` int64, rewards, done flags, and for qmix_mono the two
+global encodings (vdn never encodes the global state).  Transition ``t``
+goes to slot ``t % capacity``, and each update gathers its batch with one
+fancy index per array.  The ``obs_noise`` augmentation of a batch is one
+``standard_normal((batch, 2, n, obs_len))`` draw: ``[:, 0]`` perturbs the
+observations and ``[:, 1]`` the next observations, which is the stream
+order of drawing both for each sampled transition in turn.  A step's next
+observation is the following step's observation, so each state is
+observed once.
+
 A policy checkpoint is a directory: ``manifest.json`` describing shapes and
 mixer kind, one ``agent_<i>.mlp`` network file per agent, and
 ``hypernet.mlp`` for the qmix_mono mixer.
@@ -93,6 +105,8 @@ class TrainConfig:
         for name in ("batch_size", "replay_capacity", "target_sync"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.batch_size > self.replay_capacity:
+            raise ConfigError("batch_size must not exceed replay_capacity")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 < self.gamma_train <= 1.0:
@@ -232,61 +246,75 @@ def train(
     )
 
     n = policy.n_agents
-    replay = []
-    write_at = 0
+    obs_len = observation_length(spec)
+    # a ring larger than the whole run would never wrap: allocate only that
+    capacity = min(cfg.replay_capacity, cfg.episodes * spec.step_cap)
+    replay_obs = np.empty((capacity, n, obs_len))
+    replay_next_obs = np.empty((capacity, n, obs_len))
+    replay_acts = np.empty((capacity, n), dtype=np.int64)
+    replay_rewards = np.empty(capacity)
+    replay_done = np.empty(capacity, dtype=bool)
+    if policy.hypernet is not None:
+        enc_len = global_encoding_length(spec)
+        replay_encs = np.empty((capacity, enc_len))
+        replay_next_encs = np.empty((capacity, enc_len))
     env_steps = 0
     updates = 0
 
     for episode in range(cfg.episodes):
         state = reset(spec)
+        obs = np.stack([observe(spec, state, i) for i in range(n)])
+        if policy.hypernet is not None:
+            enc = encode_global_state(spec, state)
         eps = _epsilon(cfg, episode)
         while not state.done:
-            obs = np.stack([observe(spec, state, i) for i in range(n)])
             actions = []
             for i in range(n):
                 if rng.random() < eps:
                     actions.append(int(rng.integers(0, N_ACTIONS)))
                 else:
                     actions.append(int(np.argmax(nn.forward(policy.agent_nets[i], obs[i]))))
-            actions = tuple(actions)
-            out = step(spec, state, actions)
+            out = step(spec, state, tuple(actions))
             nxt = out.next_state
-            entry = (
-                obs,
-                actions,
-                out.team_reward,
-                np.stack([observe(spec, nxt, i) for i in range(n)]),
-                encode_global_state(spec, state),
-                encode_global_state(spec, nxt),
-                out.done,
-            )
-            if len(replay) < cfg.replay_capacity:
-                replay.append(entry)
-            else:
-                replay[write_at] = entry
-                write_at = (write_at + 1) % cfg.replay_capacity
+            next_obs = np.stack([observe(spec, nxt, i) for i in range(n)])
+            slot = env_steps % capacity
+            replay_obs[slot] = obs
+            replay_next_obs[slot] = next_obs
+            replay_acts[slot] = actions
+            replay_rewards[slot] = out.team_reward
+            replay_done[slot] = out.done
+            if policy.hypernet is not None:
+                next_enc = encode_global_state(spec, nxt)
+                replay_encs[slot] = enc
+                replay_next_encs[slot] = next_enc
+                enc = next_enc
             env_steps += 1
-            state = nxt
+            state, obs = nxt, next_obs
 
-            if env_steps % TRAIN_EVERY or len(replay) < cfg.batch_size:
+            size = min(env_steps, capacity)
+            if env_steps % TRAIN_EVERY or size < cfg.batch_size:
                 continue
-            picks = rng.integers(0, len(replay), cfg.batch_size)
-            batch = [replay[int(i)] for i in picks]
+            picks = rng.integers(0, size, cfg.batch_size)
+            batch_obs = replay_obs[picks]
+            batch_next_obs = replay_next_obs[picks]
             if cfg.obs_noise > 0:
                 # fresh Gaussian augmentation per draw: values learned this
                 # way stay decisive under smoothing noise of similar scale
-                batch = [
-                    (
-                        o + rng.standard_normal(o.shape) * cfg.obs_noise,
-                        a,
-                        r,
-                        no + rng.standard_normal(no.shape) * cfg.obs_noise,
-                        gs,
-                        gsn,
-                        d,
-                    )
-                    for (o, a, r, no, gs, gsn, d) in batch
-                ]
+                noise = rng.standard_normal((cfg.batch_size, 2, n, obs_len))
+                batch_obs = batch_obs + noise[:, 0] * cfg.obs_noise
+                batch_next_obs = batch_next_obs + noise[:, 1] * cfg.obs_noise
+            encs = next_encs = None
+            if policy.hypernet is not None:
+                encs, next_encs = replay_encs[picks], replay_next_encs[picks]
+            batch = (
+                batch_obs,
+                replay_acts[picks],
+                replay_rewards[picks],
+                batch_next_obs,
+                encs,
+                next_encs,
+                replay_done[picks],
+            )
             _td_update(policy, target, adam, adam_hyper, batch, cfg, episode)
             updates += 1
             if updates % cfg.target_sync == 0:
@@ -298,15 +326,13 @@ def train(
 
 
 def _td_update(policy, target, adam, adam_hyper, batch, cfg, episode):
-    b = len(batch)
-    n = policy.n_agents
-    obs = np.stack([e[0] for e in batch])  # (b, n, obs)
-    acts = np.array([e[1] for e in batch])  # (b, n)
-    rewards = np.array([e[2] for e in batch])
-    next_obs = np.stack([e[3] for e in batch])
-    encs = np.stack([e[4] for e in batch])
-    next_encs = np.stack([e[5] for e in batch])
-    done = np.array([bool(e[6]) for e in batch])
+    """One TD step on a gathered batch.
+
+    `batch` is (obs (b, n, obs), acts (b, n), rewards (b,), next_obs,
+    encs (b, enc), next_encs, done (b,)); the encodings are None for vdn.
+    """
+    obs, acts, rewards, next_obs, encs, next_encs, done = batch
+    b, n = acts.shape
 
     # bootstrapped target: each agent's greedy value under the target nets
     next_chosen = np.empty((b, n))
@@ -323,10 +349,8 @@ def _td_update(policy, target, adam, adam_hyper, batch, cfg, episode):
     y = rewards + cfg.gamma_train * next_q * (~done)
 
     chosen = np.empty((b, n))
-    values = []
     for i in range(n):
         vals = nn.forward_batch(policy.agent_nets[i], obs[:, i, :])
-        values.append(vals)
         chosen[:, i] = vals[np.arange(b), acts[:, i]]
     if policy.mixer == "vdn":
         q = chosen.sum(axis=1)

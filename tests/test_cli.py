@@ -13,9 +13,16 @@ import pytest
 import marlcert
 from marlcert import certify, cli, nn, smoothing
 from marlcert.cli import RunConfig, main, run
-from marlcert.envs import builtin_spec
+from marlcert.envs import builtin_spec, load_grid_config
 from marlcert.errors import ConfigError, MissingArtifactError
-from marlcert.policy import JointPolicy, new_policy, save_policy
+from marlcert.policy import (
+    JointPolicy,
+    TrainConfig,
+    load_policy,
+    new_policy,
+    save_policy,
+    train,
+)
 
 _CORRIDOR = "map: |\n  1..a\nstep_cap: 5\nrewards:\n  apple: 10.0\n"
 
@@ -72,8 +79,6 @@ class TestModes:
     def test_train_writes_checkpoint_and_record(self, trained):
         env, checkpoint, tmp_path = trained
         assert (tmp_path / "train-out" / "result.json").is_file()
-        from marlcert.policy import load_policy
-
         policy = load_policy(checkpoint)
         assert policy.mixer == "vdn"
 
@@ -132,6 +137,43 @@ class TestModes:
         # the blow-up itself emits overflow warnings before detection
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "--config", path]) == 4
+
+    def test_train_honours_gamma_and_obs_noise(self, tmp_path, corridor_env):
+        path = _write_config(
+            tmp_path,
+            "t.yaml",
+            env=corridor_env,
+            out=str(tmp_path / "o"),
+            seed=2,
+            episodes=40,
+            gamma_train=0.7,
+            obs_noise="1e-1",  # coerced like learning_rate
+        )
+        assert main(["train", "--config", path]) == 0
+        written = load_policy(tmp_path / "o" / "checkpoint")
+        spec = load_grid_config(corridor_env)
+        want = train(
+            spec, TrainConfig(episodes=40, seed=2, gamma_train=0.7, obs_noise=0.1), "vdn"
+        )
+        default = train(spec, TrainConfig(episodes=40, seed=2), "vdn")
+        for got, ref, other in zip(
+            written.agent_nets, want.agent_nets, default.agent_nets, strict=True
+        ):
+            for x, y in zip(got.weights + got.biases, ref.weights + ref.biases):
+                assert np.array_equal(x, y)
+            assert not np.array_equal(got.weights[0], other.weights[0])
+
+    def test_negative_obs_noise_exit_code(self, tmp_path, corridor_env, capsys):
+        path = _write_config(
+            tmp_path,
+            "t.yaml",
+            env=corridor_env,
+            out=str(tmp_path / "o"),
+            episodes=5,
+            obs_noise=-1,
+        )
+        assert main(["train", "--config", path]) == 2
+        assert "obs_noise" in capsys.readouterr().err
 
     def test_certify_state_series_csv(self, trained):
         env, checkpoint, tmp_path = trained

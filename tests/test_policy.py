@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 from marlcert import nn
-from marlcert.envs import builtin_spec, episode_reward, observe, parse_grid_config, reset, step
-from marlcert.errors import MissingArtifactError, NumericalError
+from marlcert.envs import (
+    N_ACTIONS,
+    builtin_spec,
+    episode_reward,
+    observe,
+    parse_grid_config,
+    reset,
+    step,
+)
+from marlcert.errors import ConfigError, MissingArtifactError, NumericalError
 from marlcert.policy import (
+    TRAIN_EVERY,
     JointPolicy,
     TrainConfig,
+    _epsilon,
+    _snapshot,
     agent_values,
     counterfactual_values,
     encode_global_state,
@@ -19,6 +30,7 @@ from marlcert.policy import (
     save_policy,
     train,
 )
+from marlcert.seeds import derive_seed
 
 
 def _corridor():
@@ -276,3 +288,157 @@ def test_train_divergence_reported():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
             train(spec, cfg, "vdn")
+
+
+def test_batch_larger_than_replay_is_a_config_error():
+    # the buffer could never hold a batch, so training would never update
+    with pytest.raises(ConfigError, match="batch_size"):
+        TrainConfig(episodes=10, seed=0, batch_size=33, replay_capacity=32)
+    TrainConfig(episodes=10, seed=0, batch_size=32, replay_capacity=32)
+
+
+# --- the tuple-replay trainer, kept as the reference for `train` ---
+
+
+def _tuple_replay_train(spec, cfg, mixer):
+    policy = new_policy(spec, mixer, np.random.default_rng(cfg.init_seed()))
+    target = _snapshot(policy)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
+    adam = [nn.adam_init(net, cfg.learning_rate) for net in policy.agent_nets]
+    adam_hyper = (
+        nn.adam_init(policy.hypernet, cfg.learning_rate)
+        if policy.hypernet is not None
+        else None
+    )
+    n = policy.n_agents
+    replay = []
+    write_at = 0
+    env_steps = 0
+    updates = 0
+    for episode in range(cfg.episodes):
+        state = reset(spec)
+        eps = _epsilon(cfg, episode)
+        while not state.done:
+            obs = np.stack([observe(spec, state, i) for i in range(n)])
+            actions = []
+            for i in range(n):
+                if rng.random() < eps:
+                    actions.append(int(rng.integers(0, N_ACTIONS)))
+                else:
+                    actions.append(
+                        int(np.argmax(nn.forward(policy.agent_nets[i], obs[i])))
+                    )
+            actions = tuple(actions)
+            out = step(spec, state, actions)
+            nxt = out.next_state
+            entry = (
+                obs,
+                actions,
+                out.team_reward,
+                np.stack([observe(spec, nxt, i) for i in range(n)]),
+                encode_global_state(spec, state),
+                encode_global_state(spec, nxt),
+                out.done,
+            )
+            if len(replay) < cfg.replay_capacity:
+                replay.append(entry)
+            else:
+                replay[write_at] = entry
+                write_at = (write_at + 1) % cfg.replay_capacity
+            env_steps += 1
+            state = nxt
+            if env_steps % TRAIN_EVERY or len(replay) < cfg.batch_size:
+                continue
+            picks = rng.integers(0, len(replay), cfg.batch_size)
+            batch = [replay[int(i)] for i in picks]
+            if cfg.obs_noise > 0:
+                batch = [
+                    (
+                        o + rng.standard_normal(o.shape) * cfg.obs_noise,
+                        a,
+                        r,
+                        no + rng.standard_normal(no.shape) * cfg.obs_noise,
+                        gs,
+                        gsn,
+                        d,
+                    )
+                    for (o, a, r, no, gs, gsn, d) in batch
+                ]
+            _tuple_td_update(policy, target, adam, adam_hyper, batch, cfg)
+            updates += 1
+            if updates % cfg.target_sync == 0:
+                target = _snapshot(policy)
+    return policy, updates
+
+
+def _tuple_td_update(policy, target, adam, adam_hyper, batch, cfg):
+    b = len(batch)
+    n = policy.n_agents
+    obs = np.stack([e[0] for e in batch])
+    acts = np.array([e[1] for e in batch])
+    rewards = np.array([e[2] for e in batch])
+    next_obs = np.stack([e[3] for e in batch])
+    encs = np.stack([e[4] for e in batch])
+    next_encs = np.stack([e[5] for e in batch])
+    done = np.array([bool(e[6]) for e in batch])
+
+    next_chosen = np.empty((b, n))
+    for i in range(n):
+        vals = nn.forward_batch(target.agent_nets[i], next_obs[:, i, :])
+        next_chosen[:, i] = vals.max(axis=1)
+    if policy.mixer == "vdn":
+        next_q = next_chosen.sum(axis=1)
+    else:
+        hyper_out = nn.forward_batch(target.hypernet, next_encs)
+        next_q = (np.abs(hyper_out[:, :-1]) * next_chosen).sum(axis=1) + hyper_out[:, -1]
+    y = rewards + cfg.gamma_train * next_q * (~done)
+
+    chosen = np.empty((b, n))
+    for i in range(n):
+        vals = nn.forward_batch(policy.agent_nets[i], obs[:, i, :])
+        chosen[:, i] = vals[np.arange(b), acts[:, i]]
+    if policy.mixer == "vdn":
+        q = chosen.sum(axis=1)
+        weights = np.ones((b, n))
+    else:
+        hyper_out = nn.forward_batch(policy.hypernet, encs)
+        weights = np.abs(hyper_out[:, :-1])
+        q = (weights * chosen).sum(axis=1) + hyper_out[:, -1]
+
+    dq = 2.0 * (q - y) / b
+    for i in range(n):
+        grad_out = np.zeros((b, N_ACTIONS))
+        grad_out[np.arange(b), acts[:, i]] = dq * weights[:, i]
+        grads, _ = nn.backward_batch(policy.agent_nets[i], obs[:, i, :], grad_out)
+        nn.adam_step(policy.agent_nets[i], grads, adam[i])
+    if policy.mixer == "qmix_mono":
+        grad_hyper = np.empty((b, n + 1))
+        grad_hyper[:, :-1] = dq[:, None] * np.sign(hyper_out[:, :-1]) * chosen
+        grad_hyper[:, -1] = dq
+        grads, _ = nn.backward_batch(policy.hypernet, encs, grad_hyper)
+        nn.adam_step(policy.hypernet, grads, adam_hyper)
+
+
+@pytest.mark.parametrize("obs_noise", [0.0, 0.1])
+@pytest.mark.parametrize("mixer", ["vdn", "qmix_mono"])
+@pytest.mark.parametrize("grid", ["checkers", "switch"])
+def test_train_matches_tuple_replay_reference(grid, mixer, obs_noise):
+    spec = builtin_spec(grid)
+    # more than 100 updates take more than 400 transitions, so the 96-entry
+    # ring wraps several times and the target network syncs at least 4 times
+    cfg = TrainConfig(
+        episodes=60,
+        seed=5,
+        replay_capacity=96,
+        target_sync=25,
+        gamma_train=0.7,
+        obs_noise=obs_noise,
+    )
+    want, updates = _tuple_replay_train(spec, cfg, mixer)
+    assert updates > 4 * cfg.target_sync
+    got = train(spec, cfg, mixer)
+    nets_want = list(want.agent_nets) + [want.hypernet] * (mixer == "qmix_mono")
+    nets_got = list(got.agent_nets) + [got.hypernet] * (mixer == "qmix_mono")
+    for a, b in zip(nets_want, nets_got, strict=True):
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
+            assert np.array_equal(x, y)
