@@ -9,7 +9,9 @@ certified action by construction, never by luck.
 
 ``pgd_attack_batch`` runs projected gradient ascent on the margin
 between the best non-modal action value and the modal action value of
-one agent's network.  Every restart of every config in a batch is one
+one agent's network.  Each step moves 2.5 * epsilon / steps, so a
+straight climb reaches the edge of the ball within the first half of
+its steps.  Every restart of every config in a batch is one
 row of a single array, stepped together through ``nn.forward_batch``
 and ``nn.backward_batch``; restart 0 starts at the clean observation
 and depends on no seed, so the batch holds it once for all configs.
@@ -44,13 +46,12 @@ class AttackConfig:
     ``noise`` is the certification noise configuration; flips are judged
     against the smoothed decision it defines.  ``seed`` randomizes
     restart locations and search directions only, never the noise
-    stream.  A ``step_size`` of None resolves to 2.5 * epsilon / steps.
+    stream.  ``steps`` also fixes the step length, 2.5 * epsilon / steps.
     """
 
     epsilon: float
     noise: NoiseConfig
     steps: int = 40
-    step_size: float | None = None
     restarts: int = 5
     seed: int = 0
 
@@ -61,13 +62,6 @@ class AttackConfig:
             raise ConfigError("steps must be at least 1")
         if self.restarts < 1:
             raise ConfigError("restarts must be at least 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ConfigError("step_size must be positive when given")
-
-    def resolved_step_size(self) -> float:
-        if self.step_size is not None:
-            return self.step_size
-        return 2.5 * self.epsilon / self.steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +131,12 @@ def _shared_schedule(cfgs: tuple) -> AttackConfig:
     if not cfgs:
         raise ConfigError("a PGD batch needs at least one config")
     first = cfgs[0]
-    schedule = (first.epsilon, first.steps, first.restarts, first.step_size, first.noise)
+    schedule = (first.epsilon, first.steps, first.restarts, first.noise)
     for cfg in cfgs[1:]:
-        if (cfg.epsilon, cfg.steps, cfg.restarts, cfg.step_size, cfg.noise) != schedule:
+        if (cfg.epsilon, cfg.steps, cfg.restarts, cfg.noise) != schedule:
             raise ConfigError(
-                "configs in one PGD batch must share epsilon, steps, restarts, "
-                "step_size and noise"
+                "configs in one PGD batch must share epsilon, steps, restarts "
+                "and noise"
             )
     return first
 
@@ -166,7 +160,7 @@ def _pgd_rows(net, base, deltas, clean, cfg: AttackConfig) -> np.ndarray:
     A row whose input gradient is zero cannot make progress and stops
     where it is; the others keep stepping and projecting onto the ball.
     """
-    step_size = cfg.resolved_step_size()
+    step_size = 2.5 * cfg.epsilon / cfg.steps
     live = np.arange(len(deltas))
     for _ in range(cfg.steps):
         X = base + deltas[live]

@@ -1,7 +1,11 @@
 """Batch front-end: train, certify, attack, and merge result tables.
 
-Every run is driven by one RunConfig (from a YAML file, command-line
-flags, or both; flags win) and writes into its output directory:
+Every run is driven by one RunConfig, the flat schema of the YAML config
+file; the flags ``--seed``, ``--sigma``, ``--samples``, ``--alpha`` and
+``--out`` override the fields of the same name.  RunConfig builds the
+library configs (noise, training, attack) once, so every setting is
+checked by the config that owns it before the output directory exists.
+Each run writes into its output directory:
 
 * ``result.json``: the full structured record, schema-versioned, with
   the run's config echoed verbatim.  Replaying that echo reproduces the
@@ -13,8 +17,8 @@ flags, or both; flags win) and writes into its output directory:
   merges such rows from many result files into one sorted table.
 
 Exit codes: 0 ok, 2 bad configuration, 3 missing or corrupt file or
-checkpoint, or one that does not fit the grid, 4 numerical failure (e.g.
-diverged training).
+checkpoint (its manifest included), or one that does not fit the grid,
+4 numerical failure (e.g. diverged training).
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ from .smoothing import NoiseConfig
 
 MODES = ("train", "certify-state", "certify-reward", "attack", "report")
 
+# the RunConfig fields a command-line flag of the same name overrides
+_FLAGS = {"seed": int, "sigma": float, "samples": int, "alpha": float, "out": str}
+
 _TABLE_HEADER = ("env", "mixer", "sigma", "epsilon_cert", "r_min", "attacked_reward")
 
 
@@ -83,14 +90,18 @@ def _as_int(name, value):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All parameters of one invocation.
+    """All parameters of one invocation: the one flat YAML schema.
 
     ``env`` is a grid YAML path or a builtin grid name; ``checkpoint``
     is required by the certify and attack modes; ``inputs`` lists result
     files for report mode.  ``seed`` is the single master seed: training
     uses it directly, smoothing and attacks use sub-streams derived from
-    it by name.  ``gamma_train`` and ``obs_noise`` are passed to
-    ``TrainConfig``, which validates them.
+    it by name.
+
+    Construction builds the run's library configs, and each checks the
+    fields it receives: ``noise`` (``NoiseConfig``), ``training``
+    (``TrainConfig``) and ``attack`` (``AttackConfig`` at epsilon 0).
+    This class checks only the fields none of them receives.
     """
 
     mode: str
@@ -113,22 +124,24 @@ class RunConfig:
     inputs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        # YAML 1.1 reads exponent forms like 1e280 as strings; coerce
-        for name in ("sigma", "alpha", "learning_rate", "gamma_train", "obs_noise"):
-            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        for name in (
-            "samples",
-            "seed",
-            "episodes",
-            "attack_steps",
-            "attack_restarts",
-            "attack_trials",
-            "rollout_trials",
-        ):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        # YAML 1.1 reads exponent forms like 1e280 as strings; coerce each
+        # number field by its annotation
+        coerce = {"float": _as_float, "int": _as_int}
+        for f in dataclasses.fields(self):
+            if f.type in coerce:
+                value = coerce[f.type](f.name, getattr(self, f.name))
+                object.__setattr__(self, f.name, value)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("env", "out", "checkpoint"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (name == "checkpoint" and value is None)):
+                raise ConfigError(f"{name} must be a string")
+        if not isinstance(self.inputs, (list, tuple)) or not all(
+            isinstance(path, str) for path in self.inputs
+        ):
+            raise ConfigError("inputs must be a list of result file paths")
+        object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.mode == "report":
             if not self.inputs:
                 raise ConfigError("report mode needs at least one input result file")
@@ -136,23 +149,34 @@ class RunConfig:
             raise ConfigError("env is required")
         if not self.out:
             raise ConfigError("out is required")
-        if not 0 < self.sigma < float("inf"):
-            raise ConfigError("sigma must be positive and finite")
-        if self.samples < 2:
-            raise ConfigError("samples must be an integer of at least 2")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie strictly between 0 and 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an integer in [0, 2**64)")
         if self.mixer not in MIXERS:
             raise ConfigError(f"mixer must be one of {MIXERS}")
-        if self.episodes < 0:
-            raise ConfigError("episodes must be a non-negative integer")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
-        for name in ("attack_steps", "attack_restarts", "attack_trials", "rollout_trials"):
+        for name in ("attack_trials", "rollout_trials"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1")
+        noise = NoiseConfig(
+            sigma=self.sigma,
+            samples=self.samples,
+            alpha=self.alpha,
+            seed=derive_seed(self.seed, "smoothing"),
+        )
+        training = TrainConfig(
+            episodes=self.episodes,
+            seed=self.seed,
+            learning_rate=self.learning_rate,
+            gamma_train=self.gamma_train,
+            obs_noise=self.obs_noise,
+        )
+        attack = AttackConfig(
+            epsilon=0.0,
+            noise=noise,
+            steps=self.attack_steps,
+            restarts=self.attack_restarts,
+            seed=derive_seed(self.seed, "attack"),
+        )
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "training", training)
+        object.__setattr__(self, "attack", attack)
 
 
 @dataclass(frozen=True)
@@ -202,25 +226,6 @@ def _load_spec(env: str):
 
 def _env_name(env: str) -> str:
     return os.path.splitext(os.path.basename(env))[0]
-
-
-def _noise_config(cfg: RunConfig) -> NoiseConfig:
-    return NoiseConfig(
-        sigma=float(cfg.sigma),
-        samples=cfg.samples,
-        alpha=cfg.alpha,
-        seed=derive_seed(cfg.seed, "smoothing"),
-    )
-
-
-def _attack_config(cfg: RunConfig, noise: NoiseConfig, epsilon: float = 0.0):
-    return AttackConfig(
-        epsilon=epsilon,
-        noise=noise,
-        steps=cfg.attack_steps,
-        restarts=cfg.attack_restarts,
-        seed=derive_seed(cfg.seed, "attack"),
-    )
 
 
 def _require_checkpoint(cfg: RunConfig, spec):
@@ -275,18 +280,7 @@ def _write_table_row(cfg: RunConfig, results: dict):
 
 def _run_train(cfg: RunConfig, spec) -> dict:
     checkpoint = os.path.join(cfg.out, "checkpoint")
-    policy = train(
-        spec,
-        TrainConfig(
-            episodes=cfg.episodes,
-            seed=cfg.seed,
-            learning_rate=cfg.learning_rate,
-            gamma_train=cfg.gamma_train,
-            obs_noise=cfg.obs_noise,
-        ),
-        cfg.mixer,
-        checkpoint_path=checkpoint,
-    )
+    policy = train(spec, cfg.training, cfg.mixer, checkpoint_path=checkpoint)
     clean = episode_reward(
         spec, lambda s, state: greedy_joint_action(policy, s, state)
     )
@@ -301,7 +295,7 @@ def _run_train(cfg: RunConfig, spec) -> dict:
 
 def _run_certify_state(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg, spec)
-    certificates = certify_trajectory(policy, spec, _noise_config(cfg))
+    certificates = certify_trajectory(policy, spec, cfg.noise)
     n = policy.n_agents
     header = ["step", "min_radius"] + [f"d_{i}" for i in range(n)]
     rows = [
@@ -319,8 +313,7 @@ def _run_certify_state(cfg: RunConfig, spec) -> dict:
 
 def _run_certify_reward(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg, spec)
-    noise = _noise_config(cfg)
-    bound = tcrgr(policy, spec, noise)
+    bound = tcrgr(policy, spec, cfg.noise)
     results = {
         "env": _env_name(cfg.env),
         "mixer": policy.mixer,
@@ -337,15 +330,14 @@ def _run_certify_reward(cfg: RunConfig, spec) -> dict:
 
 def _run_attack(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg, spec)
-    noise = _noise_config(cfg)
-    bound = tcrgr(policy, spec, noise)
-    certificates = [crsc(decision, noise) for decision in bound.clean_path]
+    bound = tcrgr(policy, spec, cfg.noise)
+    certificates = [crsc(decision, cfg.noise) for decision in bound.clean_path]
     report = validate_certificates(
         policy,
         spec,
         certificates,
         bound,
-        _attack_config(cfg, noise),
+        cfg.attack,
         trials=cfg.attack_trials,
         rollout_trials=cfg.rollout_trials,
     )
@@ -458,11 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="YAML file with all parameters")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--out", help="output directory")
+        for name, kind in _FLAGS.items():
+            p.add_argument(f"--{name}", type=kind)
         if mode == "report":
             p.add_argument("inputs", nargs="*", help="result.json files to merge")
     return parser
@@ -471,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     fields = _load_config_file(args.config) if args.config else {}
     fields["mode"] = args.mode
-    for name in ("seed", "sigma", "samples", "alpha", "out"):
+    for name in _FLAGS:
         value = getattr(args, name)
         if value is not None:
             fields[name] = value

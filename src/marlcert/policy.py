@@ -12,7 +12,10 @@ The trainer is standard TD learning on q_total with a replay buffer, a
 periodically synced target network, and per-agent epsilon-greedy
 exploration.  Training uses its own discount (default 0.99); certification
 elsewhere evaluates undiscounted returns.  Everything is seeded: the same
-TrainConfig produces bit-identical checkpoints.
+TrainConfig produces bit-identical checkpoints.  TrainConfig holds what a
+run may set (episodes, seed, learning rate, discount, augmentation); the
+batch size, replay capacity, target sync period and exploration schedule
+are the module constants beside ``TRAIN_EVERY``.
 
 The replay buffer is a set of preallocated ring arrays indexed by slot:
 observations and next observations ``(capacity, n, obs_len)``, actions
@@ -28,7 +31,9 @@ observed once.
 
 A policy checkpoint is a directory: ``manifest.json`` describing shapes and
 mixer kind, one ``agent_<i>.mlp`` network file per agent, and
-``hypernet.mlp`` for the qmix_mono mixer.
+``hypernet.mlp`` for the qmix_mono mixer.  ``load_policy`` raises
+CheckpointError for a manifest with a missing or wrongly typed key, an
+unknown mixer, or networks that do not fit it.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ from .seeds import derive_seed
 AGENT_HIDDEN = 64
 HYPER_HIDDEN = 32
 TRAIN_EVERY = 4  # env steps between gradient updates
+BATCH_SIZE = 32  # transitions per TD update
+REPLAY_CAPACITY = 5000  # transitions the replay ring holds
+TARGET_SYNC = 200  # gradient updates between target-net refreshes
+EPS_SCHEDULE = (1.0, 0.05, 0.6)  # exploration (start, end, decay fraction)
 
 MIXERS = ("vdn", "qmix_mono")
 
@@ -91,31 +100,19 @@ class JointPolicy:
 class TrainConfig:
     episodes: int
     seed: int
-    batch_size: int = 32
-    replay_capacity: int = 5000
     learning_rate: float = 1e-3
     gamma_train: float = 0.99
-    target_sync: int = 200  # gradient updates between target-net refreshes
-    eps_schedule: tuple = (1.0, 0.05, 0.6)  # (start, end, decay fraction)
     obs_noise: float = 0.0  # Gaussian augmentation applied to TD batches
 
     def __post_init__(self):
         if self.episodes < 0:
             raise ConfigError("episodes must be non-negative")
-        for name in ("batch_size", "replay_capacity", "target_sync"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.batch_size > self.replay_capacity:
-            raise ConfigError("batch_size must not exceed replay_capacity")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError("learning_rate must be positive and finite")
         if not 0.0 < self.gamma_train <= 1.0:
             raise ConfigError("gamma_train must be in (0, 1]")
         if not (np.isfinite(self.obs_noise) and self.obs_noise >= 0):
             raise ConfigError("obs_noise must be finite and non-negative")
-        start, end, frac = self.eps_schedule
-        if not (0 <= end <= start <= 1 and 0 < frac <= 1):
-            raise ConfigError("bad eps_schedule")
 
     def init_seed(self) -> int:
         return derive_seed(self.seed, "policy-init")
@@ -221,7 +218,7 @@ def _snapshot(policy: JointPolicy) -> JointPolicy:
 
 
 def _epsilon(cfg: TrainConfig, episode: int) -> float:
-    start, end, frac = cfg.eps_schedule
+    start, end, frac = EPS_SCHEDULE
     horizon = max(1, int(cfg.episodes * frac))
     t = min(1.0, episode / horizon)
     return start + (end - start) * t
@@ -248,7 +245,7 @@ def train(
     n = policy.n_agents
     obs_len = observation_length(spec)
     # a ring larger than the whole run would never wrap: allocate only that
-    capacity = min(cfg.replay_capacity, cfg.episodes * spec.step_cap)
+    capacity = min(REPLAY_CAPACITY, cfg.episodes * spec.step_cap)
     replay_obs = np.empty((capacity, n, obs_len))
     replay_next_obs = np.empty((capacity, n, obs_len))
     replay_acts = np.empty((capacity, n), dtype=np.int64)
@@ -292,15 +289,15 @@ def train(
             state, obs = nxt, next_obs
 
             size = min(env_steps, capacity)
-            if env_steps % TRAIN_EVERY or size < cfg.batch_size:
+            if env_steps % TRAIN_EVERY or size < BATCH_SIZE:
                 continue
-            picks = rng.integers(0, size, cfg.batch_size)
+            picks = rng.integers(0, size, BATCH_SIZE)
             batch_obs = replay_obs[picks]
             batch_next_obs = replay_next_obs[picks]
             if cfg.obs_noise > 0:
                 # fresh Gaussian augmentation per draw: values learned this
                 # way stay decisive under smoothing noise of similar scale
-                noise = rng.standard_normal((cfg.batch_size, 2, n, obs_len))
+                noise = rng.standard_normal((BATCH_SIZE, 2, n, obs_len))
                 batch_obs = batch_obs + noise[:, 0] * cfg.obs_noise
                 batch_next_obs = batch_next_obs + noise[:, 1] * cfg.obs_noise
             encs = next_encs = None
@@ -317,7 +314,7 @@ def train(
             )
             _td_update(policy, target, adam, adam_hyper, batch, cfg, episode)
             updates += 1
-            if updates % cfg.target_sync == 0:
+            if updates % TARGET_SYNC == 0:
                 target = _snapshot(policy)
 
     if checkpoint_path is not None:
@@ -412,22 +409,36 @@ def load_policy(path) -> JointPolicy:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt policy manifest: {exc}") from exc
-    if manifest.get("format") != _MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise CheckpointError("not a policy checkpoint manifest")
     if manifest.get("version") != _MANIFEST_VERSION:
         raise CheckpointError(
             f"unsupported manifest version {manifest.get('version')}"
         )
+    names = manifest.get("agent_nets")
+    hyper_name = manifest.get("hypernet")
+    if not (
+        isinstance(names, list)
+        and all(isinstance(name, str) for name in names)
+        and (hyper_name is None or isinstance(hyper_name, str))
+    ):
+        raise CheckpointError(
+            "manifest needs agent_nets as a list of file names and "
+            "hypernet as a file name or null"
+        )
     nets = []
-    for name in manifest["agent_nets"]:
+    for name in names:
         net_path = path / name
         if not net_path.is_file():
             raise MissingArtifactError(f"missing network file {net_path}")
         nets.append(nn.checkpoint_load(net_path))
     hyper = None
-    if manifest.get("hypernet"):
-        hyper_path = path / manifest["hypernet"]
+    if hyper_name:
+        hyper_path = path / hyper_name
         if not hyper_path.is_file():
             raise MissingArtifactError(f"missing network file {hyper_path}")
         hyper = nn.checkpoint_load(hyper_path)
-    return JointPolicy(tuple(nets), manifest["mixer"], hyper)
+    try:
+        return JointPolicy(tuple(nets), manifest.get("mixer"), hyper)
+    except ConfigError as exc:
+        raise CheckpointError(f"inconsistent policy checkpoint: {exc}") from exc

@@ -46,8 +46,8 @@ class NoiseConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ConfigError("sigma must be positive")
+        if not 0.0 < self.sigma < float("inf"):
+            raise ConfigError("sigma must be positive and finite")
         if self.samples < 2:
             raise ConfigError("need at least two smoothing samples")
         if not 0.0 < self.alpha < 1.0:

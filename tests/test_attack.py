@@ -116,7 +116,7 @@ def _assert_matches_reference(policy, spec, state, agent, cfgs):
             clean,
             cfg.epsilon,
             cfg.steps,
-            cfg.resolved_step_size(),
+            2.5 * cfg.epsilon / cfg.steps,
             cfg.restarts,
             derive_seed(cfg.seed, "pgd", state.step_count, agent),
             judge,
@@ -136,20 +136,12 @@ class TestAttackConfig:
             _cfg(0.1, steps=0)
         with pytest.raises(ValueError):
             _cfg(0.1, restarts=0)
-        with pytest.raises(ValueError):
-            _cfg(0.1, step_size=0.0)
 
     def test_errors_are_config_errors(self):
         with pytest.raises(ConfigError):
             _cfg(0.1, steps=0)
         with pytest.raises(ConfigError):
             _cfg(float("nan"))
-
-    def test_default_step_size_scales_with_budget(self):
-        cfg = AttackConfig(epsilon=0.4, noise=_noise(), steps=10)
-        assert cfg.resolved_step_size() == 2.5 * 0.4 / 10
-        explicit = AttackConfig(epsilon=0.4, noise=_noise(), step_size=0.01)
-        assert explicit.resolved_step_size() == 0.01
 
 
 class TestPgdAttackState:
@@ -185,13 +177,14 @@ class TestPgdAttackState:
             epsilon=0.1,
             noise=_noise(sigma=0.01),
             steps=1,
-            step_size=0.05,
             restarts=1,
             seed=3,
         )
         result = pgd_attack_state(policy, spec, reset(spec), 0, cfg)
+        # the one step of 2.5 * epsilon leaves the ball; projecting it back
+        # keeps its direction
         g = w[1] - w[0]
-        want = 0.05 * g / np.linalg.norm(g)
+        want = 0.1 * g / np.linalg.norm(g)
         assert np.allclose(result.perturbations[0], want, atol=1e-12)
 
     def test_flips_fragile_agent_with_large_budget(self):
@@ -307,10 +300,9 @@ class TestPgdAttackBatch:
             dict(epsilon=0.2),
             dict(steps=21),
             dict(restarts=4),
-            dict(step_size=0.01),
             dict(noise=_noise(seed=24)),
         ],
-        ids=["epsilon", "steps", "restarts", "step_size", "noise"],
+        ids=["epsilon", "steps", "restarts", "noise"],
     )
     def test_configs_must_share_their_schedule(self, change):
         spec = _spec2()

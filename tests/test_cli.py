@@ -3,16 +3,22 @@
 import csv
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marlcert
 from marlcert import certify, cli, nn, smoothing
-from marlcert.cli import RunConfig, main, run
+from marlcert.cli import MODES, RunConfig, main, run
 from marlcert.envs import builtin_spec, load_grid_config
 from marlcert.errors import ConfigError, MissingArtifactError
 from marlcert.policy import (
@@ -58,6 +64,110 @@ def _write_config(tmp_path, name, **fields):
     return str(path)
 
 
+def _base_fields(root):
+    """A valid config for every mode that fails fast (exit 3) if it runs."""
+    return dict(
+        env="checkers",
+        out=str(Path(root) / "out"),
+        checkpoint=str(Path(root) / "no-checkpoint"),
+        inputs=[str(Path(root) / "no-result.json")],
+        episodes=1,
+    )
+
+
+def _exit_code(root, mode, field, value):
+    """Run ``mode`` on the base config with ``field`` set to ``value``."""
+    fields = _base_fields(root)
+    fields[field] = value
+    path = Path(root) / "c.yaml"
+    path.write_text(yaml.safe_dump(fields), encoding="utf-8")
+    return main([mode, "--config", str(path)])
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+# every value that RunConfig rejected before the library configs owned
+# their bounds, then the wrongly typed text and list fields
+_REJECTED = [
+    ("sigma", 0),
+    ("sigma", -1.0),
+    ("sigma", _INF),
+    ("sigma", _NAN),
+    ("sigma", "abc"),
+    ("samples", 1),
+    ("samples", 2.5),
+    ("alpha", 0),
+    ("alpha", 1),
+    ("alpha", _NAN),
+    ("seed", -1),
+    ("seed", 2**64),
+    ("seed", True),
+    ("mixer", "bogus"),
+    ("episodes", -1),
+    ("learning_rate", 0),
+    ("learning_rate", _NAN),
+    ("attack_steps", 0),
+    ("attack_restarts", 0),
+    ("attack_trials", 0),
+    ("rollout_trials", 0),
+    ("out", ""),
+    ("env", 5),
+    ("out", 7),
+    ("checkpoint", 5),
+    ("mixer", 5),
+    ("inputs", 5),
+    ("inputs", "a.json"),
+    ("inputs", [5]),
+]
+
+_TEXT_FIELDS = ("env", "out", "checkpoint", "mixer")
+_FLOAT_FIELDS = ("sigma", "alpha", "learning_rate", "gamma_train", "obs_noise")
+_INT_FIELDS = (
+    "samples",
+    "seed",
+    "episodes",
+    "attack_steps",
+    "attack_restarts",
+    "attack_trials",
+    "rollout_trials",
+)
+_OUT_OF_RANGE = {
+    "sigma": st.floats(max_value=0.0),
+    "alpha": st.floats(max_value=0.0) | st.floats(min_value=1.0),
+    "learning_rate": st.floats(max_value=0.0),
+    "gamma_train": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+    "obs_noise": st.floats(max_value=-5e-324),
+    "samples": st.integers(max_value=1),
+    "seed": st.integers(max_value=-1) | st.integers(min_value=2**64),
+    "episodes": st.integers(max_value=-1),
+    "attack_steps": st.integers(max_value=0),
+    "attack_restarts": st.integers(max_value=0),
+    "attack_trials": st.integers(max_value=0),
+    "rollout_trials": st.integers(max_value=0),
+    "mixer": st.text(max_size=8).filter(lambda m: m not in ("vdn", "qmix_mono")),
+}
+_ANY_TYPE_BAD = [True, False, _NAN, _INF, -_INF, [1, 2], {"a": 1}]
+
+
+@st.composite
+def _malformed(draw):
+    """One (field, value) that no mode may accept."""
+    field = draw(st.sampled_from(_TEXT_FIELDS + _FLOAT_FIELDS + _INT_FIELDS + ("inputs",)))
+    bad = list(_ANY_TYPE_BAD)
+    if field != "checkpoint":  # a null checkpoint is the default
+        bad.append(None)
+    if field in _FLOAT_FIELDS + _INT_FIELDS:
+        bad += ["abc", "1e", ""]
+    if field in _TEXT_FIELDS:
+        bad += [5, 2.5]
+    if field == "inputs":
+        bad += [5, "a.json", [5], ["a.json", None]]
+    choices = [st.sampled_from(bad)]
+    if field in _OUT_OF_RANGE:
+        choices.append(_OUT_OF_RANGE[field])
+    return field, draw(st.one_of(choices))
+
+
 class TestRunConfig:
     def test_unknown_field_named_in_error(self, tmp_path, corridor_env):
         path = _write_config(
@@ -73,6 +183,34 @@ class TestRunConfig:
     def test_invalid_mode_rejected(self, corridor_env):
         with pytest.raises(ConfigError):
             RunConfig(mode="poke", env=corridor_env, out="o")
+
+    @pytest.mark.parametrize(
+        "field,value", _REJECTED, ids=[f"{f}={v!r}" for f, v in _REJECTED]
+    )
+    def test_rejected_value_exits_2_before_out_exists(self, tmp_path, capsys, field, value):
+        for mode in MODES:
+            assert _exit_code(tmp_path, mode, field, value) == 2, mode
+            assert not (tmp_path / "out").exists(), mode
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "report"])
+    def test_empty_env_exits_2(self, tmp_path, mode):
+        assert _exit_code(tmp_path, mode, "env", "") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_report_without_inputs_exits_2(self, tmp_path):
+        assert _exit_code(tmp_path, "report", "inputs", []) == 2
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(MODES), malformed=_malformed())
+    def test_malformed_field_exits_2(self, mode, malformed):
+        field, value = malformed
+        with tempfile.TemporaryDirectory() as root:
+            assert _exit_code(root, mode, field, value) == 2
+            assert not (Path(root) / "out").exists()
+            assert not list(Path(root).rglob("result.json"))
 
 
 class TestModes:
@@ -124,6 +262,68 @@ class TestModes:
             out=str(tmp_path / "o"),
         )
         assert main(["certify-state", "--config", path]) == 3
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "not-a-mapping",
+            "no-agent-nets",
+            "agent-nets-text",
+            "agent-net-number",
+            "hypernet-number",
+            "no-mixer",
+            "unknown-mixer",
+            "vdn-with-hypernet",
+        ],
+    )
+    def test_corrupt_manifest_exit_code(self, tmp_path, capsys, case):
+        checkpoint = tmp_path / "ckpt"
+        shutil.copytree(_CHECKERS_VDN, checkpoint)
+        path = checkpoint / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if case == "not-a-mapping":
+            manifest = [manifest]
+        elif case == "no-agent-nets":
+            del manifest["agent_nets"]
+        elif case == "agent-nets-text":
+            manifest["agent_nets"] = "agent_0.mlp"
+        elif case == "agent-net-number":
+            manifest["agent_nets"] = [0, 1]
+        elif case == "hypernet-number":
+            manifest["hypernet"] = 5
+        elif case == "no-mixer":
+            del manifest["mixer"]
+        elif case == "unknown-mixer":
+            manifest["mixer"] = "bogus"
+        else:
+            manifest["hypernet"] = "agent_0.mlp"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        config = _write_config(
+            tmp_path, "c.yaml", env="checkers", checkpoint=str(checkpoint),
+            out=str(tmp_path / "o"),
+        )
+        assert main(["certify-state", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing or corrupt artifact:") and err.count("\n") == 1
+
+    def test_readme_train_config_writes_the_stored_checkpoint(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        blocks = [
+            b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S) if "mode: train" in b
+        ]
+        assert len(blocks) == 1
+        config = tmp_path / "train.yaml"
+        config.write_text(blocks[0], encoding="utf-8")
+        out = tmp_path / "t"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        got = load_policy(out / "checkpoint")
+        want = load_policy(_CHECKERS_VDN)
+        assert got.mixer == want.mixer
+        for a, b in zip(got.agent_nets, want.agent_nets, strict=True):
+            for x, y in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
+                assert np.array_equal(x, y)
 
     def test_training_divergence_exit_code(self, tmp_path, corridor_env):
         path = _write_config(

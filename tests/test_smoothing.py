@@ -35,6 +35,8 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError):
             NoiseConfig(sigma=0.0, samples=100, alpha=0.05, seed=0)
         with pytest.raises(ConfigError):
+            NoiseConfig(sigma=float("inf"), samples=100, alpha=0.05, seed=0)
+        with pytest.raises(ConfigError):
             NoiseConfig(sigma=0.1, samples=1, alpha=0.05, seed=0)
         with pytest.raises(ConfigError):
             NoiseConfig(sigma=0.1, samples=100, alpha=1.0, seed=0)
