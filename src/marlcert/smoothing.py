@@ -13,7 +13,10 @@ counts in blocks of four doubles).  `gaussian_noise_block` draws rows
 0..count-1 of a stream in one call, so row m is the same no matter how the
 work is batched or parallelized.  Uniform draws map to normals through the
 inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
-factor.
+factor.  The inverse CDF (`stats.std_normal_quantile_vec`) walks the
+clamped M-row uniform block in cache-sized chunks into one output array,
+so the block-sized arrays of a draw are the uniforms, their clamped copy,
+the quantile output and the sigma-scaled result.
 
 `sample_tally` and the attacks count actions through `_action_counts`,
 which draws its noise through `_noise_block`.  That keeps each agent's last
@@ -93,8 +96,8 @@ def gaussian_noise_block(
     Row m is the draw at counter block ``m * ceil(dim / 4)``, whatever
     ``count`` is.
     """
-    if not sigma > 0.0:
-        raise ConfigError("sigma must be positive")
+    if not 0.0 < sigma < float("inf"):
+        raise ConfigError("sigma must be positive and finite")
     bits = np.random.Philox(key=philox_key(seed, "noise", step_index, agent))
     width = _blocks_per_sample(dim) * 4
     u = np.random.Generator(bits).random((count, width))

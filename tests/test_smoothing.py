@@ -77,6 +77,11 @@ class TestGaussianNoise:
         a = gaussian_noise_block(20, 1e-300, seed=1, step_index=0, agent=0, count=3)
         assert np.all(np.abs(a) < 1e-290)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, float("inf"), float("nan")])
+    def test_rejects_sigma_outside_positive_finite(self, sigma):
+        with pytest.raises(ConfigError, match="sigma must be positive and finite"):
+            gaussian_noise_block(20, sigma, seed=1, step_index=0, agent=0, count=3)
+
     def test_sample_mean(self):
         block = gaussian_noise_block(
             1000, 0.5, seed=3, step_index=0, agent=0, count=1000

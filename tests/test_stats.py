@@ -108,6 +108,88 @@ class TestStdNormalQuantile:
         )
 
 
+C = stats._QUANTILE_CHUNK
+QUANTILE_EDGES = (
+    2.0**-54, 1e-310, 0.075, 0.5, 0.925, 1.0 - 2.0**-53, 1e-20,
+)
+
+
+def _assert_chunked_quantile_exact(p):
+    before = np.array(p, copy=True)
+    x = std_normal_quantile_vec(p)
+    assert x.shape == np.shape(p)
+    assert np.array_equal(x, _all_lanes_quantile(p))
+    assert np.array_equal(p, before)
+
+
+class TestQuantileChunks:
+    """`std_normal_quantile_vec` walks its input in chunks of
+    ``_QUANTILE_CHUNK`` lanes; none of that may show in its output."""
+
+    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 3 * C + 5])
+    def test_sizes_around_the_chunk(self, n):
+        rng = np.random.default_rng(n)
+        _assert_chunked_quantile_exact(np.maximum(rng.random(n), 2.0**-54))
+
+    @pytest.mark.parametrize("shape", [(), (7, C // 3), (3, 5, C // 7)])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(len(shape))
+        p = np.asarray(np.maximum(rng.random(shape), 2.0**-54))
+        assert p.shape == shape
+        _assert_chunked_quantile_exact(p)
+
+    def test_strided_view(self):
+        u = np.maximum(np.random.default_rng(5).random((400, 48)), 2.0**-54)
+        view = u[:, :47]
+        assert not view.flags.c_contiguous
+        _assert_chunked_quantile_exact(view)
+
+    @pytest.mark.parametrize("value", QUANTILE_EDGES)
+    @pytest.mark.parametrize("lane", [0, C - 1, C, 2 * C - 1, 2 * C, 2 * C + 4])
+    def test_edge_value_at_chunk_boundary(self, value, lane):
+        # lanes 2C..2C+4 are the final partial chunk
+        p = np.maximum(np.random.default_rng(lane).random(2 * C + 5), 2.0**-54)
+        p[lane] = value
+        _assert_chunked_quantile_exact(p)
+
+    @pytest.mark.parametrize("lane", [0, C + 17, 3 * C + 4])
+    def test_nan_is_rejected(self, lane):
+        p = np.full(3 * C + 5, 0.3)
+        p[lane] = np.nan
+        with pytest.raises(ValueError):
+            std_normal_quantile_vec(p)
+
+    def test_nan_rejected_like_the_scalar(self):
+        with pytest.raises(ValueError):
+            std_normal_quantile_vec([0.3, np.nan])
+        with pytest.raises(ValueError):
+            std_normal_quantile(np.nan)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 3 * C + 5),
+        seed=st.integers(0, 2**32 - 1),
+        mixed=st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from(QUANTILE_EDGES)
+                | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_equals_all_lanes_reference(self, n, seed, mixed):
+        p = np.maximum(np.random.default_rng(seed).random(n), 2.0**-54)
+        for where, value in mixed:
+            if n:
+                p[int(where * n)] = value
+        want = _all_lanes_quantile(p)
+        assert np.array_equal(std_normal_quantile_vec(p), want)
+        # the central rational on clipped tail lanes raises no FP error
+        with np.errstate(all="raise"):
+            assert np.array_equal(std_normal_quantile_vec(p), want)
+
+
 def _all_lanes_quantile(p):
     """The quantile as first written: every branch on every lane, then a
     per-lane pick.  Reference for the branch-per-lane version."""
