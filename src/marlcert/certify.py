@@ -19,7 +19,10 @@ out of this module:
   than the weakest per-state radius along the way.  ``get_node`` decides
   each state and keeps per-agent candidate action sets (the modal
   action, plus the runner-up wherever the reweighted p-value fails the
-  ``alpha`` gate).  Every step advances ``EnvState.step_count``, so the
+  ``alpha`` gate).  A pair's radius keeps the smoothed argmax inside the
+  pair, which needs two thirds of the smoothed mass on it, where the
+  paper's combined-count rule asks only for one half (see
+  ``node_decision``).  Every step advances ``EnvState.step_count``, so the
   reachable states form a DAG layered by step; one forward pass over its
   levels yields both the weakest node radius and the least total reward
   over all candidate trajectories.  The smoothed policy's own episode
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvState, GridSpec, reset, step
-from .policy import JointPolicy, counterfactual_values, q_total
+from .policy import JointPolicy, counterfactual_values, q_total, state_values
 from .smoothing import (
     ActionTally,
     NoiseConfig,
@@ -53,6 +56,10 @@ from .stats import (
 # floor of the rescaled importance weights; keeps every correction
 # strictly positive so no p-value is zeroed outright
 IF_FLOOR = 0.05
+
+# Phi^-1(2/3): a pair's smoothed mass must stay above 2/3 for its argmax
+# to stay inside it
+_PAIR_QUANTILE = std_normal_quantile(2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -136,11 +143,12 @@ def importance_factor(
     """
     if len(action) != tally.n_agents:
         raise ValueError("action arity disagrees with tally")
-    total = q_total(policy, spec, state, action)
+    values = state_values(policy, spec, state)
+    total = q_total(policy, spec, state, action, values)
     raw = []
     for agent in range(tally.n_agents):
         freqs = tally.per_agent[agent] / tally.samples
-        alternatives = counterfactual_values(policy, spec, state, action, agent)
+        alternatives = counterfactual_values(policy, spec, state, action, agent, values)
         raw.append(total - float(freqs @ alternatives))
     lo = min(raw)
     hi = max(raw)
@@ -201,11 +209,20 @@ def node_decision(decision: StateDecision, cfg: NoiseConfig) -> SearchNode:
     """Candidate sets and radius from a decision's tally and importance weights.
 
     Agents whose corrected p-value clears ``alpha`` keep only the modal
-    action and the radius certifies that singleton; the rest keep the
-    runner-up too and the radius certifies the pair through the combined
-    count.  A lower bound that falls below one half clamps the radius to
-    zero, and in the singleton case also restores the runner-up, since
-    the modal action alone is then not trustworthy.
+    action, and the radius certifies that singleton: with ``p`` the
+    Clopper-Pearson lower bound on the modal count, the smoothed action
+    stays modal within ``sigma * Phi^-1(p)``.  A bound below one half
+    clamps that radius to zero and restores the runner-up, since the
+    modal action alone is then not trustworthy.
+
+    The other agents keep the pair {modal, runner-up}, with ``p`` the
+    lower bound on the combined count.  The smoothed argmax stays in a
+    set S of k actions while S holds more than k / (k + 1) of the
+    smoothed mass, so the pair's radius is ``sigma * (Phi^-1(p) -
+    Phi^-1(2/3))``, zero when ``p <= 2/3``.  This departs from the
+    paper's combined-count rule ``sigma * Phi^-1(p)``, which only keeps
+    the pair's mass above one half: once a third action holds mass, the
+    argmax can leave the pair well inside that radius.
     """
     sets = []
     radii = []
@@ -217,15 +234,15 @@ def node_decision(decision: StateDecision, cfg: NoiseConfig) -> SearchNode:
         if cpv > cfg.alpha:
             keep = (modal, runner)
             p_lower = binom_lower_bound(ct1 + ct2, cfg.samples, cfg.alpha)
+            radius = max(0.0, cfg.sigma * (std_normal_quantile(p_lower) - _PAIR_QUANTILE))
         else:
             keep = (modal,)
             p_lower = binom_lower_bound(ct1, cfg.samples, cfg.alpha)
-        if p_lower < 0.5:
-            radius = 0.0
-            if len(keep) == 1:
+            if p_lower < 0.5:
+                radius = 0.0
                 keep = (modal, runner)
-        else:
-            radius = cfg.sigma * std_normal_quantile(p_lower)
+            else:
+                radius = cfg.sigma * std_normal_quantile(p_lower)
         sets.append(keep)
         radii.append(radius)
     return SearchNode(

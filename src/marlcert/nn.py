@@ -120,11 +120,20 @@ def forward_batch(net, X):
         raise ValueError(
             f"input shape {X.shape} incompatible with in_dim {net.layer_dims[0]}"
         )
-    h = X
-    last = len(net.weights) - 1
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ W.T + b
-        h = z if l == last else _act(net, z)
+    return forward_rest(net, X @ net.weights[0].T + net.biases[0])
+
+
+def forward_rest(net, Z):
+    """Forward map from the first layer's pre-activations.
+
+    Z is (batch, layer_dims[1]), what the first layer computes before its
+    activation; returns (batch, out_dim).  ``forward_batch`` is this applied
+    to ``X @ W_0.T + b_0``, so a caller that forms Z another way (smoothing
+    adds a projected noise block) shares every later layer with it.
+    """
+    h = Z
+    for W, b in zip(net.weights[1:], net.biases[1:]):
+        h = _act(net, h) @ W.T + b
     return h
 
 

@@ -166,38 +166,76 @@ def greedy_joint_action(policy: JointPolicy, spec: GridSpec, state: EnvState) ->
     )
 
 
-def _chosen_values(policy, spec, state, action) -> np.ndarray:
-    return np.array(
-        [
-            agent_values(policy, observe(spec, state, n), n)[action[n]]
-            for n in range(policy.n_agents)
-        ]
+@dataclass(frozen=True, eq=False)
+class StateValues:
+    """Every agent's action values at one state, and the mixer's output.
+
+    ``per_agent[n]`` is agent n's value vector; ``mixer_out`` is the
+    hypernetwork's output (one weight per agent, then the bias), None for
+    vdn.  One of these serves `q_total` and `counterfactual_values` for
+    any joint action at that state.
+    """
+
+    per_agent: np.ndarray
+    mixer_out: Optional[np.ndarray]
+
+
+def state_values(policy: JointPolicy, spec: GridSpec, state: EnvState) -> StateValues:
+    """One forward pass of each agent net, and of the hypernet, at ``state``."""
+    per_agent = np.array(
+        [agent_values(policy, observe(spec, state, n), n) for n in range(policy.n_agents)]
     )
+    mixer_out = None
+    if policy.mixer == "qmix_mono":
+        mixer_out = nn.forward(policy.hypernet, encode_global_state(spec, state))
+    return StateValues(per_agent, mixer_out)
 
 
-def _mix(policy, spec, state, chosen: np.ndarray) -> float:
-    if policy.mixer == "vdn":
+def _chosen_values(values: StateValues, action) -> np.ndarray:
+    return np.array([values.per_agent[n][a] for n, a in enumerate(action)])
+
+
+def q_total(
+    policy: JointPolicy,
+    spec: GridSpec,
+    state: EnvState,
+    action: JointAction,
+    values: Optional[StateValues] = None,
+) -> float:
+    """Team value of ``action``; ``values`` is ``state_values`` at ``state``
+    when the caller already has it."""
+    if len(action) != policy.n_agents:
+        raise ValueError("joint action length mismatch")
+    if values is None:
+        values = state_values(policy, spec, state)
+    chosen = _chosen_values(values, action)
+    if values.mixer_out is None:
         return float(np.sum(chosen))
-    out = nn.forward(policy.hypernet, encode_global_state(spec, state))
+    out = values.mixer_out
     w = np.abs(out[:-1])
     return float(w @ chosen + out[-1])
 
 
-def q_total(policy: JointPolicy, spec: GridSpec, state: EnvState, action: JointAction) -> float:
-    if len(action) != policy.n_agents:
-        raise ValueError("joint action length mismatch")
-    return _mix(policy, spec, state, _chosen_values(policy, spec, state, action))
-
-
 def counterfactual_values(
-    policy: JointPolicy, spec: GridSpec, state: EnvState, action: JointAction, agent: int
+    policy: JointPolicy,
+    spec: GridSpec,
+    state: EnvState,
+    action: JointAction,
+    agent: int,
+    values: Optional[StateValues] = None,
 ) -> np.ndarray:
-    """q_total with `agent`'s action replaced by each alternative in turn."""
-    chosen = _chosen_values(policy, spec, state, action)
-    own = agent_values(policy, observe(spec, state, agent), agent)
-    if policy.mixer == "vdn":
+    """q_total with `agent`'s action replaced by each alternative in turn.
+
+    ``values`` is ``state_values`` at ``state`` when the caller already has
+    it.
+    """
+    if values is None:
+        values = state_values(policy, spec, state)
+    chosen = _chosen_values(values, action)
+    own = values.per_agent[agent]
+    if values.mixer_out is None:
         return (np.sum(chosen) - chosen[agent]) + own
-    out = nn.forward(policy.hypernet, encode_global_state(spec, state))
+    out = values.mixer_out
     w = np.abs(out[:-1])
     rest = w @ chosen - w[agent] * chosen[agent] + out[-1]
     return rest + w[agent] * own

@@ -18,13 +18,25 @@ clamped M-row uniform block in cache-sized chunks into one output array,
 so the block-sized arrays of a draw are the uniforms, their clamped copy,
 the quantile output and the sigma-scaled result.
 
-`sample_tally` and the attacks count actions through `_action_counts`,
-which draws its noise through `_noise_block`.  That keeps each agent's last
-unit-sigma block and returns it times sigma: the same final multiply
-`gaussian_noise_block` does, so the result is bit-identical.  The tree
-search expands one step at a time and the attacks revisit one state many
-times, so consecutive calls for an agent mostly share an address; one block
-per agent bounds the memory kept.
+`sample_tally` and the attacks count actions through `_action_counts`.
+At one (seed, step, agent) address every smoothed decision, whatever the
+state or attack shift x, feeds the same noise block E through the
+agent's first layer, and W1 (x + E) = W1 x + W1 E.  So each agent has one
+slot that holds its block already projected, ``P = (sigma E) @ W1.T``
+(M x hidden), keyed by dim, seed, step, M and sigma and checked against
+a stored copy of W1.  A decision adds the vector ``W1 x + b1`` to P and
+runs the layers after the first (`nn.forward_rest`).  The tree search
+expands one step at a time and the attacks revisit one state many
+times, so consecutive calls for an agent mostly share an address; one
+block per agent bounds the memory kept.
+
+What the slot trades: a decision skips the M x dim x hidden product, but
+a block used once still pays it, the slot keeps M x hidden numbers
+(64 hidden units against 47 observation components for the built-in
+nets), and since P is of the scaled noise a new sigma draws the block
+again.  The first-layer pre-activations are rounded in another order than
+``forward_batch(x + sigma E)``, so they can differ from it in the last
+bits; every action tally in the recorded benchmark goldens is unchanged.
 """
 
 from __future__ import annotations
@@ -104,24 +116,32 @@ def gaussian_noise_block(
     return _uniform_to_normal(u[:, :dim], sigma)
 
 
-# agent -> ((dim, seed, step_index, samples), unit-sigma noise block)
-_last_unit_block: dict = {}
+# agent -> ((dim, seed, step_index, samples, sigma), copy of the first-layer
+# weights, noise block projected through them)
+_projected_noise: dict = {}
 
 
-def _noise_block(
-    dim: int, cfg: NoiseConfig, step_index: int, agent: int
+def _projected_block(
+    net: nn.Mlp, dim: int, cfg: NoiseConfig, step_index: int, agent: int
 ) -> np.ndarray:
     """``gaussian_noise_block(dim, cfg.sigma, cfg.seed, step_index, agent,
-    cfg.samples)``, drawn once per address while the agent's address stays
-    the same."""
-    key = (dim, cfg.seed, step_index, cfg.samples)
-    slot = _last_unit_block.get(agent)
-    if slot is None or slot[0] != key:
-        block = gaussian_noise_block(
-            dim, 1.0, cfg.seed, step_index, agent, cfg.samples
+    cfg.samples) @ W1.T`` for the first-layer weights W1 of ``net``.
+
+    Drawn and projected once while the agent's address and W1 stay the
+    same.  W1 is compared by value, so weights edited in place (training,
+    a test) are projected afresh.  The block is shared, so it is read-only.
+    """
+    key = (dim, cfg.seed, step_index, cfg.samples, cfg.sigma)
+    weights = net.weights[0]
+    slot = _projected_noise.get(agent)
+    if slot is None or slot[0] != key or not np.array_equal(slot[1], weights):
+        noise = gaussian_noise_block(
+            dim, cfg.sigma, cfg.seed, step_index, agent, cfg.samples
         )
-        slot = _last_unit_block[agent] = (key, block)
-    return slot[1] * cfg.sigma
+        projected = noise @ weights.T
+        projected.flags.writeable = False
+        slot = _projected_noise[agent] = (key, weights.copy(), projected)
+    return slot[2]
 
 
 def _action_counts(
@@ -137,9 +157,10 @@ def _action_counts(
     base = observe(spec, state, agent)
     if delta is not None:
         base = base + delta
-    noisy = _noise_block(base.size, cfg, state.step_count, agent)
-    noisy += base  # the block is a fresh copy: add in place, no second M-row array
-    values = nn.forward_batch(policy.agent_nets[agent], noisy)
+    net = policy.agent_nets[agent]
+    projected = _projected_block(net, base.size, cfg, state.step_count, agent)
+    # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
+    values = nn.forward_rest(net, projected + (net.weights[0] @ base + net.biases[0]))
     picks = np.argmax(values, axis=1)  # first max: lowest-index ties
     return np.bincount(picks, minlength=N_ACTIONS)
 

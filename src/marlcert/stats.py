@@ -41,6 +41,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Clopper-Pearson bounds kept: a search's (k, M, alpha) inputs number in
+# the hundreds, and an entry is a few hundred bytes
+_BOUND_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -433,6 +436,15 @@ def binom_lower_bound(k, M, alpha):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if k == 0:
         return 0.0
+    return _clopper_pearson_lower(k, M, alpha)
+
+
+@lru_cache(maxsize=_BOUND_CACHE_SIZE)
+def _clopper_pearson_lower(k, M, alpha):
+    """`binom_lower_bound`'s bisection for validated 0 < k <= M.
+
+    Memoized: a tree search decides many nodes from the same few counts.
+    """
     terms = _tail_terms(k, M)  # shared by every bisection step
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:

@@ -24,7 +24,12 @@ from marlcert.envs import ACTION_STAY, builtin_spec, parse_grid_config, reset, s
 from marlcert.policy import JointPolicy, load_policy, new_policy
 from marlcert.seeds import derive_seed
 from marlcert.smoothing import ActionTally, NoiseConfig
-from marlcert.stats import binom_pvalue_one_sided
+from marlcert.stats import (
+    binom_lower_bound,
+    binom_pvalue_one_sided,
+    std_normal_cdf,
+    std_normal_quantile,
+)
 
 # flat wall channel of the agent's own cell: always 0 in any observation
 _NULL_COMPONENT = 20
@@ -34,6 +39,8 @@ _NULL_COMPONENT = 20
 # sigma * quantile(alpha^(1/M)) for a unanimous one-sided lower bound
 _UNANIMOUS_GOODMAN = 0.1536395640059247
 _UNANIMOUS_LOWER = 0.18879988918577367
+# Phi^-1(2/3) (mpmath): a candidate pair certifies sigma * (Phi^-1(p) - this)
+_PAIR_QUANTILE = 0.4307272992954575
 
 # the stored checkers/vdn acceptance checkpoint the benchmark certifies
 _CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
@@ -198,11 +205,44 @@ class TestNodeDecision:
 
     def test_uncertain_pair_uses_combined_count(self):
         # 55/45 split: one-sided p-value is far above alpha, so both actions
-        # stay and the lower bound uses ct1 + ct2 = M
+        # stay and the lower bound uses ct1 + ct2 = M; the pair must keep
+        # 2/3 of the mass, not 1/2, for its argmax to stay inside it
         factors = ImportanceFactors(raw=(0.0,), normalized=(1.0,))
         node = node_decision(_decision([[55, 45, 0, 0, 0]], factors), _cfg())
         assert node.action_sets == ((0, 1),)
-        assert node.radius == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
+        want = _UNANIMOUS_LOWER - 0.1 * _PAIR_QUANTILE
+        assert node.radius == pytest.approx(want, rel=1e-10)
+
+    def test_pair_radius_keeps_argmax_inside_the_pair(self):
+        # counts (400, 350, 250) at M=1000 match a 2-D linear base classifier
+        # at x = 0: action 2 where x1 > Phi^-1(3/4), else action 0 where
+        # x2 < t and action 1 otherwise, with Phi(t) = 400/750.  Its
+        # smoothed probabilities have closed forms, so every shift can be
+        # judged exactly.
+        sigma = 1.0
+        cfg = _cfg(sigma=sigma, samples=1000, alpha=0.05)
+        factors = ImportanceFactors(raw=(0.0,), normalized=(1.0,))
+        node = node_decision(_decision([[400, 350, 250, 0, 0]], factors), cfg)
+        assert node.action_sets == ((0, 1),)
+        a = std_normal_quantile(0.75)
+        t = std_normal_quantile(400 / 750)
+
+        def smoothed_argmax(d1, d2):
+            keep = std_normal_cdf((a - d1) / sigma)
+            split = std_normal_cdf((t - d2) / sigma)
+            return int(np.argmax([keep * split, keep * (1.0 - split), 1.0 - keep]))
+
+        assert smoothed_argmax(0.0, 0.0) == 0
+        radius = node.radius
+        assert radius > 0.0
+        for angle in np.linspace(0.0, 2.0 * math.pi, 721):
+            d1, d2 = radius * math.cos(angle), radius * math.sin(angle)
+            assert smoothed_argmax(d1, d2) in (0, 1)
+        # the paper's combined-count radius, sigma * Phi^-1(p), admits a
+        # shift of 0.3 sigma along x1 that moves the argmax to action 2
+        p_lower = binom_lower_bound(750, 1000, 0.05)
+        assert sigma * std_normal_quantile(p_lower) > 0.3 * sigma > radius
+        assert smoothed_argmax(0.3 * sigma, 0.0) == 2
 
     def test_importance_rescue_clamps_and_keeps_both(self):
         # pv(58/100) = 0.0666 > alpha, but a 0.05 importance weight drags the
@@ -247,8 +287,10 @@ class TestGetNode:
         assert sorted(node.action_sets[0]) == [0, 1]
         assert node.action_sets[1] == (0,)
         # the flip agent's mass all sits on its top two actions, so its
-        # combined-count bound coincides with the unanimous one
-        assert node.radius == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
+        # combined-count bound coincides with the unanimous one, less the
+        # pair's 2/3 threshold
+        want = _UNANIMOUS_LOWER - 0.1 * _PAIR_QUANTILE
+        assert node.radius == pytest.approx(want, rel=1e-10)
 
 
 def _oracle_enumeration(policy, spec, cfg):
@@ -298,7 +340,8 @@ class TestTcrgr:
         policy = _policy([_flip_net(47, 3, 0)])
         cert = tcrgr(policy, spec, _cfg())
         assert cert.r_min == 0.0
-        assert cert.epsilon_cert == pytest.approx(_UNANIMOUS_LOWER, rel=1e-10)
+        want = _UNANIMOUS_LOWER - 0.1 * _PAIR_QUANTILE  # a pair's radius
+        assert cert.epsilon_cert == pytest.approx(want, rel=1e-10)
 
     def test_matches_enumeration_on_random_toys(self):
         rng = np.random.default_rng(12)

@@ -420,7 +420,7 @@ class TestModes:
         from marlcert import smoothing
 
         env, checkpoint, tmp_path = trained
-        monkeypatch.setattr(smoothing, "_last_unit_block", {})
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
         drawn = []
         inner = smoothing.gaussian_noise_block
 
@@ -586,7 +586,7 @@ class TestModes:
     def test_attack_draws_each_noise_block_once_before_validation(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(smoothing, "_last_unit_block", {})
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
         drawn = []
         before_validation = []
         inner_block = smoothing.gaussian_noise_block

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from marlcert import smoothing
-from marlcert.envs import parse_grid_config, reset
+from marlcert import nn, smoothing
+from marlcert.envs import N_ACTIONS, observation_length, observe, parse_grid_config, reset
 from marlcert.errors import ConfigError
-from marlcert.policy import new_policy
+from marlcert.policy import JointPolicy, new_policy
 from marlcert.seeds import philox_key
 from marlcert.smoothing import (
     ActionTally,
@@ -89,46 +89,122 @@ class TestGaussianNoise:
         assert abs(block.mean()) <= 5 * 0.5 / 1000
 
 
+def _oracle_counts(policy, spec, state, agent, cfg, delta=None):
+    """Counts from the plain recipe: argmax of forward_batch(noise + x)."""
+    x = observe(spec, state, agent)
+    if delta is not None:
+        x = x + delta
+    noise = gaussian_noise_block(
+        x.size, cfg.sigma, cfg.seed, state.step_count, agent, cfg.samples
+    )
+    values = nn.forward_batch(policy.agent_nets[agent], noise + x)
+    return np.bincount(np.argmax(values, axis=1), minlength=N_ACTIONS)
+
+
+def _counting_draws(monkeypatch):
+    """Empty the projection slot and record every noise block drawn."""
+    monkeypatch.setattr(smoothing, "_projected_noise", {})
+    drawn = []
+
+    def counting(*args):
+        drawn.append(args)
+        return gaussian_noise_block(*args)
+
+    monkeypatch.setattr(smoothing, "gaussian_noise_block", counting)
+    return drawn
+
+
 class TestNoiseBlockSlot:
-    # (agent, step, sigma, seed, M, dim): agents interleave, sigma changes
-    # on one address, and steps, seeds, M and dim move and come back
+    # (agent, step, sigma, seed, M, dim): agents interleave, addresses
+    # repeat, sigma changes on one address, and steps, seeds, M and dim
+    # move and come back
     CALLS = [
         (0, 0, 0.1, 3, 20, 47),
         (1, 0, 0.1, 3, 20, 47),
-        (0, 0, 0.2, 3, 20, 47),
         (0, 0, 0.1, 3, 20, 47),
+        (0, 0, 0.2, 3, 20, 47),
+        (0, 0, 0.2, 3, 20, 47),
         (1, 1, 0.1, 3, 20, 47),
         (0, 1, 0.03, 3, 20, 47),
+        (1, 0, 0.1, 3, 20, 47),
         (1, 0, 0.1, 3, 20, 47),
         (0, 1, 0.03, 4, 20, 47),
         (0, 1, 0.03, 4, 30, 47),
         (2, 1, 0.03, 4, 30, 5),
-        (0, 1, 0.06, 4, 30, 47),
-        (2, 1, 0.5, 4, 30, 5),
-        (0, 1, 0.06, 3, 20, 47),
+        (0, 1, 0.03, 4, 30, 47),
+        (2, 1, 0.03, 4, 30, 5),
+        (0, 1, 0.03, 3, 20, 47),
     ]
 
     def test_matches_uncached_block(self, monkeypatch):
-        monkeypatch.setattr(smoothing, "_last_unit_block", {})
-        drawn = []
-
-        def counting(*args):
-            drawn.append(args)
-            return gaussian_noise_block(*args)
-
-        monkeypatch.setattr(smoothing, "gaussian_noise_block", counting)
+        drawn = _counting_draws(monkeypatch)
+        rng = np.random.default_rng(0)
+        nets = {dim: nn.mlp_init((dim, 16, 5), "relu", rng) for dim in (5, 47)}
         for agent, step_index, sigma, seed, m, dim in self.CALLS:
             cfg = NoiseConfig(sigma=sigma, samples=m, alpha=0.05, seed=seed)
-            got = smoothing._noise_block(dim, cfg, step_index, agent)
-            want = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
-            assert np.array_equal(got, want)
-            got[:] = np.nan  # a caller writing into its noise changes nothing
-            assert set(smoothing._last_unit_block) <= {0, 1, 2}
-            key, unit = smoothing._last_unit_block[agent]
-            assert key == (dim, seed, step_index, m) and unit.shape == (m, dim)
-        # a block is drawn only when the agent's address changes
-        assert len(drawn) == 9
-        assert all(args[1] == 1.0 for args in drawn)
+            weights = nets[dim].weights[0]
+            got = smoothing._projected_block(nets[dim], dim, cfg, step_index, agent)
+            noise = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
+            assert np.array_equal(got, noise @ weights.T)
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0  # shared with later calls: read-only
+            assert set(smoothing._projected_noise) <= {0, 1, 2}
+            key, kept, block = smoothing._projected_noise[agent]
+            assert key == (dim, seed, step_index, m, sigma)
+            assert np.array_equal(kept, weights) and kept is not weights
+            assert block.shape == (m, 16)
+        # a block is drawn only when the agent's address, M, sigma or dim
+        # changes
+        assert len(drawn) == 10
+
+
+class TestActionCountsProjection:
+    @pytest.mark.parametrize(
+        "hidden, activation",
+        [((16,), "relu"), ((16,), "tanh"), ((16, 12, 8), "relu")],
+    )
+    def test_counts_match_forward_batch_oracle(self, hidden, activation):
+        spec = _spec()
+        rng = np.random.default_rng(4)
+        obs_len = observation_length(spec)
+        nets = tuple(
+            nn.mlp_init((obs_len, *hidden, N_ACTIONS), activation, rng)
+            for _ in range(2)
+        )
+        policy = JointPolicy(nets, "vdn", None)
+        cfg = NoiseConfig(sigma=0.5, samples=300, alpha=0.05, seed=21)
+        state = reset(spec)
+        spread = 0
+        for agent in range(2):
+            for delta in (None, rng.normal(0.0, 0.2, obs_len)):
+                got = smoothing._action_counts(policy, spec, state, agent, cfg, delta)
+                want = _oracle_counts(policy, spec, state, agent, cfg, delta)
+                assert np.array_equal(got, want)
+                spread += int(np.count_nonzero(got) > 1)
+        assert spread  # the noise moves some decision: the counts can differ
+
+    def test_weights_edited_in_place_are_projected_again(self, monkeypatch):
+        drawn = _counting_draws(monkeypatch)
+        spec = _spec()
+        policy = new_policy(spec, "vdn", np.random.default_rng(6))
+        cfg = NoiseConfig(sigma=0.4, samples=200, alpha=0.05, seed=2)
+        state = reset(spec)
+        smoothing._action_counts(policy, spec, state, 1, cfg)
+        policy.agent_nets[1].weights[0] *= -1.0
+        got = smoothing._action_counts(policy, spec, state, 1, cfg)
+        assert np.array_equal(got, _oracle_counts(policy, spec, state, 1, cfg))
+        assert len(drawn) == 2
+
+    def test_sigma_change_is_projected_again(self, monkeypatch):
+        drawn = _counting_draws(monkeypatch)
+        spec = _spec()
+        policy = new_policy(spec, "vdn", np.random.default_rng(6))
+        state = reset(spec)
+        for sigma in (0.4, 0.9):
+            cfg = NoiseConfig(sigma=sigma, samples=200, alpha=0.05, seed=2)
+            got = smoothing._action_counts(policy, spec, state, 0, cfg)
+            assert np.array_equal(got, _oracle_counts(policy, spec, state, 0, cfg))
+        assert [args[1] for args in drawn] == [0.4, 0.9]
 
 
 class TestSampleTally:

@@ -340,6 +340,47 @@ class TestBinomLowerBound:
             binom_lower_bound(5, 10, 1.0)
 
 
+class TestLowerBoundMemo:
+    def test_memo_matches_uncached_bisection(self):
+        uncached = stats._clopper_pearson_lower.__wrapped__
+        stats._clopper_pearson_lower.cache_clear()
+        grid = [
+            (k, M, alpha)
+            for M in (2, 17, 100, 1000)
+            for k in sorted({1, 2, max(1, M // 3), M // 2, M - 1, M})
+            for alpha in (0.001, 0.05, 0.3)
+        ]
+        for _ in range(2):  # the second round reads every bound from the memo
+            for k, M, alpha in grid:
+                assert binom_lower_bound(k, M, alpha) == uncached(k, M, alpha)
+        info = stats._clopper_pearson_lower.cache_info()
+        assert info.misses == len(grid) and info.hits == len(grid)
+
+    def test_equal_inputs_share_an_entry(self):
+        stats._clopper_pearson_lower.cache_clear()
+        first = binom_lower_bound(5, 10, 0.05)
+        assert binom_lower_bound(np.int64(5), 10.0, np.float64(0.05)) == first
+        assert stats._clopper_pearson_lower.cache_info().hits == 1
+
+    def test_bad_inputs_raise_before_the_memo(self):
+        stats._clopper_pearson_lower.cache_clear()
+        for k, M, alpha in [
+            (-1, 10, 0.05),
+            (11, 10, 0.05),
+            (2.5, 10, 0.05),
+            (1, 0, 0.05),
+            (1, 2.5, 0.05),
+            (5, 10, 0.0),
+            (5, 10, 1.0),
+            (5, 10, float("nan")),
+        ]:
+            with pytest.raises(ValueError):
+                binom_lower_bound(k, M, alpha)
+        binom_lower_bound(0, 10, 0.05)  # k = 0 needs no bisection
+        info = stats._clopper_pearson_lower.cache_info()
+        assert info.hits == info.misses == info.currsize == 0
+
+
 class TestGoodmanBounds:
     def test_degenerate_counts_closed_form(self):
         # counts [M, 0]: radical collapses to A, lower_1 = M/(M+A)
