@@ -144,11 +144,11 @@ def importance_factor(
     if len(action) != tally.n_agents:
         raise ValueError("action arity disagrees with tally")
     values = state_values(policy, spec, state)
-    total = q_total(policy, spec, state, action, values)
+    total = q_total(values, action)
     raw = []
     for agent in range(tally.n_agents):
         freqs = tally.per_agent[agent] / tally.samples
-        alternatives = counterfactual_values(policy, spec, state, action, agent, values)
+        alternatives = counterfactual_values(values, action, agent)
         raw.append(total - float(freqs @ alternatives))
     lo = min(raw)
     hi = max(raw)

@@ -100,8 +100,8 @@ class RunConfig:
 
     Construction builds the run's library configs, and each checks the
     fields it receives: ``noise`` (``NoiseConfig``), ``training``
-    (``TrainConfig``) and ``attack`` (``AttackConfig`` at epsilon 0).
-    This class checks only the fields none of them receives.
+    (``TrainConfig``) and ``attack`` (``AttackConfig``, the attack
+    schedule).  This class checks only the fields none of them receives.
     """
 
     mode: str
@@ -168,11 +168,7 @@ class RunConfig:
             obs_noise=self.obs_noise,
         )
         attack = AttackConfig(
-            epsilon=0.0,
-            noise=noise,
-            steps=self.attack_steps,
-            restarts=self.attack_restarts,
-            seed=derive_seed(self.seed, "attack"),
+            noise=noise, steps=self.attack_steps, restarts=self.attack_restarts
         )
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "training", training)
@@ -338,6 +334,7 @@ def _run_attack(cfg: RunConfig, spec) -> dict:
         certificates,
         bound,
         cfg.attack,
+        derive_seed(cfg.seed, "attack"),
         trials=cfg.attack_trials,
         rollout_trials=cfg.rollout_trials,
     )
@@ -376,13 +373,23 @@ def _run_report(cfg: RunConfig) -> dict:
             raise MissingArtifactError(f"result file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"result file is not valid JSON: {path}") from exc
+        if not isinstance(record, dict):
+            raise ConfigError(f"result file {path} does not hold an object")
         results = record.get("results", {})
+        if not isinstance(results, dict):
+            raise ConfigError(f"result file {path}: results is not an object")
         missing = [k for k in _TABLE_HEADER if k not in results]
         if missing:
             raise ConfigError(
                 f"result file {path} lacks table fields {missing} "
                 f"(mode {record.get('mode')!r} exports no reward bound)"
             )
+        for key in ("env", "mixer"):
+            if not isinstance(results[key], str):
+                raise ConfigError(f"result file {path}: {key} is not a string")
+        sigma = results["sigma"]
+        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+            raise ConfigError(f"result file {path}: sigma is not a number")
         rows.append({key: results[key] for key in _TABLE_HEADER})
     rows.sort(key=lambda r: (r["env"], r["mixer"], r["sigma"]))
     _write_csv(

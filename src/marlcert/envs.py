@@ -375,16 +375,12 @@ def observe(spec: GridSpec, state: EnvState, agent: int) -> np.ndarray:
 def episode_reward(
     spec: GridSpec,
     policy_fn: Callable[[GridSpec, EnvState], JointAction],
-    max_steps: Optional[int] = None,
 ) -> float:
-    """Undiscounted team return of one rollout under `policy_fn`."""
-    if max_steps is None:
-        max_steps = spec.step_cap
+    """Undiscounted team return of one rollout under `policy_fn`, run
+    until the episode is done (at the latest at ``step_cap``)."""
     state = reset(spec)
     total = 0.0
-    for _ in range(max_steps):
-        if state.done:
-            break
+    while not state.done:
         outcome = step(spec, state, policy_fn(spec, state))
         total += outcome.team_reward
         state = outcome.next_state

@@ -34,6 +34,11 @@ _VERSION = 1
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class Mlp:
@@ -78,9 +83,6 @@ class Gradients:
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_num: float = 1e-8
     step: int = 0
     m_weights: list = field(default_factory=list)
     v_weights: list = field(default_factory=list)
@@ -197,8 +199,8 @@ def backward(net, x, output_grad):
     return grads, gin[0]
 
 
-def adam_init(net, lr, beta1=0.9, beta2=0.999, eps_num=1e-8):
-    state = AdamState(lr=float(lr), beta1=beta1, beta2=beta2, eps_num=eps_num)
+def adam_init(net, lr):
+    state = AdamState(lr=float(lr))
     state.m_weights = [np.zeros_like(W) for W in net.weights]
     state.v_weights = [np.zeros_like(W) for W in net.weights]
     state.m_biases = [np.zeros_like(b) for b in net.biases]
@@ -212,18 +214,18 @@ def adam_step(net, grads, state):
         if not np.isfinite(g).all():
             raise NumericalError("non-finite gradient passed to adam_step")
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     params = net.weights + net.biases
     gs = grads.weights + grads.biases
     ms = state.m_weights + state.m_biases
     vs = state.v_weights + state.v_biases
     for p, g, m, v in zip(params, gs, ms, vs):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps_num)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     for p in params:
         if not np.isfinite(p).all():
             raise NumericalError("parameters became non-finite in adam_step")

@@ -195,19 +195,10 @@ def _chosen_values(values: StateValues, action) -> np.ndarray:
     return np.array([values.per_agent[n][a] for n, a in enumerate(action)])
 
 
-def q_total(
-    policy: JointPolicy,
-    spec: GridSpec,
-    state: EnvState,
-    action: JointAction,
-    values: Optional[StateValues] = None,
-) -> float:
-    """Team value of ``action``; ``values`` is ``state_values`` at ``state``
-    when the caller already has it."""
-    if len(action) != policy.n_agents:
+def q_total(values: StateValues, action: JointAction) -> float:
+    """Team value of ``action`` at the state ``values`` was computed for."""
+    if len(action) != len(values.per_agent):
         raise ValueError("joint action length mismatch")
-    if values is None:
-        values = state_values(policy, spec, state)
     chosen = _chosen_values(values, action)
     if values.mixer_out is None:
         return float(np.sum(chosen))
@@ -217,20 +208,9 @@ def q_total(
 
 
 def counterfactual_values(
-    policy: JointPolicy,
-    spec: GridSpec,
-    state: EnvState,
-    action: JointAction,
-    agent: int,
-    values: Optional[StateValues] = None,
+    values: StateValues, action: JointAction, agent: int
 ) -> np.ndarray:
-    """q_total with `agent`'s action replaced by each alternative in turn.
-
-    ``values`` is ``state_values`` at ``state`` when the caller already has
-    it.
-    """
-    if values is None:
-        values = state_values(policy, spec, state)
+    """q_total with `agent`'s action replaced by each alternative in turn."""
     chosen = _chosen_values(values, action)
     own = values.per_agent[agent]
     if values.mixer_out is None:

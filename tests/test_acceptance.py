@@ -435,15 +435,14 @@ def test_criterion_8_attack_soundness(trained_models):
         bound = tcrgr(policy, spec, noise)
         certificates = [crsc(decision, noise) for decision in bound.clean_path]
         assert any(c.certified_set for c in certificates)
-        attack = AttackConfig(
-            epsilon=1.0, noise=noise, steps=30, restarts=2, seed=23
-        )
+        attack = AttackConfig(noise=noise, steps=30, restarts=2)
         report = validate_certificates(
             policy,
             spec,
             certificates,
             bound,
             attack,
+            23,
             trials=200,
             rollout_trials=5,
         )

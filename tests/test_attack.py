@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +34,10 @@ def _noise(**kw):
     return NoiseConfig(**base)
 
 
-def _cfg(epsilon, **kw):
-    base = dict(noise=_noise(), steps=20, restarts=3, seed=7)
+def _cfg(**kw):
+    base = dict(noise=_noise(), steps=20, restarts=3)
     base.update(kw)
-    return AttackConfig(epsilon=epsilon, **base)
+    return AttackConfig(**base)
 
 
 def _const_net(obs_len, values):
@@ -84,7 +83,7 @@ def _gated_net(seed):
 
     Restart 0 and the restarts that start with both units off have a
     zero input gradient and stop at once, the rest climb toward action
-    0, and only some configs flip: every branch of a batch at once.
+    0, and only some seeds flip: every branch of a batch at once.
     """
     rng = np.random.default_rng(seed)
     w1 = np.zeros((2, 47))
@@ -95,73 +94,80 @@ def _gated_net(seed):
     return nn.Mlp((47, 2, 5), [w1, w2], [np.full(2, -0.3), b2], "relu")
 
 
-def _assert_matches_reference(policy, spec, state, agent, cfgs):
-    """Batched PGD against the sequential single-row oracle, per config."""
+def _assert_matches_reference(policy, spec, state, agent, cfg, epsilon, seeds):
+    """Batched PGD against the sequential single-row oracle, per seed."""
     net = policy.agent_nets[agent]
     base = observe(spec, state, agent)
-    noise = cfgs[0].noise
-    clean = _smoothed_modal(policy, spec, state, agent, noise)
+    clean = _smoothed_modal(policy, spec, state, agent, cfg.noise)
 
     def judge(delta):
-        return _smoothed_modal(policy, spec, state, agent, noise, delta)
+        return _smoothed_modal(policy, spec, state, agent, cfg.noise, delta)
 
-    results = pgd_attack_batch(policy, spec, state, agent, cfgs)
-    assert len(results) == len(cfgs)
-    for cfg, result in zip(cfgs, results):
+    results = pgd_attack_batch(policy, spec, state, agent, cfg, epsilon, seeds)
+    assert len(results) == len(seeds)
+    for seed, result in zip(seeds, results):
         want_delta, want_flipped = oracles.pgd_single_row(
             net.weights,
             net.biases,
             net.activation,
             base,
             clean,
-            cfg.epsilon,
+            epsilon,
             cfg.steps,
-            2.5 * cfg.epsilon / cfg.steps,
+            2.5 * epsilon / cfg.steps,
             cfg.restarts,
-            derive_seed(cfg.seed, "pgd", state.step_count, agent),
+            derive_seed(seed, "pgd", state.step_count, agent),
             judge,
         )
-        assert result.flipped[agent] is want_flipped
-        assert np.allclose(result.perturbations[agent], want_delta, rtol=0.0, atol=1e-12)
-        assert result.action == judge(result.perturbations[agent])
+        assert result.flipped is want_flipped
+        assert np.allclose(result.delta, want_delta, rtol=0.0, atol=1e-12)
+        assert result.action == judge(result.delta)
         assert (result.action != clean) is want_flipped
     return results
+
+
+def _attack_fragile(epsilon):
+    spec = _spec2()
+    policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
+    return pgd_attack_state(policy, spec, reset(spec), 0, _cfg(), epsilon, 7)
 
 
 class TestAttackConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            _cfg(-0.1)
+            _cfg(steps=0)
         with pytest.raises(ValueError):
-            _cfg(0.1, steps=0)
+            _cfg(restarts=0)
+        # the budget is checked by the attack that receives it
         with pytest.raises(ValueError):
-            _cfg(0.1, restarts=0)
+            _attack_fragile(-0.1)
 
     def test_errors_are_config_errors(self):
         with pytest.raises(ConfigError):
-            _cfg(0.1, steps=0)
-        with pytest.raises(ConfigError):
-            _cfg(float("nan"))
+            _cfg(steps=0)
+        for epsilon in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                _attack_fragile(epsilon)
 
 
 class TestPgdAttackState:
     def test_zero_budget_is_identity(self):
         spec = _spec2()
         policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
-        result = pgd_attack_state(policy, spec, reset(spec), 0, _cfg(0.0))
-        assert result.flipped == (False, False)
-        for delta in result.perturbations:
-            assert not delta.any()
+        result = pgd_attack_state(policy, spec, reset(spec), 0, _cfg(), 0.0, 7)
+        assert result.flipped is False
+        assert result.action == _smoothed_modal(policy, spec, reset(spec), 0, _noise())
+        assert result.delta.shape == (47,)
+        assert not result.delta.any()
 
     def test_budget_respected_after_every_projection(self):
         spec = _spec2()
         policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
         for eps in (0.01, 0.3, 2.0):
             result = pgd_attack_state(
-                policy, spec, reset(spec), 0, _cfg(eps, steps=30, restarts=4)
+                policy, spec, reset(spec), 0, _cfg(steps=30, restarts=4), eps, 7
             )
-            for delta in result.perturbations:
-                assert np.linalg.norm(delta) <= eps * (1 + 1e-12)
+            assert np.linalg.norm(result.delta) <= eps * (1 + 1e-12)
 
     def test_linear_margin_first_step_direction(self):
         # hand-derived: for a linear net the margin gradient is the row
@@ -173,27 +179,18 @@ class TestPgdAttackState:
         b = np.array([1.0, 0.9, -5.0, -5.0, -5.0])
         net = nn.Mlp((47, 5), [w], [b], "relu")
         policy = _policy([net])
-        cfg = AttackConfig(
-            epsilon=0.1,
-            noise=_noise(sigma=0.01),
-            steps=1,
-            restarts=1,
-            seed=3,
-        )
-        result = pgd_attack_state(policy, spec, reset(spec), 0, cfg)
+        cfg = AttackConfig(noise=_noise(sigma=0.01), steps=1, restarts=1)
+        result = pgd_attack_state(policy, spec, reset(spec), 0, cfg, 0.1, 3)
         # the one step of 2.5 * epsilon leaves the ball; projecting it back
         # keeps its direction
         g = w[1] - w[0]
         want = 0.1 * g / np.linalg.norm(g)
-        assert np.allclose(result.perturbations[0], want, atol=1e-12)
+        assert np.allclose(result.delta, want, atol=1e-12)
 
     def test_flips_fragile_agent_with_large_budget(self):
-        spec = _spec2()
-        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
-        result = pgd_attack_state(policy, spec, reset(spec), 0, _cfg(1.0))
-        assert result.flipped[0] is True
-        assert result.flipped[1] is False
-        assert not result.perturbations[1].any()
+        result = _attack_fragile(1.0)
+        assert result.flipped is True
+        assert result.action != _attack_fragile(0.0).action
 
     def test_certified_agent_resists_in_ball_attacks(self):
         spec = _spec2()
@@ -208,12 +205,10 @@ class TestPgdAttackState:
         cert = certs[0]
         assert 0 in cert.certified_set
         d = cert.per_agent_radius[0]
+        cfg = AttackConfig(noise=noise, steps=20, restarts=3)
         for trial in range(20):
-            cfg = AttackConfig(
-                epsilon=d, noise=noise, steps=20, restarts=3, seed=100 + trial
-            )
-            result = pgd_attack_state(policy, spec, cert.state, 0, cfg)
-            assert result.flipped[0] is False
+            result = pgd_attack_state(policy, spec, cert.state, 0, cfg, d, 100 + trial)
+            assert result.flipped is False
 
 
 class TestPgdAttackBatch:
@@ -233,13 +228,13 @@ class TestPgdAttackBatch:
         other = _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])
         policy = _policy([net, other])
         state = step(spec, reset(spec), (3, 0)).next_state
+        seeds = [40 + trial for trial in range(5)]
         for eps in (0.05, 0.5, 2.0):
-            cfgs = [_cfg(eps, restarts=3, seed=40 + trial) for trial in range(5)]
-            results = _assert_matches_reference(policy, spec, state, 0, cfgs)
+            results = _assert_matches_reference(
+                policy, spec, state, 0, _cfg(restarts=3), eps, seeds
+            )
             for result in results:
-                assert np.linalg.norm(result.perturbations[0]) <= eps * (1 + 1e-12)
-                assert result.flipped[1] is False
-                assert not result.perturbations[1].any()
+                assert np.linalg.norm(result.delta) <= eps * (1 + 1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     def test_matches_single_row_reference_on_stored_checkpoint(self, scale):
@@ -249,23 +244,20 @@ class TestPgdAttackBatch:
             sigma=0.06, samples=1000, alpha=0.01, seed=derive_seed(1, "smoothing")
         )
         certificates = certify_trajectory(policy, spec, noise)
+        cfg = AttackConfig(noise=noise, steps=30, restarts=2)
         flips = 0
         batches = 0
         for cert in certificates:
             for agent in sorted(cert.certified_set):
-                radius = cert.per_agent_radius[agent]
-                cfgs = [
-                    AttackConfig(
-                        epsilon=scale * radius,
-                        noise=noise,
-                        steps=30,
-                        restarts=2,
-                        seed=derive_seed(23, "validate", cert.step_index, agent, trial),
-                    )
+                epsilon = scale * cert.per_agent_radius[agent]
+                seeds = [
+                    derive_seed(23, "validate", cert.step_index, agent, trial)
                     for trial in range(20)
                 ]
-                results = _assert_matches_reference(policy, spec, cert.state, agent, cfgs)
-                flips += sum(result.flipped[agent] for result in results)
+                results = _assert_matches_reference(
+                    policy, spec, cert.state, agent, cfg, epsilon, seeds
+                )
+                flips += sum(result.flipped for result in results)
                 batches += 1
         assert batches > 0
         if scale == 1.0:
@@ -284,38 +276,17 @@ class TestPgdAttackBatch:
             return backward_batch(net, X, G)
 
         monkeypatch.setattr(nn, "backward_batch", counting)
-        cfgs = [_cfg(0.5, restarts=3, seed=trial) for trial in range(4)]
-        results = pgd_attack_batch(policy, spec, reset(spec), 0, cfgs)
-        # one shared restart-0 row plus two own restarts per config, all of
+        results = pgd_attack_batch(
+            policy, spec, reset(spec), 0, _cfg(restarts=3), 0.5, range(4)
+        )
+        # one shared restart-0 row plus two own restarts per seed, all of
         # which stop at the first step with a zero input gradient
         assert calls == Counter({1 + 4 * 2: 1})
+        assert len(results) == 4
         for result in results:
-            assert result.flipped == (False, False)
+            assert result.flipped is False
             assert result.action == 1
-            assert not result.perturbations[0].any()
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            dict(epsilon=0.2),
-            dict(steps=21),
-            dict(restarts=4),
-            dict(noise=_noise(seed=24)),
-        ],
-        ids=["epsilon", "steps", "restarts", "noise"],
-    )
-    def test_configs_must_share_their_schedule(self, change):
-        spec = _spec2()
-        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
-        cfg = _cfg(0.1)
-        with pytest.raises(ConfigError):
-            pgd_attack_batch(policy, spec, reset(spec), 0, [cfg, replace(cfg, **change)])
-
-    def test_empty_batch_is_a_config_error(self):
-        spec = _spec2()
-        policy = _policy([_flip_net(47), _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])])
-        with pytest.raises(ConfigError):
-            pgd_attack_batch(policy, spec, reset(spec), 0, [])
+            assert not result.delta.any()
 
 
 class TestAttackedRollout:
@@ -324,7 +295,7 @@ class TestAttackedRollout:
             "map: |\n  1..a\nstep_cap: 5\nrewards:\n  apple: 10.0\n"
         )
         policy = _policy([_const_net(47, [0.0, 0.0, 0.0, 1.0, 0.0])])
-        result = attacked_rollout(policy, spec, _cfg(0.0))
+        result = attacked_rollout(policy, spec, _cfg(), 0.0, 7)
         assert result.attacked_reward == 10.0
         assert result.flipped == (False,)
 
@@ -335,10 +306,8 @@ class TestAttackedRollout:
         policy = _policy([_const_net(47, [0.0, 0.0, 0.0, 1.0, 0.0])])
         noise = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=17)
         bound = tcrgr(policy, spec, noise)
-        cfg = AttackConfig(
-            epsilon=bound.epsilon_cert, noise=noise, steps=20, restarts=3, seed=11
-        )
-        result = attacked_rollout(policy, spec, cfg)
+        cfg = AttackConfig(noise=noise, steps=20, restarts=3)
+        result = attacked_rollout(policy, spec, cfg, bound.epsilon_cert, 11)
         assert result.attacked_reward >= bound.r_min
 
     def test_one_smoothed_decision_per_judged_row(self, monkeypatch):
@@ -355,8 +324,7 @@ class TestAttackedRollout:
             return _smoothed_modal(policy, spec, state, agent, noise, delta)
 
         monkeypatch.setattr(attack, "_smoothed_modal", counting)
-        cfg = _cfg(0.05, restarts=3)
-        result = attacked_rollout(policy, spec, cfg)
+        result = attacked_rollout(policy, spec, _cfg(restarts=3), 0.05, 7)
         assert result.flipped == (False, False)
         # the clean decision, then one per restart end point; the action
         # executed is the attack's own, not a further decision
@@ -374,13 +342,13 @@ class TestValidateCertificates:
         noise = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=17)
         certs = certify_trajectory(policy, spec, noise)
         bound = tcrgr(policy, spec, noise)
-        cfg = AttackConfig(epsilon=0.0, noise=noise, steps=15, restarts=2, seed=9)
+        cfg = AttackConfig(noise=noise, steps=15, restarts=2)
         return spec, policy, certs, bound, cfg
 
     def test_no_in_ball_flips_and_totals(self):
         spec, policy, certs, bound, cfg = self._setup()
         report = validate_certificates(
-            policy, spec, certs, bound, cfg, trials=3, rollout_trials=2
+            policy, spec, certs, bound, cfg, 9, trials=3, rollout_trials=2
         )
         assert report.states_checked == 3
         assert report.agents_checked == 3
@@ -417,9 +385,9 @@ class TestValidateCertificates:
 
         monkeypatch.setattr(nn, "backward_batch", counting_backward)
         monkeypatch.setattr(attack, "_smoothed_modal", counting_modal)
-        cfg = AttackConfig(epsilon=0.0, noise=noise, steps=15, restarts=2, seed=9)
+        cfg = AttackConfig(noise=noise, steps=15, restarts=2)
         report = validate_certificates(
-            policy, spec, certs, bound, cfg, trials=4, rollout_trials=0
+            policy, spec, certs, bound, cfg, 9, trials=4, rollout_trials=0
         )
         assert report.in_ball_flips == 0
         assert report.in_ball_trials == report.contrast_trials == 4 * 3
@@ -431,12 +399,12 @@ class TestValidateCertificates:
     def test_trials_below_one_is_a_config_error(self):
         spec, policy, certs, bound, cfg = self._setup()
         with pytest.raises(ConfigError):
-            validate_certificates(policy, spec, certs, bound, cfg, trials=0)
+            validate_certificates(policy, spec, certs, bound, cfg, 9, trials=0)
 
     def test_rejects_foreign_certificates(self):
         spec, policy, certs, bound, cfg = self._setup()
         other = _policy([_const_net(47, [1.0, 0.0, 0.0, 0.0, 0.0])])
         with pytest.raises(ValueError):
             validate_certificates(
-                other, spec, certs, bound, cfg, trials=1, rollout_trials=1
+                other, spec, certs, bound, cfg, 9, trials=1, rollout_trials=1
             )

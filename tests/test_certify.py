@@ -315,8 +315,7 @@ def _oracle_enumeration(policy, spec, cfg):
 
 def _clean_rollout_reward(policy, spec, cfg):
     """The smoothed policy's own episode, replayed by an unbudgeted attack."""
-    clean = AttackConfig(epsilon=0.0, noise=cfg)
-    return attacked_rollout(policy, spec, clean).attacked_reward
+    return attacked_rollout(policy, spec, AttackConfig(noise=cfg), 0.0, 0).attacked_reward
 
 
 class TestTcrgr:

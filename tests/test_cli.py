@@ -75,6 +75,20 @@ def _base_fields(root):
     )
 
 
+def _report_record(**results):
+    """A certify-reward result.json with ``results`` fields replaced."""
+    table = {
+        "env": "corridor",
+        "mixer": "vdn",
+        "sigma": 0.05,
+        "epsilon_cert": 0.1,
+        "r_min": 0.0,
+        "attacked_reward": None,
+    }
+    table.update(results)
+    return {"mode": "certify-reward", "results": table}
+
+
 def _exit_code(root, mode, field, value):
     """Run ``mode`` on the base config with ``field`` set to ``value``."""
     fields = _base_fields(root)
@@ -514,6 +528,54 @@ class TestModes:
         sigmas = [float(r["sigma"]) for r in rows]
         assert sigmas == sorted(sigmas)
         assert record.results["rows"][0]["sigma"] == 0.05
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [[1, 2]],
+            [{"mode": "attack", "results": " ".join(cli._TABLE_HEADER)}],
+            [_report_record(sigma="x"), _report_record(sigma=0.1)],
+            [_report_record(env=3), _report_record(env="checkers")],
+            [_report_record(mixer=None), _report_record(mixer="vdn")],
+        ],
+        ids=["list", "results-string", "sigma-string", "env-int", "mixer-null"],
+    )
+    def test_malformed_result_file_exits_2(self, tmp_path, capsys, records):
+        paths = []
+        for i, record in enumerate(records):
+            paths.append(tmp_path / f"r{i}.json")
+            paths[-1].write_text(json.dumps(record), encoding="utf-8")
+        argv = ["report", *map(str, paths), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("master_seed", [1, 2])
+    def test_attack_validation_counts_at_benchmark_settings(self, tmp_path, master_seed):
+        # the attack-validate settings; the goldens pin trial counts only
+        path = _write_config(
+            tmp_path,
+            "attack.yaml",
+            env="checkers",
+            mixer="vdn",
+            checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "out"),
+            seed=master_seed,
+            sigma=0.06,
+            samples=1000,
+            alpha=0.01,
+            attack_steps=30,
+            attack_restarts=2,
+            attack_trials=20,
+            rollout_trials=5,
+        )
+        assert main(["attack", "--config", path]) == 0
+        record = json.loads((tmp_path / "out" / "result.json").read_text(encoding="utf-8"))
+        validation = record["results"]["validation"]
+        assert validation["in_ball_flips"] == 0
+        assert (validation["contrast_flips"], validation["contrast_trials"]) == (40, 200)
+        assert validation["rollout_rewards"] == [60.0] * 5
 
 
     @pytest.mark.parametrize("mode", ["certify-state", "certify-reward", "attack"])

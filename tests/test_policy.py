@@ -29,6 +29,7 @@ from marlcert.policy import (
     new_policy,
     q_total,
     save_policy,
+    state_values,
     train,
 )
 from marlcert.seeds import derive_seed
@@ -127,7 +128,8 @@ def test_q_total_vdn_sums_values():
         agent_values(policy, observe(spec, state, n), n)[action[n]]
         for n in range(2)
     )
-    assert q_total(policy, spec, state, action) == pytest.approx(expected, rel=0, abs=0)
+    values = state_values(policy, spec, state)
+    assert q_total(values, action) == pytest.approx(expected, rel=0, abs=0)
 
 
 def test_q_total_vdn_identical_agents():
@@ -141,7 +143,7 @@ def test_q_total_vdn_identical_agents():
     v = agent_values(policy, obs, 0)[3]
     # build a fake state where both agents see identically: not needed, use
     # the additivity identity instead
-    total = q_total(policy, spec, state, (3, 3))
+    total = q_total(state_values(policy, spec, state), (3, 3))
     v0 = agent_values(policy, observe(spec, state, 0), 0)[3]
     v1 = agent_values(policy, observe(spec, state, 1), 1)[3]
     assert total == v0 + v1
@@ -153,10 +155,9 @@ def test_vdn_additivity_exact():
     policy = _random_policy(spec, "vdn", 13)
     state = reset(spec)
     base = (1, 2)
+    joint_values = state_values(policy, spec, state)
     for alt in range(5):
-        lhs = q_total(policy, spec, state, base) - q_total(
-            policy, spec, state, (base[0], alt)
-        )
+        lhs = q_total(joint_values, base) - q_total(joint_values, (base[0], alt))
         values = agent_values(policy, observe(spec, state, 1), 1)
         assert lhs == pytest.approx(values[base[1]] - values[alt], abs=1e-12)
 
@@ -168,7 +169,7 @@ def test_qmix_monotone_in_agent_values():
         state = reset(spec)
         action = (0, 0)
         own = agent_values(policy, observe(spec, state, 1), 1)
-        cf = counterfactual_values(policy, spec, state, action, 1)
+        cf = counterfactual_values(state_values(policy, spec, state), action, 1)
         order = np.argsort(own, kind="stable")
         diffs = np.diff(cf[order])
         assert np.all(diffs >= -1e-12)
@@ -180,9 +181,10 @@ def test_counterfactual_identity_slot():
         policy = _random_policy(spec, mixer, 17)
         state = reset(spec)
         action = (3, 1)
+        values = state_values(policy, spec, state)
         for n in range(2):
-            cf = counterfactual_values(policy, spec, state, action, n)
-            assert cf[action[n]] == q_total(policy, spec, state, action)
+            cf = counterfactual_values(values, action, n)
+            assert cf[action[n]] == q_total(values, action)
 
 
 def test_counterfactual_matches_brute_force():
@@ -191,12 +193,13 @@ def test_counterfactual_matches_brute_force():
         policy = _random_policy(spec, mixer, 23)
         state = reset(spec)
         action = (4, 2)
+        values = state_values(policy, spec, state)
         for n in range(2):
-            cf = counterfactual_values(policy, spec, state, action, n)
+            cf = counterfactual_values(values, action, n)
             for alt in range(5):
                 joint = list(action)
                 joint[n] = alt
-                want = q_total(policy, spec, state, tuple(joint))
+                want = q_total(values, tuple(joint))
                 assert cf[alt] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -204,7 +207,7 @@ def test_counterfactual_vdn_constant_offset():
     spec = _pair()
     policy = _random_policy(spec, "vdn", 29)
     state = reset(spec)
-    cf = counterfactual_values(policy, spec, state, (0, 0), 0)
+    cf = counterfactual_values(state_values(policy, spec, state), (0, 0), 0)
     own = agent_values(policy, observe(spec, state, 0), 0)
     offsets = cf - own
     assert np.allclose(offsets, offsets[0], rtol=0, atol=1e-12)
@@ -232,8 +235,8 @@ def test_checkpoint_round_trip(tmp_path):
         assert loaded.mixer == mixer
         state = reset(spec)
         action = (1, 3)
-        assert q_total(loaded, spec, state, action) == q_total(
-            policy, spec, state, action
+        assert q_total(state_values(loaded, spec, state), action) == q_total(
+            state_values(policy, spec, state), action
         )
         obs = observe(spec, state, 0)
         assert np.array_equal(
