@@ -23,9 +23,19 @@ Each row's end point is still judged on its own by the full CRN smoothed
 decision, which counts actions exactly as ``smoothing.sample_tally``
 does for the certificates.  ``pgd_attack_state`` is the one-seed batch.
 ``attacked_rollout`` applies the attack persistently along an episode,
-and ``validate_certificates`` attacks every certified (state, agent)
-pair with all its trials in one batch at its certified radius, and
-again at twice that radius as a contrast.
+one episode per seed.
+
+Every smoothed decision at one step and agent reads one noise address,
+and each agent's smoothing slot holds one block, so validation visits
+addresses in order.  ``validate_certificates`` walks the certificates
+once: for each one it checks every agent's recorded action against a
+fresh smoothed decision, then attacks each certified agent with all its
+trials in one batch at its certified radius, and again at twice that
+radius as a contrast, before it moves to the next step.
+``attacked_rollout`` steps all its episodes together, and the episodes
+that stand on the same state share one batch per agent.  Each
+(step, agent) block is thus drawn once by the walk and once by the
+rollouts.
 """
 
 from __future__ import annotations
@@ -222,26 +232,43 @@ def pgd_attack_state(
 
 
 def attacked_rollout(
-    policy: JointPolicy, spec: GridSpec, cfg: AttackConfig, epsilon: float, seed: int
-) -> RolloutResult:
-    """Episode under persistent attack on every agent's observation.
+    policy: JointPolicy, spec: GridSpec, cfg: AttackConfig, epsilon: float, seeds
+) -> tuple:
+    """Episodes under persistent attack on every agent's observation, one
+    result per seed.
 
     Each step attacks all agents independently within the budget and
-    executes the resulting (possibly flipped) smoothed actions.
+    executes the resulting (possibly flipped) smoothed actions.  The
+    trials step together, and the trials that stand on the same state
+    share one ``pgd_attack_batch`` call per agent, so a trial's result is
+    the one its seed would get alone.
     """
-    state = reset(spec)
-    total = 0.0
-    ever_flipped = [False] * policy.n_agents
-    while not state.done:
-        actions = []
-        for agent in range(policy.n_agents):
-            result = pgd_attack_state(policy, spec, state, agent, cfg, epsilon, seed)
-            actions.append(result.action)
-            ever_flipped[agent] |= result.flipped
-        outcome = step(spec, state, tuple(actions))
-        total += outcome.team_reward
-        state = outcome.next_state
-    return RolloutResult(total, tuple(ever_flipped))
+    states = [reset(spec)] * len(seeds)
+    totals = [0.0] * len(states)
+    ever_flipped = [[False] * policy.n_agents for _ in states]
+    live = list(range(len(states)))
+    while live:
+        groups = {}
+        for trial in live:
+            groups.setdefault(states[trial], []).append(trial)
+        actions = {trial: [] for trial in live}
+        for state, trials in groups.items():
+            for agent in range(policy.n_agents):
+                results = pgd_attack_batch(
+                    policy, spec, state, agent, cfg, epsilon, [seeds[t] for t in trials]
+                )
+                for trial, result in zip(trials, results):
+                    actions[trial].append(result.action)
+                    ever_flipped[trial][agent] |= result.flipped
+        for trial in live:
+            outcome = step(spec, states[trial], tuple(actions[trial]))
+            totals[trial] += outcome.team_reward
+            states[trial] = outcome.next_state
+        live = [trial for trial in live if not states[trial].done]
+    return tuple(
+        RolloutResult(total, tuple(flipped))
+        for total, flipped in zip(totals, ever_flipped)
+    )
 
 
 def validate_certificates(
@@ -260,21 +287,13 @@ def validate_certificates(
     seeds derived from ``seed`` at its certified radius (flips here
     would falsify the certificate) and one more at twice the radius as a
     contrast.  Rollout attacks at the reward certificate's epsilon check
-    that no episode scores below its bound.  Raises ConfigError when
-    ``trials`` is below 1, and ValueError when a certificate's recorded
-    actions disagree with this policy and noise configuration.
+    that no episode scores below its bound.  Raises ConfigError (exit
+    code 2) when ``trials`` is below 1, when a certificate's step index
+    disagrees with its state, or when its recorded actions disagree with
+    this policy and noise configuration.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    for cert in state_certificates:
-        if cert.step_index != cert.state.step_count:
-            raise ValueError("certificate state/step mismatch")
-        for agent in range(policy.n_agents):
-            fresh = _smoothed_modal(policy, spec, cert.state, agent, cfg.noise)
-            if fresh != cert.actions[agent]:
-                raise ValueError(
-                    "certificates do not match this policy/noise configuration"
-                )
 
     def flips(cert, agent, scale):
         seeds = [
@@ -285,32 +304,36 @@ def validate_certificates(
         results = pgd_attack_batch(policy, spec, cert.state, agent, cfg, epsilon, seeds)
         return sum(result.flipped for result in results)
 
-    checked = [
-        (cert, agent)
-        for cert in state_certificates
-        for agent in sorted(cert.certified_set)
-    ]
+    checked = 0
     in_flips = 0
     contrast_flips = 0
-    for cert, agent in checked:
-        in_flips += flips(cert, agent, 1.0)
-        contrast_flips += flips(cert, agent, 2.0)
-    rewards = tuple(
-        attacked_rollout(
-            policy,
-            spec,
-            cfg,
-            reward_certificate.epsilon_cert,
-            derive_seed(seed, "validate-rollout", trial),
-        ).attacked_reward
-        for trial in range(rollout_trials)
+    for cert in state_certificates:
+        if cert.step_index != cert.state.step_count:
+            raise ConfigError("certificate state/step mismatch")
+        for agent in range(policy.n_agents):
+            fresh = _smoothed_modal(policy, spec, cert.state, agent, cfg.noise)
+            if fresh != cert.actions[agent]:
+                raise ConfigError(
+                    "certificates do not match this policy/noise configuration"
+                )
+        for agent in sorted(cert.certified_set):
+            in_flips += flips(cert, agent, 1.0)
+            contrast_flips += flips(cert, agent, 2.0)
+            checked += 1
+    rollouts = attacked_rollout(
+        policy,
+        spec,
+        cfg,
+        reward_certificate.epsilon_cert,
+        [derive_seed(seed, "validate-rollout", trial) for trial in range(rollout_trials)],
     )
+    rewards = tuple(rollout.attacked_reward for rollout in rollouts)
     return ValidationReport(
         states_checked=len(state_certificates),
-        agents_checked=len(checked),
-        in_ball_trials=trials * len(checked),
+        agents_checked=checked,
+        in_ball_trials=trials * checked,
         in_ball_flips=in_flips,
-        contrast_trials=trials * len(checked),
+        contrast_trials=trials * checked,
         contrast_flips=contrast_flips,
         rollout_rewards=rewards,
         rmin_violated=any(reward < reward_certificate.r_min for reward in rewards),

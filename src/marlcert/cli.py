@@ -307,6 +307,12 @@ def _run_certify_state(cfg: RunConfig, spec) -> dict:
     }
 
 
+def _confidence(bound, n_agents: int, alpha: float) -> float:
+    """Level at which ``epsilon_cert`` and ``r_min`` hold jointly: a union
+    bound over the one level-alpha test per agent per expanded node."""
+    return max(0.0, 1.0 - bound.nodes_expanded * n_agents * alpha)
+
+
 def _run_certify_reward(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg, spec)
     bound = tcrgr(policy, spec, cfg.noise)
@@ -316,6 +322,7 @@ def _run_certify_reward(cfg: RunConfig, spec) -> dict:
         "sigma": cfg.sigma,
         "epsilon_cert": bound.epsilon_cert,
         "r_min": bound.r_min,
+        "confidence": _confidence(bound, policy.n_agents, cfg.noise.alpha),
         "attacked_reward": None,
         "clean_reward": bound.clean_reward,
         "nodes_expanded": bound.nodes_expanded,
@@ -345,6 +352,7 @@ def _run_attack(cfg: RunConfig, spec) -> dict:
         "sigma": cfg.sigma,
         "epsilon_cert": bound.epsilon_cert,
         "r_min": bound.r_min,
+        "confidence": _confidence(bound, policy.n_agents, cfg.noise.alpha),
         "attacked_reward": sum(rewards) / len(rewards),
         "clean_reward": bound.clean_reward,
         "validation": {

@@ -25,10 +25,12 @@ agent's first layer, and W1 (x + E) = W1 x + W1 E.  So each agent has one
 slot that holds its block already projected, ``P = (sigma E) @ W1.T``
 (M x hidden), keyed by dim, seed, step, M and sigma and checked against
 a stored copy of W1.  A decision adds the vector ``W1 x + b1`` to P and
-runs the layers after the first (`nn.forward_rest`).  The tree search
-expands one step at a time and the attacks revisit one state many
-times, so consecutive calls for an agent mostly share an address; one
-block per agent bounds the memory kept.
+runs the layers after the first (`nn.forward_rest`).  One block per
+agent bounds the memory kept, so a caller must visit addresses in
+order: finish every decision at one (step, agent) before moving on, and
+never come back to an earlier step within one walk.  The tree search
+expands one step level at a time; the attack validation walks the
+certificates step by step and steps its attacked rollouts together.
 
 What the slot trades: a decision skips the M x dim x hidden product, but
 a block used once still pays it, the slot keeps M x hidden numbers

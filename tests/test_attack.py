@@ -1,5 +1,6 @@
 """Tests for the l2-bounded observation attacks and certificate validation."""
 
+import dataclasses
 import math
 from collections import Counter
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from marlcert import attack, nn
+from marlcert import attack, nn, smoothing
 from marlcert.attack import (
     AttackConfig,
     _smoothed_modal,
@@ -17,7 +18,7 @@ from marlcert.attack import (
     pgd_attack_state,
     validate_certificates,
 )
-from marlcert.certify import certify_trajectory, tcrgr
+from marlcert.certify import certify_trajectory, crsc, tcrgr
 from marlcert.envs import builtin_spec, observe, parse_grid_config, reset, step
 from marlcert.errors import ConfigError
 from marlcert.policy import JointPolicy, load_policy
@@ -295,7 +296,7 @@ class TestAttackedRollout:
             "map: |\n  1..a\nstep_cap: 5\nrewards:\n  apple: 10.0\n"
         )
         policy = _policy([_const_net(47, [0.0, 0.0, 0.0, 1.0, 0.0])])
-        result = attacked_rollout(policy, spec, _cfg(), 0.0, 7)
+        (result,) = attacked_rollout(policy, spec, _cfg(), 0.0, [7])
         assert result.attacked_reward == 10.0
         assert result.flipped == (False,)
 
@@ -307,7 +308,7 @@ class TestAttackedRollout:
         noise = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=17)
         bound = tcrgr(policy, spec, noise)
         cfg = AttackConfig(noise=noise, steps=20, restarts=3)
-        result = attacked_rollout(policy, spec, cfg, bound.epsilon_cert, 11)
+        (result,) = attacked_rollout(policy, spec, cfg, bound.epsilon_cert, [11])
         assert result.attacked_reward >= bound.r_min
 
     def test_one_smoothed_decision_per_judged_row(self, monkeypatch):
@@ -324,13 +325,89 @@ class TestAttackedRollout:
             return _smoothed_modal(policy, spec, state, agent, noise, delta)
 
         monkeypatch.setattr(attack, "_smoothed_modal", counting)
-        result = attacked_rollout(policy, spec, _cfg(restarts=3), 0.05, 7)
+        (result,) = attacked_rollout(policy, spec, _cfg(restarts=3), 0.05, [7])
         assert result.flipped == (False, False)
         # the clean decision, then one per restart end point; the action
         # executed is the attack's own, not a further decision
         steps = 1 + max(t for t, _ in calls)
         assert steps > 1
         assert calls == Counter({(t, n): 1 + 3 for t in range(steps) for n in range(2)})
+
+
+def _checkers_vdn(samples):
+    policy = load_policy(str(_CHECKERS_VDN))
+    spec = builtin_spec("checkers")
+    noise = NoiseConfig(
+        sigma=0.06, samples=samples, alpha=0.01, seed=derive_seed(1, "smoothing")
+    )
+    return policy, spec, noise
+
+
+def _recording_batches(monkeypatch):
+    """Record the (state, agent, seeds) of every ``pgd_attack_batch`` call."""
+    calls = []
+    inner = attack.pgd_attack_batch
+
+    def recording(policy, spec, state, agent, cfg, epsilon, seeds):
+        calls.append((state, agent, tuple(seeds)))
+        return inner(policy, spec, state, agent, cfg, epsilon, seeds)
+
+    monkeypatch.setattr(attack, "pgd_attack_batch", recording)
+    return calls
+
+
+class TestLockstepRollouts:
+    SEEDS = [derive_seed(1, "validate-rollout", trial) for trial in range(8)]
+
+    def _split_run(self, monkeypatch):
+        # one PGD step with two random restarts at 0.35: restart 0 stops
+        # short of a flip at some states, and the seeds' own restarts
+        # do not all agree, so the episodes part ways
+        policy, spec, noise = _checkers_vdn(200)
+        cfg = AttackConfig(noise=noise, steps=1, restarts=3)
+        calls = _recording_batches(monkeypatch)
+        lockstep = attacked_rollout(policy, spec, cfg, 0.35, self.SEEDS)
+        monkeypatch.undo()
+        return policy, spec, cfg, 0.35, lockstep, calls
+
+    @pytest.mark.parametrize("budget", ["epsilon_cert", "split"])
+    def test_matches_one_seed_rollouts_on_stored_checkpoint(self, monkeypatch, budget):
+        if budget == "split":
+            policy, spec, cfg, epsilon, lockstep, calls = self._split_run(monkeypatch)
+        else:
+            policy, spec, noise = _checkers_vdn(200)
+            cfg = AttackConfig(noise=noise, steps=30, restarts=2)
+            epsilon = tcrgr(policy, spec, noise).epsilon_cert
+            calls = _recording_batches(monkeypatch)
+            lockstep = attacked_rollout(policy, spec, cfg, epsilon, self.SEEDS)
+            monkeypatch.undo()
+        alone = [attacked_rollout(policy, spec, cfg, epsilon, [seed]) for seed in self.SEEDS]
+        assert len(lockstep) == len(self.SEEDS)
+        assert [(result,) for result in lockstep] == alone
+        groups = Counter((state.step_count, agent) for state, agent, _ in calls)
+        assert (max(groups.values()) > 1) is (budget == "split")
+        # the split episodes end apart, so a result handed to the wrong
+        # trial shows
+        assert (len({result.attacked_reward for result in lockstep}) > 1) is (
+            budget == "split"
+        )
+
+    def test_one_batch_per_step_state_and_agent(self, monkeypatch):
+        policy, _, _, _, _, calls = self._split_run(monkeypatch)
+        assert len({(state, agent) for state, agent, _ in calls}) == len(calls)
+        by_step = {}
+        for state, agent, seeds in calls:
+            by_step.setdefault((state.step_count, agent), []).append(seeds)
+        assert any(len(groups) > 1 for groups in by_step.values())
+        steps = 1 + max(t for t, _ in by_step)
+        assert set(by_step) == {(t, n) for t in range(steps) for n in range(policy.n_agents)}
+        for groups in by_step.values():
+            seeds = [seed for group in groups for seed in group]
+            # each live episode is in exactly one group, and a group
+            # keeps the episodes in trial order
+            assert sorted(seeds) == sorted(self.SEEDS)
+            for group in groups:
+                assert list(group) == [s for s in self.SEEDS if s in group]
 
 
 class TestValidateCertificates:
@@ -396,6 +473,31 @@ class TestValidateCertificates:
         # one decision checks the certificate, then one per scale's batch
         assert clean == Counter({key: 1 + 2 for key in checked})
 
+    def test_draws_each_block_once_in_the_walk_and_once_in_the_rollouts(
+        self, monkeypatch
+    ):
+        policy, spec, noise = _checkers_vdn(100)
+        bound = tcrgr(policy, spec, noise)
+        certs = [crsc(decision, noise) for decision in bound.clean_path]
+        cfg = AttackConfig(noise=noise, steps=2, restarts=2)
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
+        drawn = []
+        inner_block = smoothing.gaussian_noise_block
+
+        def counting_block(dim, sigma, seed, step_index, agent, count):
+            drawn.append((step_index, agent))
+            return inner_block(dim, sigma, seed, step_index, agent, count)
+
+        monkeypatch.setattr(smoothing, "gaussian_noise_block", counting_block)
+        report = validate_certificates(
+            policy, spec, certs, bound, cfg, 9, trials=2, rollout_trials=3
+        )
+        assert report.agents_checked > 0
+        assert len(report.rollout_rewards) == 3
+        walk = [(t, n) for t in range(len(certs)) for n in range(policy.n_agents)]
+        assert len(certs) >= 2
+        assert drawn == walk + walk
+
     def test_trials_below_one_is_a_config_error(self):
         spec, policy, certs, bound, cfg = self._setup()
         with pytest.raises(ConfigError):
@@ -408,3 +510,12 @@ class TestValidateCertificates:
             validate_certificates(
                 other, spec, certs, bound, cfg, 9, trials=1, rollout_trials=1
             )
+
+    def test_certificate_errors_are_config_errors(self):
+        spec, policy, certs, bound, cfg = self._setup()
+        other = _policy([_const_net(47, [1.0, 0.0, 0.0, 0.0, 0.0])])
+        with pytest.raises(ConfigError, match="policy/noise"):
+            validate_certificates(other, spec, certs, bound, cfg, 9, trials=1)
+        shifted = [dataclasses.replace(certs[0], step_index=1), *certs[1:]]
+        with pytest.raises(ConfigError, match="step mismatch"):
+            validate_certificates(policy, spec, shifted, bound, cfg, 9, trials=1)

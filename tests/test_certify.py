@@ -315,7 +315,8 @@ def _oracle_enumeration(policy, spec, cfg):
 
 def _clean_rollout_reward(policy, spec, cfg):
     """The smoothed policy's own episode, replayed by an unbudgeted attack."""
-    return attacked_rollout(policy, spec, AttackConfig(noise=cfg), 0.0, 0).attacked_reward
+    (rollout,) = attacked_rollout(policy, spec, AttackConfig(noise=cfg), 0.0, [0])
+    return rollout.attacked_reward
 
 
 class TestTcrgr:

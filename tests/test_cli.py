@@ -675,6 +675,13 @@ class TestModes:
         assert any(cert["certified_set"] for cert in attack)
         assert attack == state
 
+    def test_confidence_is_the_union_bound_over_node_tests(self, tmp_path):
+        reward = self._checkers_run(tmp_path, "certify-reward").results
+        attack = self._checkers_run(tmp_path, "attack").results
+        # five expanded nodes, two agents, one level-0.01 test each
+        assert reward["nodes_expanded"] == 5
+        assert reward["confidence"] == attack["confidence"] == 0.9
+
 
 class TestFlags:
     def test_flag_overrides_config(self, trained, tmp_path):
