@@ -10,15 +10,19 @@ Each run writes into its output directory:
 * ``result.json``: the full structured record, schema-versioned, with
   the run's config echoed verbatim.  Replaying that echo reproduces the
   record bit-for-bit (timings aside); one master seed derives every
-  noise, training, and attack stream by name.
+  noise, training, and attack stream by name.  The certificate, state,
+  validation and config sections are the library dataclasses
+  (``StateCertificate``, ``EnvState``, ``ValidationReport``,
+  ``RunConfig``) keyed by field name; sets are written as sorted lists.
 * flat CSV exports next to it: a per-step radius series for the
   certify-state mode, and one (env, mixer, sigma, epsilon_cert, r_min,
   attacked_reward) row for the reward and attack modes.  Report mode
   merges such rows from many result files into one sorted table.
 
-Exit codes: 0 ok, 2 bad configuration, 3 missing or corrupt file or
-checkpoint (its manifest included), or one that does not fit the grid,
-4 numerical failure (e.g. diverged training).
+Exit codes: 0 ok, 2 bad configuration, 3 missing, corrupt, unreadable
+or unwritable file or checkpoint (its manifest included), or a
+checkpoint that does not fit the grid, 4 numerical failure (e.g.
+diverged training).
 """
 
 from __future__ import annotations
@@ -38,18 +42,13 @@ import yaml
 from . import __version__
 from .attack import AttackConfig, validate_certificates
 from .certify import certify_trajectory, crsc, tcrgr
-from .envs import (
-    builtin_spec,
-    episode_reward,
-    load_grid_config,
-    observation_length,
-    state_to_dict,
-)
+from .envs import builtin_spec, episode_reward, load_grid_config, observation_length
 from .errors import (
     CheckpointError,
     ConfigError,
     MissingArtifactError,
     NumericalError,
+    as_number,
 )
 from .policy import (
     MIXERS,
@@ -68,24 +67,6 @@ MODES = ("train", "certify-state", "certify-reward", "attack", "report")
 _FLAGS = {"seed": int, "sigma": float, "samples": int, "alpha": float, "out": str}
 
 _TABLE_HEADER = ("env", "mixer", "sigma", "epsilon_cert", "r_min", "attacked_reward")
-
-
-def _as_float(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{name} must be a number")
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def _as_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"{name} must be an integer")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +105,11 @@ class RunConfig:
     inputs: tuple = ()
 
     def __post_init__(self):
-        # YAML 1.1 reads exponent forms like 1e280 as strings; coerce each
-        # number field by its annotation
-        coerce = {"float": _as_float, "int": _as_int}
+        # coerce each number field by its annotation
+        kinds = {"float": float, "int": int}
         for f in dataclasses.fields(self):
-            if f.type in coerce:
-                value = coerce[f.type](f.name, getattr(self, f.name))
+            if f.type in kinds:
+                value = as_number(f.name, getattr(self, f.name), kinds[f.type])
                 object.__setattr__(self, f.name, value)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -188,12 +168,6 @@ class ResultRecord:
         return dataclasses.asdict(self)
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["inputs"] = list(cfg.inputs)
-    return echo
-
-
 def _build_id() -> str:
     base = f"marlcert-{__version__}"
     try:
@@ -248,19 +222,6 @@ def _require_checkpoint(cfg: RunConfig, spec):
     return policy
 
 
-def _cert_dict(cert) -> dict:
-    return {
-        "step_index": cert.step_index,
-        "state": state_to_dict(cert.state),
-        "actions": list(cert.actions),
-        "pvalues": list(cert.pvalues),
-        "corrected_pvalues": list(cert.corrected_pvalues),
-        "per_agent_radius": list(cert.per_agent_radius),
-        "certified_set": sorted(cert.certified_set),
-        "min_radius": cert.min_radius,
-    }
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -269,9 +230,29 @@ def _write_csv(path, header, rows):
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _write_table_row(cfg: RunConfig, results: dict):
+def _reward_bound(cfg: RunConfig, policy, bound, attacked_reward) -> dict:
+    """The result fields ``certify-reward`` and ``attack`` share; also
+    writes them as the run's ``reward_bound.csv`` row.
+
+    ``confidence`` is the level at which ``epsilon_cert`` and ``r_min``
+    hold jointly: a union bound over the one level-alpha test per agent
+    per expanded node.
+    """
+    results = {
+        "env": _env_name(cfg.env),
+        "mixer": policy.mixer,
+        "sigma": cfg.sigma,
+        "epsilon_cert": bound.epsilon_cert,
+        "r_min": bound.r_min,
+        "confidence": max(
+            0.0, 1.0 - bound.nodes_expanded * policy.n_agents * cfg.noise.alpha
+        ),
+        "attacked_reward": attacked_reward,
+        "clean_reward": bound.clean_reward,
+    }
     row = [results[key] for key in _TABLE_HEADER]
     _write_csv(os.path.join(cfg.out, "reward_bound.csv"), _TABLE_HEADER, [row])
+    return results
 
 
 def _run_train(cfg: RunConfig, spec) -> dict:
@@ -303,31 +284,15 @@ def _run_certify_state(cfg: RunConfig, spec) -> dict:
         "env": _env_name(cfg.env),
         "mixer": policy.mixer,
         "sigma": cfg.sigma,
-        "certificates": [_cert_dict(c) for c in certificates],
+        "certificates": [dataclasses.asdict(c) for c in certificates],
     }
-
-
-def _confidence(bound, n_agents: int, alpha: float) -> float:
-    """Level at which ``epsilon_cert`` and ``r_min`` hold jointly: a union
-    bound over the one level-alpha test per agent per expanded node."""
-    return max(0.0, 1.0 - bound.nodes_expanded * n_agents * alpha)
 
 
 def _run_certify_reward(cfg: RunConfig, spec) -> dict:
     policy = _require_checkpoint(cfg, spec)
     bound = tcrgr(policy, spec, cfg.noise)
-    results = {
-        "env": _env_name(cfg.env),
-        "mixer": policy.mixer,
-        "sigma": cfg.sigma,
-        "epsilon_cert": bound.epsilon_cert,
-        "r_min": bound.r_min,
-        "confidence": _confidence(bound, policy.n_agents, cfg.noise.alpha),
-        "attacked_reward": None,
-        "clean_reward": bound.clean_reward,
-        "nodes_expanded": bound.nodes_expanded,
-    }
-    _write_table_row(cfg, results)
+    results = _reward_bound(cfg, policy, bound, None)
+    results["nodes_expanded"] = bound.nodes_expanded
     return results
 
 
@@ -345,29 +310,10 @@ def _run_attack(cfg: RunConfig, spec) -> dict:
         trials=cfg.attack_trials,
         rollout_trials=cfg.rollout_trials,
     )
-    rewards = list(report.rollout_rewards)
-    results = {
-        "env": _env_name(cfg.env),
-        "mixer": policy.mixer,
-        "sigma": cfg.sigma,
-        "epsilon_cert": bound.epsilon_cert,
-        "r_min": bound.r_min,
-        "confidence": _confidence(bound, policy.n_agents, cfg.noise.alpha),
-        "attacked_reward": sum(rewards) / len(rewards),
-        "clean_reward": bound.clean_reward,
-        "validation": {
-            "states_checked": report.states_checked,
-            "agents_checked": report.agents_checked,
-            "in_ball_trials": report.in_ball_trials,
-            "in_ball_flips": report.in_ball_flips,
-            "contrast_trials": report.contrast_trials,
-            "contrast_flips": report.contrast_flips,
-            "rollout_rewards": rewards,
-            "rmin_violated": report.rmin_violated,
-        },
-        "certificates": [_cert_dict(c) for c in certificates],
-    }
-    _write_table_row(cfg, results)
+    rewards = report.rollout_rewards
+    results = _reward_bound(cfg, policy, bound, sum(rewards) / len(rewards))
+    results["validation"] = dataclasses.asdict(report)
+    results["certificates"] = [dataclasses.asdict(c) for c in certificates]
     return results
 
 
@@ -408,6 +354,13 @@ def _run_report(cfg: RunConfig) -> dict:
     return {"rows": rows}
 
 
+def _sorted_list(value):
+    """JSON form of the sets in library records: a sorted list."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def run(cfg: RunConfig) -> ResultRecord:
     """Execute one configured run and write its artifacts."""
     started = time.perf_counter()
@@ -426,13 +379,15 @@ def run(cfg: RunConfig) -> ResultRecord:
     record = ResultRecord(
         schema_version=1,
         mode=cfg.mode,
-        config=_config_echo(cfg),
+        config=dataclasses.asdict(cfg),
         build=_build_id(),
         results=results,
         timings={"total_s": time.perf_counter() - started},
     )
     with open(os.path.join(cfg.out, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(
+            record.to_dict(), fh, indent=2, sort_keys=True, default=_sorted_list
+        )
         fh.write("\n")
     return record
 
@@ -492,7 +447,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MissingArtifactError, CheckpointError) as exc:
+    except (OSError, CheckpointError) as exc:
         print(f"missing or corrupt artifact: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -17,7 +17,9 @@ Map characters: ``#`` wall, ``.`` or space floor, ``a`` apple, ``l`` lemon,
 ``g`` goal item claimable by any agent, digits ``1``-``9`` agent start cells
 (numbered contiguously from 1).  The ``goals`` key instead assigns one goal
 cell per agent; only the owning agent can consume it.  Rewards are shared by
-the team and are never negative.
+the team, are never negative, and sum to a finite total over the grid's
+items; reward and goal values follow the run config's number rule
+(`errors.as_number`).
 
 Dynamics are fully deterministic.  All agents move simultaneously; moves into
 walls or off the grid become stays, and contested moves are cancelled by
@@ -42,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, MissingArtifactError, as_number
 
 ACTION_UP = 0
 ACTION_DOWN = 1
@@ -143,6 +145,9 @@ def _validate_spec(spec: GridSpec) -> None:
             raise ConfigError(f"unknown reward kind {kind!r}")
         if not (value >= 0.0):
             raise ConfigError(f"reward for {kind!r} must be non-negative")
+    # a finite grid total bounds every path total, so no return overflows
+    if not np.isfinite(sum(spec.reward_table[kind] for kind in spec.items.values())):
+        raise ConfigError("the rewards of the grid's items must have a finite sum")
 
 
 def parse_grid_config(text: str) -> GridSpec:
@@ -163,10 +168,13 @@ def parse_grid_config(text: str) -> GridSpec:
         raise ConfigError("config needs an integer 'step_cap'")
 
     rewards = dict(_DEFAULT_REWARDS)
-    for kind, value in (doc.get("rewards") or {}).items():
+    table = doc.get("rewards") or {}
+    if not isinstance(table, dict):
+        raise ConfigError("'rewards' must map item kinds to rewards")
+    for kind, value in table.items():
         if kind not in ITEM_KINDS:
             raise ConfigError(f"unknown reward kind {kind!r}")
-        rewards[kind] = float(value)
+        rewards[kind] = as_number(f"reward for {kind!r}", value, float)
 
     rows = [line for line in doc["map"].splitlines() if line.strip()]
     if not rows:
@@ -215,7 +223,7 @@ def parse_grid_config(text: str) -> GridSpec:
         for entry in goals:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ConfigError("'goals' must be a list of [x, y] pairs")
-            parsed.append((int(entry[0]), int(entry[1])))
+            parsed.append(tuple(as_number("a goal coordinate", v, int) for v in entry))
         for cell in parsed:
             if cell in items:
                 raise ConfigError(f"goal {cell} placed on top of an item")
@@ -385,15 +393,3 @@ def episode_reward(
         total += outcome.team_reward
         state = outcome.next_state
     return total
-
-
-def state_to_dict(state: EnvState) -> dict:
-    """JSON-friendly encoding; integers and strings only, so exact."""
-    return {
-        "agent_positions": [list(p) for p in state.agent_positions],
-        "remaining_items": [
-            [list(cell), kind] for cell, kind in sorted(state.remaining_items)
-        ],
-        "step_count": state.step_count,
-        "done": state.done,
-    }

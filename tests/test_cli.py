@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import marlcert
 from marlcert import certify, cli, nn, smoothing
 from marlcert.cli import MODES, RunConfig, main, run
-from marlcert.envs import builtin_spec, load_grid_config
+from marlcert.envs import EnvState, builtin_spec, load_grid_config, reset, step
 from marlcert.errors import ConfigError, MissingArtifactError
 from marlcert.policy import (
     JointPolicy,
@@ -62,6 +62,11 @@ def _write_config(tmp_path, name, **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields), encoding="utf-8")  # JSON is valid YAML
     return str(path)
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _base_fields(root):
@@ -402,7 +407,7 @@ class TestModes:
             seed=4,
         )
         record = run(cfg)
-        rows = list(csv.DictReader(open(out / "state_series.csv", encoding="utf-8")))
+        rows = _csv_rows(out / "state_series.csv")
         assert len(rows) == len(record.results["certificates"])
         assert [int(r["step"]) for r in rows] == list(range(len(rows)))
         for row, cert in zip(rows, record.results["certificates"]):
@@ -422,7 +427,7 @@ class TestModes:
             seed=4,
         )
         record = run(cfg)
-        rows = list(csv.DictReader(open(out / "reward_bound.csv", encoding="utf-8")))
+        rows = _csv_rows(out / "reward_bound.csv")
         assert len(rows) == 1
         assert rows[0]["mixer"] == "vdn"
         assert float(rows[0]["sigma"]) == 0.05
@@ -477,7 +482,7 @@ class TestModes:
         validation = record.results["validation"]
         assert validation["in_ball_flips"] == 0
         assert validation["rmin_violated"] is False
-        rows = list(csv.DictReader(open(out / "reward_bound.csv", encoding="utf-8")))
+        rows = _csv_rows(out / "reward_bound.csv")
         assert rows[0]["attacked_reward"] != ""
 
     def test_replay_of_config_echo_is_bit_identical(self, trained):
@@ -523,7 +528,7 @@ class TestModes:
         record = run(
             RunConfig(mode="report", env=env, out=str(out), inputs=tuple(paths))
         )
-        rows = list(csv.DictReader(open(out / "report.csv", encoding="utf-8")))
+        rows = _csv_rows(out / "report.csv")
         assert len(rows) == 2
         sigmas = [float(r["sigma"]) for r in rows]
         assert sigmas == sorted(sigmas)
@@ -681,6 +686,103 @@ class TestModes:
         # five expanded nodes, two agents, one level-0.01 test each
         assert reward["nodes_expanded"] == 5
         assert reward["confidence"] == attack["confidence"] == 0.9
+
+    def test_result_json_record_shapes(self, tmp_path):
+        # result.json writes whole dataclasses: a new field must show here
+        self._checkers_run(tmp_path, "attack")
+        path = tmp_path / "attack" / "result.json"
+        results = json.loads(path.read_text(encoding="utf-8"))["results"]
+        assert set(results["certificates"][0]) == {
+            "state",
+            "step_index",
+            "actions",
+            "pvalues",
+            "corrected_pvalues",
+            "per_agent_radius",
+            "certified_set",
+            "min_radius",
+        }
+        assert set(results["certificates"][0]["state"]) == {
+            "agent_positions",
+            "remaining_items",
+            "step_count",
+            "done",
+        }
+        assert set(results["validation"]) == {
+            "states_checked",
+            "agents_checked",
+            "in_ball_trials",
+            "in_ball_flips",
+            "contrast_trials",
+            "contrast_flips",
+            "rollout_rewards",
+            "rmin_violated",
+        }
+        for cert in results["certificates"]:
+            for written in (cert["certified_set"], cert["state"]["remaining_items"]):
+                assert isinstance(written, list) and written == sorted(written)
+
+    def test_state_round_trips_through_result_json(self, tmp_path):
+        self._checkers_run(tmp_path, "certify-state")
+        path = tmp_path / "certify-state" / "result.json"
+        certificates = json.loads(path.read_text(encoding="utf-8"))["results"]["certificates"]
+        spec = builtin_spec("checkers")
+        expected = reset(spec)
+        for cert in certificates:
+            blob = cert["state"]
+            state = EnvState(
+                agent_positions=tuple(tuple(p) for p in blob["agent_positions"]),
+                remaining_items=frozenset(
+                    (tuple(cell), kind) for cell, kind in blob["remaining_items"]
+                ),
+                step_count=blob["step_count"],
+                done=blob["done"],
+            )
+            assert state == expected
+            expected = step(spec, state, tuple(cert["actions"])).next_state
+
+    @pytest.mark.parametrize(
+        "apple", ["abc", ".inf", "1.0e308"], ids=["text", "inf", "sum-inf"]
+    )
+    def test_bad_grid_reward_exits_2(self, tmp_path, capsys, apple):
+        # at 1.0e308 each apple is finite but the six of checkers sum to inf
+        text = (Path(marlcert.__file__).parent / "configs" / "checkers.yaml").read_text(
+            encoding="utf-8"
+        )
+        env = tmp_path / "grid.yaml"
+        env.write_text(text.replace("apple: 10.0", f"apple: {apple}"), encoding="utf-8")
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env=str(env),
+            checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "o"),
+        )
+        assert main(["certify-reward", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case", ["env-directory", "config-directory", "input-directory", "out-file"]
+    )
+    def test_file_system_error_exits_3(self, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        mode = "report" if case == "input-directory" else "certify-state"
+        fields = dict(
+            env=str(folder) if case == "env-directory" else "checkers",
+            checkpoint=str(_CHECKERS_VDN),
+            inputs=[str(folder)],
+            out=str(tmp_path / "o"),
+        )
+        if case == "out-file":
+            (tmp_path / "o").write_text("", encoding="utf-8")
+        path = _write_config(tmp_path, "c.yaml", **fields)
+        if case == "config-directory":
+            path = str(folder)
+        assert main([mode, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing or corrupt artifact:") and err.count("\n") == 1
 
 
 class TestFlags:

@@ -1,12 +1,9 @@
 """Tests for the deterministic multi-agent gridworlds."""
 
-import json
-
 import numpy as np
 import pytest
 
 from marlcert.envs import (
-    ACTION_DOWN,
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STAY,
@@ -18,7 +15,6 @@ from marlcert.envs import (
     observe,
     parse_grid_config,
     reset,
-    state_to_dict,
     step,
 )
 from marlcert.errors import ConfigError
@@ -287,22 +283,6 @@ def test_rollout_rewards_non_negative():
         state = out.next_state
 
 
-def test_serialization_round_trip():
-    spec = builtin_spec("switch")
-    state = reset(spec)
-    out = step(spec, state, (ACTION_DOWN, ACTION_UP, ACTION_DOWN, ACTION_UP))
-    blob = json.loads(json.dumps(state_to_dict(out.next_state)))
-    back = EnvState(
-        agent_positions=tuple(tuple(p) for p in blob["agent_positions"]),
-        remaining_items=frozenset(
-            (tuple(cell), kind) for cell, kind in blob["remaining_items"]
-        ),
-        step_count=blob["step_count"],
-        done=blob["done"],
-    )
-    assert back == out.next_state
-
-
 def test_episode_reward_stay_policy_zero():
     spec = _toy("map: |\n  1..\nstep_cap: 4\n")
 
@@ -361,3 +341,39 @@ class TestConfigGrammar:
     def test_goal_on_item_rejected(self):
         with pytest.raises(ConfigError):
             _toy("map: |\n  1a\nstep_cap: 5\ngoals:\n  - [1, 0]\n")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "rewards:\n  apple: abc\n",
+            "rewards: [1, 2]\n",
+            "rewards:\n  apple: true\n",
+            "rewards:\n  apple: .inf\n",
+            # YAML 1.1 reads 1.0e308 as a string; the two apples sum to inf
+            "rewards:\n  apple: 1.0e308\n",
+            "goals:\n  - [a, 0]\n",
+            "goals:\n  - [1.5, 0]\n",
+            "goals:\n  - [true, 0]\n",
+        ],
+        ids=[
+            "reward-text",
+            "rewards-list",
+            "reward-bool",
+            "reward-inf",
+            "reward-sum-inf",
+            "goal-text",
+            "goal-float",
+            "goal-bool",
+        ],
+    )
+    def test_bad_reward_or_goal_value_rejected(self, extra):
+        with pytest.raises(ConfigError):
+            _toy("map: |\n  1.aa\nstep_cap: 5\n" + extra)
+
+    def test_numeric_strings_read_as_numbers(self):
+        spec = _toy(
+            "map: |\n  1.aa\nstep_cap: 5\nrewards:\n  apple: 1e3\n"
+            "goals:\n  - ['1', 0]\n"
+        )
+        assert spec.reward_table["apple"] == 1000.0
+        assert spec.agent_goals == ((1, 0),)
