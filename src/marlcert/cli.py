@@ -364,18 +364,17 @@ def _sorted_list(value):
 def run(cfg: RunConfig) -> ResultRecord:
     """Execute one configured run and write its artifacts."""
     started = time.perf_counter()
+    # a grid that exits 2 or 3 leaves no output directory behind
+    spec = None if cfg.mode == "report" else _load_spec(cfg.env)
     os.makedirs(cfg.out, exist_ok=True)
-    if cfg.mode == "report":
-        results = _run_report(cfg)
-    else:
-        spec = _load_spec(cfg.env)
-        handler = {
-            "train": _run_train,
-            "certify-state": _run_certify_state,
-            "certify-reward": _run_certify_reward,
-            "attack": _run_attack,
-        }[cfg.mode]
-        results = handler(cfg, spec)
+    handler = {
+        "report": lambda cfg, _: _run_report(cfg),
+        "train": _run_train,
+        "certify-state": _run_certify_state,
+        "certify-reward": _run_certify_reward,
+        "attack": _run_attack,
+    }[cfg.mode]
+    results = handler(cfg, spec)
     record = ResultRecord(
         schema_version=1,
         mode=cfg.mode,
@@ -448,7 +447,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, CheckpointError) as exc:
-        print(f"missing or corrupt artifact: {exc}", file=sys.stderr)
+        print(f"file or checkpoint error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

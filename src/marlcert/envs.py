@@ -163,9 +163,7 @@ def parse_grid_config(text: str) -> GridSpec:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "map" not in doc or not isinstance(doc["map"], str):
         raise ConfigError("config needs a 'map' string")
-    step_cap = doc.get("step_cap")
-    if not isinstance(step_cap, int) or isinstance(step_cap, bool):
-        raise ConfigError("config needs an integer 'step_cap'")
+    step_cap = as_number("step_cap", doc.get("step_cap"), int)
 
     rewards = dict(_DEFAULT_REWARDS)
     table = doc.get("rewards") or {}

@@ -4,6 +4,11 @@ Gradients are exact reverse-mode, computed with respect to both the
 parameters (training) and the input vector (observation attacks). Everything
 is float64; reproducibility outranks speed at this scale.
 
+A net keeps every parameter in one vector, ``Mlp.params``, in the
+checkpoint's payload order below.  A parameter gradient and Adam's moments
+are vectors in that same layout, and ``pack`` moves several nets into one
+vector, so a training step updates them all with one ``adam_step``.
+
 Checkpoint byte layout (version 1, all integers little-endian):
 
     offset  size  field
@@ -12,9 +17,10 @@ Checkpoint byte layout (version 1, all integers little-endian):
     12      1     activation code, uint8 (0 = relu, 1 = tanh)
     13      4     number of layer dims L, uint32
     17      4*L   layer dims, uint32 each
-    ...           per layer l = 0..L-2: weight matrix W_l as float64
-                  row-major with shape (dims[l+1], dims[l]), then bias b_l
-                  as float64 with shape (dims[l+1],)
+    ...           the parameters, float64, in the order of ``Mlp.params``:
+                  per layer l = 0..L-2 the weight matrix W_l row-major with
+                  shape (dims[l+1], dims[l]), then the bias b_l with shape
+                  (dims[l+1],)
     end-4   4     CRC-32 (zlib) of every preceding byte, uint32
 
 A reader in any language can reconstruct the network from the header alone;
@@ -42,12 +48,18 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class Mlp:
-    """A dense net: linear layers with relu/tanh on hidden, linear output."""
+    """A dense net: linear layers with relu/tanh on hidden, linear output.
+
+    ``params`` holds every parameter in checkpoint payload order, and
+    ``weights`` and ``biases`` are tuples of views into it.  The constructor
+    copies the given arrays into a fresh ``params``.
+    """
 
     layer_dims: tuple
-    weights: list  # weights[l]: (layer_dims[l+1], layer_dims[l])
-    biases: list  # biases[l]: (layer_dims[l+1],)
+    weights: tuple  # weights[l]: (layer_dims[l+1], layer_dims[l])
+    biases: tuple  # biases[l]: (layer_dims[l+1],)
     activation: str
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
@@ -55,39 +67,67 @@ class Mlp:
             raise ValueError(f"bad layer_dims {self.layer_dims!r}")
         if self.activation not in _ACT_CODES:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if len(self.weights) != len(self.layer_dims) - 1 or len(
-            self.biases
-        ) != len(self.layer_dims) - 1:
+        n_layers = len(self.layer_dims) - 1
+        if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ValueError("weights/biases do not match layer_dims")
-        self.weights = [np.asarray(W, dtype=np.float64) for W in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.layer_dims[l + 1], self.layer_dims[l])
-            if W.shape != want or b.shape != (want[0],):
+        given = self.weights, self.biases
+        self._adopt(np.empty(_n_params(self.layer_dims)))
+        for l, (W, b, W_to, b_to) in enumerate(zip(*given, self.weights, self.biases)):
+            if np.shape(W) != W_to.shape or np.shape(b) != b_to.shape:
                 raise ValueError(
-                    f"layer {l}: weight shape {W.shape} / bias {b.shape} "
-                    f"inconsistent with dims {want}"
+                    f"layer {l}: weight shape {np.shape(W)} / bias {np.shape(b)} "
+                    f"inconsistent with dims {W_to.shape}"
                 )
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {l}: non-finite parameters")
+            W_to[...] = W
+            b_to[...] = b
+        if not np.isfinite(self.params).all():
+            raise ValueError("non-finite parameters")
+
+    def _adopt(self, flat):
+        self.params = flat
+        self.weights, self.biases = _layers(self.layer_dims, flat)
 
 
-@dataclass
-class Gradients:
-    """Parameter gradients mirroring an Mlp's weight/bias lists."""
+def _n_params(dims):
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
-    weights: list
-    biases: list
+
+def _layers(dims, flat):
+    """(weights, biases) as tuples of views into ``flat``.
+
+    The one place that knows the parameter layout, the checkpoint's payload
+    order: W_0 row-major with shape (dims[1], dims[0]), then b_0, then W_1,
+    b_1, and so on.
+    """
+    weights, biases = [], []
+    k = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[k : k + fan_out * fan_in].reshape(fan_out, fan_in))
+        k += fan_out * fan_in
+        biases.append(flat[k : k + fan_out])
+        k += fan_out
+    return tuple(weights), tuple(biases)
+
+
+def pack(nets):
+    """Move ``nets`` into one new parameter vector, in order, and return it:
+    each net's ``params``, ``weights`` and ``biases`` become views into it."""
+    flat = np.concatenate([net.params for net in nets])
+    k = 0
+    for net in nets:
+        net._adopt(flat[k : k + net.params.size])
+        k += net.params.size
+    return flat
 
 
 @dataclass
 class AdamState:
+    """Adam's learning rate, moments and step count for one vector."""
+
     lr: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m_weights: list = field(default_factory=list)
-    v_weights: list = field(default_factory=list)
-    m_biases: list = field(default_factory=list)
-    v_biases: list = field(default_factory=list)
 
 
 def mlp_init(layer_dims, activation, rng):
@@ -153,8 +193,9 @@ def backward_batch(net, X, G):
     """Reverse-mode gradients for a batch.
 
     X is (batch, in_dim); G is (batch, out_dim), the loss gradient at the
-    outputs. Returns (Gradients summed over the batch, per-sample input
-    gradients of shape (batch, in_dim)).
+    outputs. Returns (the parameter gradient summed over the batch, one
+    vector laid out like ``net.params``; per-sample input gradients of shape
+    (batch, in_dim)).
     """
     X = np.asarray(X, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -175,20 +216,20 @@ def backward_batch(net, X, G):
             h = _act(net, z)
             inputs.append(h)
 
-    dW = [None] * len(net.weights)
-    db = [None] * len(net.biases)
+    grad = np.empty_like(net.params)
+    dW, db = _layers(net.layer_dims, grad)
     delta = G
     for l in range(len(net.weights) - 1, -1, -1):
-        dW[l] = delta.T @ inputs[l]
-        db[l] = delta.sum(axis=0)
+        dW[l][...] = delta.T @ inputs[l]
+        db[l][...] = delta.sum(axis=0)
         delta = delta @ net.weights[l]
         if l > 0:
             delta = delta * _act_grad(net, pres[l - 1])
-    return Gradients(dW, db), delta
+    return grad, delta
 
 
 def backward(net, x, output_grad):
-    """Single-vector gradients: (param Gradients, input gradient vector)."""
+    """Single-vector gradients: (parameter gradient, input gradient)."""
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_grad, dtype=np.float64)
     if x.shape != (net.layer_dims[0],):
@@ -199,37 +240,24 @@ def backward(net, x, output_grad):
     return grads, gin[0]
 
 
-def adam_init(net, lr):
-    state = AdamState(lr=float(lr))
-    state.m_weights = [np.zeros_like(W) for W in net.weights]
-    state.v_weights = [np.zeros_like(W) for W in net.weights]
-    state.m_biases = [np.zeros_like(b) for b in net.biases]
-    state.v_biases = [np.zeros_like(b) for b in net.biases]
-    return state
+def adam_init(params, lr):
+    return AdamState(float(lr), np.zeros_like(params), np.zeros_like(params))
 
 
-def adam_step(net, grads, state):
-    """One in-place Adam update; returns (net, state) for chaining."""
-    for g in grads.weights + grads.biases:
-        if not np.isfinite(g).all():
-            raise NumericalError("non-finite gradient passed to adam_step")
+def adam_step(params, grad, state):
+    """One in-place Adam update of the vector ``params``."""
+    if not np.isfinite(grad).all():
+        raise NumericalError("non-finite gradient passed to adam_step")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    params = net.weights + net.biases
-    gs = grads.weights + grads.biases
-    ms = state.m_weights + state.m_biases
-    vs = state.v_weights + state.v_biases
-    for p, g, m, v in zip(params, gs, ms, vs):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    for p in params:
-        if not np.isfinite(p).all():
-            raise NumericalError("parameters became non-finite in adam_step")
-    return net, state
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
+    if not np.isfinite(params).all():
+        raise NumericalError("parameters became non-finite in adam_step")
 
 
 def checkpoint_save(net, path):
@@ -238,9 +266,7 @@ def checkpoint_save(net, path):
     parts.append(struct.pack("<B", _ACT_CODES[net.activation]))
     parts.append(struct.pack("<I", len(net.layer_dims)))
     parts.append(struct.pack(f"<{len(net.layer_dims)}I", *net.layer_dims))
-    for W, b in zip(net.weights, net.biases):
-        parts.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts.append(np.ascontiguousarray(net.params, dtype="<f8").tobytes())
     payload = b"".join(parts)
     blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
@@ -274,23 +300,13 @@ def checkpoint_load(path):
         raise CheckpointError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{n_dims}I", payload, off)
     off += 4 * n_dims
-    expected = sum(
-        dims[l + 1] * dims[l] + dims[l + 1] for l in range(n_dims - 1)
-    )
+    expected = _n_params(dims)
     if off + 8 * expected != len(payload):
         raise CheckpointError(
             f"{path}: parameter block size does not match layer_dims header"
         )
-    weights, biases = [], []
-    for l in range(n_dims - 1):
-        n = dims[l + 1] * dims[l]
-        W = np.frombuffer(payload, dtype="<f8", count=n, offset=off)
-        off += 8 * n
-        b = np.frombuffer(payload, dtype="<f8", count=dims[l + 1], offset=off)
-        off += 8 * dims[l + 1]
-        weights.append(W.reshape(dims[l + 1], dims[l]).copy())
-        biases.append(b.copy())
+    params = np.frombuffer(payload, dtype="<f8", count=expected, offset=off)
     try:
-        return Mlp(dims, weights, biases, _ACT_NAMES[act_code])
+        return Mlp(dims, *_layers(dims, params), _ACT_NAMES[act_code])
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -10,12 +10,15 @@ never lower the team value.
 
 The trainer is standard TD learning on q_total with a replay buffer, a
 periodically synced target network, and per-agent epsilon-greedy
-exploration.  Training uses its own discount (default 0.99); certification
-elsewhere evaluates undiscounted returns.  Everything is seeded: the same
-TrainConfig produces bit-identical checkpoints.  TrainConfig holds what a
-run may set (episodes, seed, learning rate, discount, augmentation); the
-batch size, replay capacity, target sync period and exploration schedule
-are the module constants beside ``TRAIN_EVERY``.
+exploration.  ``nn.pack`` moves the policy's nets into one parameter
+vector and the target's into another, so each update is one ``adam_step``
+and each sync one copy.  Training uses its own discount (default 0.99);
+certification elsewhere evaluates undiscounted returns.  Everything is
+seeded: the same TrainConfig produces bit-identical checkpoints.
+TrainConfig holds what a run may set (episodes, seed, learning rate,
+discount, augmentation); the batch size, replay capacity, target sync
+period and exploration schedule are the module constants beside
+``TRAIN_EVERY``.
 
 The replay buffer is a set of preallocated ring arrays indexed by slot:
 observations and next observations ``(capacity, n, obs_len)``, actions
@@ -94,6 +97,12 @@ class JointPolicy:
     @property
     def n_agents(self) -> int:
         return len(self.agent_nets)
+
+    @property
+    def nets(self) -> tuple:
+        """Every network, in checkpoint order: the agents', then the hypernet."""
+        hyper = () if self.hypernet is None else (self.hypernet,)
+        return tuple(self.agent_nets) + hyper
 
 
 @dataclass(frozen=True)
@@ -221,20 +230,6 @@ def counterfactual_values(
     return rest + w[agent] * own
 
 
-def _clone_net(net: nn.Mlp) -> nn.Mlp:
-    return nn.Mlp(
-        net.layer_dims,
-        [w.copy() for w in net.weights],
-        [b.copy() for b in net.biases],
-        net.activation,
-    )
-
-
-def _snapshot(policy: JointPolicy) -> JointPolicy:
-    hyper = _clone_net(policy.hypernet) if policy.hypernet is not None else None
-    return JointPolicy(tuple(_clone_net(n) for n in policy.agent_nets), policy.mixer, hyper)
-
-
 def _epsilon(cfg: TrainConfig, episode: int) -> float:
     start, end, frac = EPS_SCHEDULE
     horizon = max(1, int(cfg.episodes * frac))
@@ -249,16 +244,13 @@ def train(
     checkpoint_path=None,
 ) -> JointPolicy:
     """TD-train a policy on `spec`; optionally write its checkpoint."""
-    policy = new_policy(spec, mixer, np.random.default_rng(cfg.init_seed()))
-    target = _snapshot(policy)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
-
-    adam = [nn.adam_init(net, cfg.learning_rate) for net in policy.agent_nets]
-    adam_hyper = (
-        nn.adam_init(policy.hypernet, cfg.learning_rate)
-        if policy.hypernet is not None
-        else None
+    # two draws from the init seed: the target starts as an exact copy
+    policy, target = (
+        new_policy(spec, mixer, np.random.default_rng(cfg.init_seed())) for _ in range(2)
     )
+    params, target_params = nn.pack(policy.nets), nn.pack(target.nets)
+    adam = nn.adam_init(params, cfg.learning_rate)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
 
     n = policy.n_agents
     obs_len = observation_length(spec)
@@ -330,18 +322,18 @@ def train(
                 next_encs,
                 replay_done[picks],
             )
-            _td_update(policy, target, adam, adam_hyper, batch, cfg, episode)
+            _td_update(policy, target, params, adam, batch, cfg, episode)
             updates += 1
             if updates % TARGET_SYNC == 0:
-                target = _snapshot(policy)
+                target_params[:] = params
 
     if checkpoint_path is not None:
         save_policy(policy, checkpoint_path)
     return policy
 
 
-def _td_update(policy, target, adam, adam_hyper, batch, cfg, episode):
-    """One TD step on a gathered batch.
+def _td_update(policy, target, params, adam, batch, cfg, episode):
+    """One TD step on a gathered batch, as one Adam step of ``params``.
 
     `batch` is (obs (b, n, obs), acts (b, n), rewards (b,), next_obs,
     encs (b, enc), next_encs, done (b,)); the encodings are None for vdn.
@@ -382,17 +374,17 @@ def _td_update(policy, target, adam, adam_hyper, batch, cfg, episode):
         )
 
     dq = 2.0 * (q - y) / b
+    grads = []
     for i in range(n):
         grad_out = np.zeros((b, N_ACTIONS))
         grad_out[np.arange(b), acts[:, i]] = dq * weights[:, i]
-        grads, _ = nn.backward_batch(policy.agent_nets[i], obs[:, i, :], grad_out)
-        nn.adam_step(policy.agent_nets[i], grads, adam[i])
+        grads.append(nn.backward_batch(policy.agent_nets[i], obs[:, i, :], grad_out)[0])
     if policy.mixer == "qmix_mono":
         grad_hyper = np.empty((b, n + 1))
         grad_hyper[:, :-1] = dq[:, None] * np.sign(hyper_out[:, :-1]) * chosen
         grad_hyper[:, -1] = dq
-        grads, _ = nn.backward_batch(policy.hypernet, encs, grad_hyper)
-        nn.adam_step(policy.hypernet, grads, adam_hyper)
+        grads.append(nn.backward_batch(policy.hypernet, encs, grad_hyper)[0])
+    nn.adam_step(params, np.concatenate(grads), adam)
 
 
 def save_policy(policy: JointPolicy, path) -> None:
@@ -409,10 +401,9 @@ def save_policy(policy: JointPolicy, path) -> None:
         "agent_nets": [f"agent_{i}.mlp" for i in range(policy.n_agents)],
         "hypernet": "hypernet.mlp" if policy.hypernet is not None else None,
     }
-    for i, net in enumerate(policy.agent_nets):
-        nn.checkpoint_save(net, path / manifest["agent_nets"][i])
-    if policy.hypernet is not None:
-        nn.checkpoint_save(policy.hypernet, path / "hypernet.mlp")
+    names = manifest["agent_nets"] + [manifest["hypernet"]] * (policy.hypernet is not None)
+    for name, net in zip(names, policy.nets, strict=True):
+        nn.checkpoint_save(net, path / name)
     with open(path / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -445,17 +436,12 @@ def load_policy(path) -> JointPolicy:
             "hypernet as a file name or null"
         )
     nets = []
-    for name in names:
+    for name in names + [hyper_name] * bool(hyper_name):
         net_path = path / name
         if not net_path.is_file():
             raise MissingArtifactError(f"missing network file {net_path}")
         nets.append(nn.checkpoint_load(net_path))
-    hyper = None
-    if hyper_name:
-        hyper_path = path / hyper_name
-        if not hyper_path.is_file():
-            raise MissingArtifactError(f"missing network file {hyper_path}")
-        hyper = nn.checkpoint_load(hyper_path)
+    hyper = nets.pop() if hyper_name else None
     try:
         return JointPolicy(tuple(nets), manifest.get("mixer"), hyper)
     except ConfigError as exc:

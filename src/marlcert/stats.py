@@ -9,7 +9,7 @@ Conventions
 -----------
 * p-values and probabilities are plain floats in [0, 1].
 * All functions are pure and deterministic: same inputs, bit-identical
-  outputs. No global state, safe under any threading.
+  outputs.  Three process-wide ``lru_cache``s memoize pure helpers.
 * 64-bit arithmetic everywhere; tail sums run in log space so sample sizes of
   10,000 and beyond cannot underflow.
 * `std_normal_quantile_vec` is the bulk noise kernel.  It walks its input in

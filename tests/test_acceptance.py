@@ -164,25 +164,10 @@ def test_criterion_3_bh_equivalence():
 # --- 4: analytic gradients against central differences ---
 
 
-def _flat_params(net):
-    parts = []
-    for W, b in zip(net.weights, net.biases):
-        parts.append(W.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
-
-
 def _net_with_params(template, theta):
-    theta = np.asarray(theta, dtype=np.float64)
-    weights = []
-    biases = []
-    k = 0
-    for W, b in zip(template.weights, template.biases):
-        weights.append(theta[k:k + W.size].reshape(W.shape).copy())
-        k += W.size
-        biases.append(theta[k:k + b.size].copy())
-        k += b.size
-    return Mlp(template.layer_dims, weights, biases, template.activation)
+    net = Mlp(template.layer_dims, template.weights, template.biases, template.activation)
+    net.params[:] = theta
+    return net
 
 
 def _hidden_margin(net, x):
@@ -215,7 +200,7 @@ def test_criterion_4_gradient_checks():
             )
             net = mlp_init(dims, activation, rng)
             for layer in range(len(net.biases)):
-                net.biases[layer] = rng.normal(0.0, 0.3, net.biases[layer].shape)
+                net.biases[layer][...] = rng.normal(0.0, 0.3, net.biases[layer].shape)
             x = rng.normal(0.0, 1.0, dims[0])
             # central differences use h = 1e-5; keep relu pre-activations
             # well clear of the kink so both sides stay on one branch
@@ -223,15 +208,10 @@ def test_criterion_4_gradient_checks():
                 x = rng.normal(0.0, 1.0, dims[0])
             out_grad = rng.normal(0.0, 1.0, dims[-1])
 
-            grads, input_grad = backward(net, x, out_grad)
-            analytic_params = _flat_params(
-                Mlp(net.layer_dims, grads.weights, grads.biases, net.activation)
-            )
-
-            theta = _flat_params(net)
+            analytic_params, input_grad = backward(net, x, out_grad)
             fd_params = oracles.central_difference(
                 lambda t: float(out_grad @ forward(_net_with_params(net, t), x)),
-                theta.tolist(),
+                net.params.tolist(),
             )
             fd_input = oracles.central_difference(
                 lambda v: float(out_grad @ forward(net, np.asarray(v))),

@@ -67,9 +67,9 @@ def _spec2():
 def _random_net(seed, hidden, activation, scale=1.0):
     rng = np.random.default_rng(seed)
     net = nn.mlp_init((47, *hidden, 5), activation, rng)
-    for l, W in enumerate(net.weights):
-        net.weights[l] = W * scale
-        net.biases[l] = rng.normal(0.0, 0.5, size=net.biases[l].shape)
+    for W, b in zip(net.weights, net.biases):
+        W *= scale
+        b[...] = rng.normal(0.0, 0.5, size=b.shape)
     return net
 
 

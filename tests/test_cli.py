@@ -323,7 +323,7 @@ class TestModes:
         )
         assert main(["certify-state", "--config", config]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("missing or corrupt artifact:") and err.count("\n") == 1
+        assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
 
     def test_readme_train_config_writes_the_stored_checkpoint(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -759,6 +759,7 @@ class TestModes:
             out=str(tmp_path / "o"),
         )
         assert main(["certify-reward", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()  # the grid is read before out is made
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
@@ -781,8 +782,10 @@ class TestModes:
         if case == "config-directory":
             path = str(folder)
         assert main([mode, "--config", path]) == 3
+        if case == "env-directory":
+            assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
-        assert err.startswith("missing or corrupt artifact:") and err.count("\n") == 1
+        assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
 
 
 class TestFlags:

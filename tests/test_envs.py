@@ -330,6 +330,12 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError):
             _toy("map: |\n  1.\nstep_cap: 0\n")
 
+    def test_step_cap_follows_the_number_rule(self):
+        assert _toy('map: |\n  1.\nstep_cap: "50"\n').step_cap == 50
+        for bad in ("5.5", "true", '"5.5"', "[5]"):
+            with pytest.raises(ConfigError):
+                _toy(f"map: |\n  1.\nstep_cap: {bad}\n")
+
     def test_goal_count_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             _toy("map: |\n  12.\nstep_cap: 5\ngoals:\n  - [2, 0]\n")

@@ -6,6 +6,9 @@ import pytest
 import oracles
 from marlcert.errors import CheckpointError, NumericalError
 from marlcert.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Mlp,
     adam_init,
@@ -17,6 +20,7 @@ from marlcert.nn import (
     forward,
     forward_batch,
     mlp_init,
+    pack,
 )
 
 
@@ -90,9 +94,7 @@ def test_backward_zero_output_grad():
     net = mlp_init((3, 5, 2), "tanh", np.random.default_rng(2))
     grads, gin = backward(net, np.array([0.1, 0.2, 0.3]), np.zeros(2))
     assert np.array_equal(gin, np.zeros(3))
-    for dW, db in zip(grads.weights, grads.biases):
-        assert not dW.any()
-        assert not db.any()
+    assert grads.shape == net.params.shape and not grads.any()
 
 
 def test_linear_net_input_gradient_is_wt_g():
@@ -116,45 +118,23 @@ def test_gradients_match_finite_differences(activation):
             while np.min(np.abs(net.weights[0] @ x + net.biases[0])) < 1e-2:
                 x = rng.normal(size=3)
         gout = rng.normal(size=2)
+        probe = Mlp(net.layer_dims, net.weights, net.biases, net.activation)
 
         def loss_at_params(flat):
-            probe = _net_with_flat(net, np.asarray(flat))
+            probe.params[:] = flat
             return float(gout @ forward(probe, x))
 
         def loss_at_input(xs):
             return float(gout @ forward(net, np.asarray(xs)))
 
         grads, gin = backward(net, x, gout)
-        analytic = np.concatenate(
-            [dW.ravel() for dW in grads.weights]
-            + [db.ravel() for db in grads.biases]
-            + [gin]
-        )
-        flat0 = _flatten(net)
+        analytic = np.concatenate([grads, gin])
         numeric = np.array(
-            oracles.central_difference(loss_at_params, list(flat0))
+            oracles.central_difference(loss_at_params, list(net.params))
             + oracles.central_difference(loss_at_input, list(x))
         )
         denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
         assert float(np.max(np.abs(analytic - numeric) / denom)) <= 1e-4
-
-
-def _flatten(net):
-    return np.concatenate(
-        [W.ravel() for W in net.weights] + [b.ravel() for b in net.biases]
-    )
-
-
-def _net_with_flat(net, flat):
-    weights, biases = [], []
-    k = 0
-    for W in net.weights:
-        weights.append(flat[k : k + W.size].reshape(W.shape))
-        k += W.size
-    for b in net.biases:
-        biases.append(flat[k : k + b.size].copy())
-        k += b.size
-    return Mlp(net.layer_dims, weights, biases, net.activation)
 
 
 def test_backward_batch_sums_single_sample_grads():
@@ -163,41 +143,62 @@ def test_backward_batch_sums_single_sample_grads():
     X = rng.normal(size=(5, 4))
     G = rng.normal(size=(5, 3))
     batch_grads, batch_gin = backward_batch(net, X, G)
-    acc_w = [np.zeros_like(W) for W in net.weights]
-    acc_b = [np.zeros_like(b) for b in net.biases]
+    acc = np.zeros_like(net.params)
     for i in range(5):
         g, gi = backward(net, X[i], G[i])
-        for a, d in zip(acc_w, g.weights):
-            a += d
-        for a, d in zip(acc_b, g.biases):
-            a += d
+        acc += g
         assert np.allclose(batch_gin[i], gi, rtol=1e-12, atol=1e-14)
-    for a, d in zip(acc_w, batch_grads.weights):
-        assert np.allclose(a, d, rtol=1e-12, atol=1e-14)
-    for a, d in zip(acc_b, batch_grads.biases):
-        assert np.allclose(a, d, rtol=1e-12, atol=1e-14)
+    assert np.allclose(acc, batch_grads, rtol=1e-12, atol=1e-14)
+
+
+def test_weights_and_biases_are_views_of_params():
+    # payload order for dims (3, 4, 2): W_0 (12 values), b_0 (4), W_1 (8), b_1 (2)
+    net = mlp_init((3, 4, 2), "relu", np.random.default_rng(6))
+    net.weights[1][0, 0] = 5.0
+    net.biases[0][...] = -1.0
+    assert net.params.size == 26
+    assert net.params[16] == 5.0 and (net.params[12:16] == -1.0).all()
+    again = Mlp(net.layer_dims, net.weights, net.biases, net.activation)
+    assert np.array_equal(again.params, net.params)
+    assert not np.shares_memory(again.params, net.params)  # the constructor copies
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((4, 3))  # a tuple: no element can be swapped out
+
+
+def test_pack_repoints_nets_into_one_vector():
+    rng = np.random.default_rng(10)
+    nets = [mlp_init((3, 4, 2), "relu", rng), mlp_init((2, 5), "tanh", rng)]
+    x = rng.normal(size=(2, 3))
+    before = [net.params.copy() for net in nets]
+    outputs = forward_batch(nets[0], x)
+    flat = pack(nets)
+    assert np.array_equal(flat, np.concatenate(before))
+    assert np.array_equal(forward_batch(nets[0], x), outputs)
+    flat *= 2.0
+    assert np.array_equal(nets[1].params, 2.0 * before[1])
+    assert np.array_equal(nets[0].weights[0].ravel(), 2.0 * before[0][:12])
 
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         net = mlp_init((2, 3, 1), "tanh", np.random.default_rng(7))
-        before = _flatten(net).copy()
-        state = adam_init(net, lr=0.05)
+        before = net.params.copy()
+        state = adam_init(net.params, lr=0.05)
         grads, _ = backward(net, np.zeros(2), np.zeros(1))
-        adam_step(net, grads, state)
-        assert np.array_equal(_flatten(net), before)
+        adam_step(net.params, grads, state)
+        assert np.array_equal(net.params, before)
 
     def test_descends_quadratic(self):
         # one-parameter net, loss f(w) = w^2 starting at w = 1; Adam
         # oscillates near the optimum, so the assertion is on the trend
         net = Mlp((1, 1), [np.array([[1.0]])], [np.zeros(1)], "relu")
-        state = adam_init(net, lr=0.1)
+        state = adam_init(net.params, lr=0.1)
         losses = []
         for _ in range(200):
             w = net.weights[0][0, 0]
             losses.append(w * w)
             grads, _ = backward(net, np.array([1.0]), np.array([2.0 * w]))
-            adam_step(net, grads, state)
+            adam_step(net.params, grads, state)
         assert losses[1] < losses[0]
         assert np.mean(losses[50:60]) < np.mean(losses[10:20])
         assert np.mean(losses[-10:]) < np.mean(losses[50:60])
@@ -205,19 +206,53 @@ class TestAdam:
 
     def test_nan_gradient_rejected(self):
         net = mlp_init((2, 2), "relu", np.random.default_rng(8))
-        state = adam_init(net, lr=0.01)
+        state = adam_init(net.params, lr=0.01)
         grads, _ = backward(net, np.ones(2), np.ones(2))
-        grads.weights[0][0, 0] = np.nan
+        grads[0] = np.nan
         with pytest.raises(NumericalError):
-            adam_step(net, grads, state)
+            adam_step(net.params, grads, state)
 
     def test_state_counts_steps(self):
         net = mlp_init((2, 2), "relu", np.random.default_rng(9))
-        state = adam_init(net, lr=0.01)
+        state = adam_init(net.params, lr=0.01)
         assert isinstance(state, AdamState) and state.step == 0
         grads, _ = backward(net, np.ones(2), np.ones(2))
-        adam_step(net, grads, state)
+        adam_step(net.params, grads, state)
         assert state.step == 1
+
+    def test_packed_vector_matches_per_array_reference(self):
+        # two nets in one vector against the per-array loop, bit for bit
+        rng = np.random.default_rng(16)
+        nets = [mlp_init((4, 6, 3), "relu", rng), mlp_init((5, 2), "tanh", rng)]
+        copies = [Mlp(n.layer_dims, n.weights, n.biases, n.activation) for n in nets]
+        arrays = [a for n in copies for a in n.weights + n.biases]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+        params = pack(nets)
+        grad_nets = [Mlp(n.layer_dims, n.weights, n.biases, n.activation) for n in nets]
+        grad = pack(grad_nets)
+        grad_arrays = [g for n in grad_nets for g in n.weights + n.biases]
+        state = adam_init(params, lr=3e-3)
+        for step in range(1, 1201):
+            # gradients spanning many magnitudes, some exactly zero
+            grad[:] = rng.normal(size=grad.size) * 10.0 ** rng.integers(-8, 4, grad.size)
+            grad[rng.random(grad.size) < 0.1] = 0.0
+            adam_step(params, grad, state)
+            _per_array_adam(arrays, grad_arrays, moments, 3e-3, step)
+            assert np.array_equal(params, np.concatenate([n.params for n in copies]))
+        assert state.step == 1200
+
+
+def _per_array_adam(arrays, grads, moments, lr, step):
+    """Adam as one loop over each weight and bias array in turn: the
+    reference for the one-vector ``adam_step``."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for p, g, (m, v) in zip(arrays, grads, moments):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 class TestCheckpoint:
@@ -229,10 +264,7 @@ class TestCheckpoint:
         loaded = checkpoint_load(path)
         assert loaded.layer_dims == net.layer_dims
         assert loaded.activation == net.activation
-        for a, b in zip(loaded.weights, net.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.biases, net.biases):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.params, net.params)
         probe = rng.normal(size=5)
         assert np.array_equal(forward(loaded, probe), forward(net, probe))
 
@@ -275,7 +307,7 @@ class TestCheckpoint:
 def test_init_determinism():
     a = mlp_init((4, 6, 2), "relu", np.random.default_rng(42))
     b = mlp_init((4, 6, 2), "relu", np.random.default_rng(42))
-    assert np.array_equal(_flatten(a), _flatten(b))
+    assert np.array_equal(a.params, b.params)
 
 
 def test_mlp_rejects_inconsistent_shapes():

@@ -1,5 +1,7 @@
 """Tests for joint value policies, mixers, and the TD trainer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from marlcert.policy import (
     JointPolicy,
     TrainConfig,
     _epsilon,
-    _snapshot,
     agent_values,
     counterfactual_values,
     encode_global_state,
@@ -244,6 +245,17 @@ def test_checkpoint_round_trip(tmp_path):
         )
 
 
+def test_stored_checkpoint_is_rewritten_byte_for_byte(tmp_path):
+    # pins the manifest and network file formats: a load and a save change
+    # no byte of any file
+    stored = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
+    save_policy(load_policy(stored), tmp_path / "copy")
+    names = sorted(path.name for path in (tmp_path / "copy").iterdir())
+    assert names == sorted(path.name for path in stored.iterdir())
+    for name in names:
+        assert (tmp_path / "copy" / name).read_bytes() == (stored / name).read_bytes()
+
+
 def test_load_policy_missing(tmp_path):
     with pytest.raises(MissingArtifactError):
         load_policy(tmp_path / "nope")
@@ -299,14 +311,10 @@ def test_train_divergence_reported():
 
 def _tuple_replay_train(spec, cfg, mixer):
     policy = new_policy(spec, mixer, np.random.default_rng(cfg.init_seed()))
-    target = _snapshot(policy)
+    target = new_policy(spec, mixer, np.random.default_rng(cfg.init_seed()))
+    params, target_params = nn.pack(policy.nets), nn.pack(target.nets)
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
-    adam = [nn.adam_init(net, cfg.learning_rate) for net in policy.agent_nets]
-    adam_hyper = (
-        nn.adam_init(policy.hypernet, cfg.learning_rate)
-        if policy.hypernet is not None
-        else None
-    )
+    adam = nn.adam_init(params, cfg.learning_rate)
     n = policy.n_agents
     replay = []
     write_at = 0
@@ -361,14 +369,14 @@ def _tuple_replay_train(spec, cfg, mixer):
                     )
                     for (o, a, r, no, gs, gsn, d) in batch
                 ]
-            _tuple_td_update(policy, target, adam, adam_hyper, batch, cfg)
+            _tuple_td_update(policy, target, params, adam, batch, cfg)
             updates += 1
             if updates % policy_module.TARGET_SYNC == 0:
-                target = _snapshot(policy)
+                target_params[:] = params
     return policy, updates
 
 
-def _tuple_td_update(policy, target, adam, adam_hyper, batch, cfg):
+def _tuple_td_update(policy, target, params, adam, batch, cfg):
     b = len(batch)
     n = policy.n_agents
     obs = np.stack([e[0] for e in batch])
@@ -403,17 +411,17 @@ def _tuple_td_update(policy, target, adam, adam_hyper, batch, cfg):
         q = (weights * chosen).sum(axis=1) + hyper_out[:, -1]
 
     dq = 2.0 * (q - y) / b
+    grads = []
     for i in range(n):
         grad_out = np.zeros((b, N_ACTIONS))
         grad_out[np.arange(b), acts[:, i]] = dq * weights[:, i]
-        grads, _ = nn.backward_batch(policy.agent_nets[i], obs[:, i, :], grad_out)
-        nn.adam_step(policy.agent_nets[i], grads, adam[i])
+        grads.append(nn.backward_batch(policy.agent_nets[i], obs[:, i, :], grad_out)[0])
     if policy.mixer == "qmix_mono":
         grad_hyper = np.empty((b, n + 1))
         grad_hyper[:, :-1] = dq[:, None] * np.sign(hyper_out[:, :-1]) * chosen
         grad_hyper[:, -1] = dq
-        grads, _ = nn.backward_batch(policy.hypernet, encs, grad_hyper)
-        nn.adam_step(policy.hypernet, grads, adam_hyper)
+        grads.append(nn.backward_batch(policy.hypernet, encs, grad_hyper)[0])
+    nn.adam_step(params, np.concatenate(grads), adam)
 
 
 @pytest.mark.parametrize("obs_noise", [0.0, 0.1])

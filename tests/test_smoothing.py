@@ -190,7 +190,7 @@ class TestActionCountsProjection:
         cfg = NoiseConfig(sigma=0.4, samples=200, alpha=0.05, seed=2)
         state = reset(spec)
         smoothing._action_counts(policy, spec, state, 1, cfg)
-        policy.agent_nets[1].weights[0] *= -1.0
+        policy.agent_nets[1].weights[0][...] *= -1.0
         got = smoothing._action_counts(policy, spec, state, 1, cfg)
         assert np.array_equal(got, _oracle_counts(policy, spec, state, 1, cfg))
         assert len(drawn) == 2
