@@ -16,9 +16,12 @@ between the best non-modal action value and the modal action value of
 one agent's network, one result per seed.  Each step moves
 2.5 * epsilon / steps, so a straight climb reaches the edge of the ball
 within the first half of its steps.  Every restart of every seed is one
-row of a single array, stepped together through ``nn.forward_batch``
-and ``nn.backward_batch``; restart 0 starts at the clean observation
-and depends on no seed, so the batch holds it once for all seeds.
+row of a single array, and the rows step together: each step runs one
+``nn.forward_trace``, takes the action values from it, and asks
+``nn.reverse_sweep`` for the input gradient alone, with no parameter
+gradient and no second forward pass.  Restart 0 starts at the clean
+observation and depends on no seed, so the batch holds it once for all
+seeds.
 Each row's end point is still judged on its own by the full CRN smoothed
 decision, which counts actions exactly as ``smoothing.sample_tally``
 does for the certificates.  ``pgd_attack_state`` is the one-seed batch.
@@ -145,13 +148,12 @@ def _pgd_rows(net, base, deltas, clean, steps, epsilon) -> np.ndarray:
     step_size = 2.5 * epsilon / steps
     live = np.arange(len(deltas))
     for _ in range(steps):
-        X = base + deltas[live]
-        values = nn.forward_batch(net, X)
+        values, inputs = nn.forward_trace(net, base + deltas[live])
         values[:, clean] = -np.inf
         grad_out = np.zeros_like(values)
         grad_out[np.arange(len(live)), np.argmax(values, axis=1)] = 1.0
         grad_out[:, clean] = -1.0
-        _, grad_in = nn.backward_batch(net, X, grad_out)
+        grad_in = nn.reverse_sweep(net, inputs, grad_out)
         norms = np.linalg.norm(grad_in, axis=1)
         moving = norms != 0.0
         live = live[moving]

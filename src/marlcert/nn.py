@@ -4,6 +4,12 @@ Gradients are exact reverse-mode, computed with respect to both the
 parameters (training) and the input vector (observation attacks). Everything
 is float64; reproducibility outranks speed at this scale.
 
+A gradient is two passes: ``forward_trace`` runs the batch forward and
+keeps every layer's input, and ``reverse_sweep`` carries the output
+gradient back through them.  ``backward_batch`` is the two in a row, with
+the parameter gradient; an attack takes the action values from the
+trace and asks the sweep for the input gradient alone.
+
 A net keeps every parameter in one vector, ``Mlp.params``, in the
 checkpoint's payload order below.  A parameter gradient and Adam's moments
 are vectors in that same layout, and ``pack`` moves several nets into one
@@ -142,26 +148,32 @@ def mlp_init(layer_dims, activation, rng):
     return Mlp(dims, weights, biases, activation)
 
 
-def _act(net, z):
+def _act(net, z, out=None):
     if net.activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
 
 
-def _act_grad(net, z):
+def _act_grad(net, h):
+    # the derivative read off the activation h = act(z): relu's is 1 where
+    # h > 0, that is where z > 0, and tanh's is 1 - tanh(z)^2
     if net.activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return (h > 0.0).astype(np.float64)
+    return 1.0 - h * h
 
 
-def forward_batch(net, X):
-    """Forward map for a (batch, in_dim) matrix; returns (batch, out_dim)."""
+def _check_batch(net, X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.layer_dims[0]:
         raise ValueError(
             f"input shape {X.shape} incompatible with in_dim {net.layer_dims[0]}"
         )
+    return X
+
+
+def forward_batch(net, X):
+    """Forward map for a (batch, in_dim) matrix; returns (batch, out_dim)."""
+    X = _check_batch(net, X)
     return forward_rest(net, X @ net.weights[0].T + net.biases[0])
 
 
@@ -169,13 +181,16 @@ def forward_rest(net, Z):
     """Forward map from the first layer's pre-activations.
 
     Z is (batch, layer_dims[1]), what the first layer computes before its
-    activation; returns (batch, out_dim).  ``forward_batch`` is this applied
-    to ``X @ W_0.T + b_0``, so a caller that forms Z another way (smoothing
-    adds a projected noise block) shares every later layer with it.
+    activation; returns (batch, out_dim).  The activations are computed in
+    place, so Z is overwritten.  ``forward_batch`` is this applied to
+    ``X @ W_0.T + b_0``, so a caller that forms Z another way (smoothing
+    adds a projected noise block in a reused buffer) shares every later
+    layer with it.
     """
     h = Z
     for W, b in zip(net.weights[1:], net.biases[1:]):
-        h = _act(net, h) @ W.T + b
+        h = _act(net, h, out=h) @ W.T
+        h += b
     return h
 
 
@@ -189,6 +204,41 @@ def forward(net, x):
     return forward_batch(net, x[None, :])[0]
 
 
+def forward_trace(net, X):
+    """``forward_batch`` that keeps what the reverse sweep needs.
+
+    Returns (outputs, inputs): the (batch, out_dim) outputs and the list of
+    every layer's input, X and then each hidden layer's activations.  The
+    outputs are a new array the caller may overwrite.
+    """
+    X = _check_batch(net, X)
+    inputs = [X]
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        inputs.append(_act(net, inputs[-1] @ W.T + b))
+    return inputs[-1] @ net.weights[-1].T + net.biases[-1], inputs
+
+
+def reverse_sweep(net, inputs, G, grad=None):
+    """Reverse-mode pass over a batch traced by ``forward_trace``.
+
+    G is (batch, out_dim), the loss gradient at the outputs.  Returns the
+    per-sample input gradients, (batch, in_dim).  When ``grad`` is given,
+    a vector laid out like ``net.params``, the parameter gradient summed
+    over the batch is written into it; otherwise none is formed.
+    """
+    delta = G
+    if grad is not None:
+        dW, db = _layers(net.layer_dims, grad)
+    for l in range(len(net.weights) - 1, -1, -1):
+        if grad is not None:
+            dW[l][...] = delta.T @ inputs[l]
+            db[l][...] = delta.sum(axis=0)
+        delta = delta @ net.weights[l]
+        if l > 0:
+            delta = delta * _act_grad(net, inputs[l])
+    return delta
+
+
 def backward_batch(net, X, G):
     """Reverse-mode gradients for a batch.
 
@@ -197,35 +247,12 @@ def backward_batch(net, X, G):
     vector laid out like ``net.params``; per-sample input gradients of shape
     (batch, in_dim)).
     """
-    X = np.asarray(X, dtype=np.float64)
+    outputs, inputs = forward_trace(net, X)
     G = np.asarray(G, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.layer_dims[0]:
-        raise ValueError(f"bad input shape {X.shape}")
-    if G.shape != (X.shape[0], net.layer_dims[-1]):
+    if G.shape != outputs.shape:
         raise ValueError(f"bad output_grad shape {G.shape}")
-
-    # forward pass, caching layer inputs and hidden pre-activations
-    inputs = [X]
-    pres = []
-    h = X
-    last = len(net.weights) - 1
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ W.T + b
-        if l != last:
-            pres.append(z)
-            h = _act(net, z)
-            inputs.append(h)
-
     grad = np.empty_like(net.params)
-    dW, db = _layers(net.layer_dims, grad)
-    delta = G
-    for l in range(len(net.weights) - 1, -1, -1):
-        dW[l][...] = delta.T @ inputs[l]
-        db[l][...] = delta.sum(axis=0)
-        delta = delta @ net.weights[l]
-        if l > 0:
-            delta = delta * _act_grad(net, pres[l - 1])
-    return grad, delta
+    return grad, reverse_sweep(net, inputs, G, grad)
 
 
 def backward(net, x, output_grad):

@@ -13,10 +13,11 @@ counts in blocks of four doubles).  `gaussian_noise_block` draws rows
 0..count-1 of a stream in one call, so row m is the same no matter how the
 work is batched or parallelized.  Uniform draws map to normals through the
 inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
-factor.  The inverse CDF (`stats.std_normal_quantile_vec`) walks the
-clamped M-row uniform block in cache-sized chunks into one output array,
-so the block-sized arrays of a draw are the uniforms, their clamped copy,
-the quantile output and the sigma-scaled result.
+factor.  A draw makes one block-sized array at most, its uniforms: the
+first dim of each row are clamped and packed to the front, then mapped
+through the inverse CDF (`stats.std_normal_quantile_vec`, which walks
+them in cache-sized chunks) and scaled, all in place.  A caller that
+passes a buffer gets them drawn into it, so the draw makes none.
 
 `sample_tally` and the attacks count actions through `_action_counts`.
 At one (seed, step, agent) address every smoothed decision, whatever the
@@ -24,21 +25,32 @@ state or attack shift x, feeds the same noise block E through the
 agent's first layer, and W1 (x + E) = W1 x + W1 E.  So each agent has one
 slot that holds its block already projected, ``P = (sigma E) @ W1.T``
 (M x hidden), keyed by dim, seed, step, M and sigma and checked against
-a stored copy of W1.  A decision adds the vector ``W1 x + b1`` to P and
-runs the layers after the first (`nn.forward_rest`).  One block per
-agent bounds the memory kept, so a caller must visit addresses in
-order: finish every decision at one (step, agent) before moving on, and
-never come back to an earlier step within one walk.  The tree search
-expands one step level at a time; the attack validation walks the
-certificates step by step and steps its attacked rollouts together.
+a stored copy of W1.  One block per agent bounds the memory kept, so a
+caller must visit addresses in order: finish every decision at one
+(step, agent) before moving on, and never come back to an earlier step
+within one walk.  The tree search expands one step level at a time; the
+attack validation walks the certificates step by step and steps its
+attacked rollouts together.
+
+Draws and decisions write into one scratch vector, room for M rows of
+max(4 ceil(dim / 4), hidden) doubles, made the first time a decision
+needs it and made again when M changes.  A new address frees the
+agent's old projected block, draws the noise into the scratch and
+projects it into a new block.  A decision adds the vector ``W1 x + b1``
+to P in the scratch and runs the layers after the first there
+(`nn.forward_rest` applies the activations in place), so it allocates
+only the M x n_actions values and the M picks.  Reusing the same pages
+spares the page faults that fresh block-sized arrays cost each call.
 
 What the slot trades: a decision skips the M x dim x hidden product, but
 a block used once still pays it, the slot keeps M x hidden numbers
 (64 hidden units against 47 observation components for the built-in
 nets), and since P is of the scaled noise a new sigma draws the block
-again.  The first-layer pre-activations are rounded in another order than
-``forward_batch(x + sigma E)``, so they can differ from it in the last
-bits; every action tally in the recorded benchmark goldens is unchanged.
+again.  The scratch holds one more M x hidden block for the life of the
+process.  The first-layer pre-activations are rounded in another order
+than ``forward_batch(x + sigma E)``, so they can differ from it in the
+last bits; every action tally in the recorded benchmark goldens is
+unchanged.
 """
 
 from __future__ import annotations
@@ -92,10 +104,8 @@ class ActionTally:
         return self.per_agent.shape[0]
 
 
-def _uniform_to_normal(u: np.ndarray, sigma: float) -> np.ndarray:
-    # Generator.random() can emit exactly 0, outside the quantile's domain
-    u = np.maximum(u, 2.0**-54)
-    return std_normal_quantile_vec(u) * sigma
+# lanes a draw packs at once: 64 KiB of float64
+_CHUNK_LANES = 8192
 
 
 def _blocks_per_sample(dim: int) -> int:
@@ -103,19 +113,70 @@ def _blocks_per_sample(dim: int) -> int:
 
 
 def gaussian_noise_block(
-    dim: int, sigma: float, seed: int, step_index: int, agent: int, count: int
+    dim: int,
+    sigma: float,
+    seed: int,
+    step_index: int,
+    agent: int,
+    count: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows 0..count-1 of the (seed, step_index, agent) noise stream.
 
     Row m is the draw at counter block ``m * ceil(dim / 4)``, whatever
-    ``count`` is.
+    ``count`` is.  The uniforms are drawn into ``out``, a float64 vector
+    of at least ``count * 4 * ceil(dim / 4)`` elements, when one is given,
+    or into a new array, and turned into the noise where they lie; the
+    result is a C-contiguous (count, dim) view of its front.
     """
     if not 0.0 < sigma < float("inf"):
         raise ConfigError("sigma must be positive and finite")
     bits = np.random.Philox(key=philox_key(seed, "noise", step_index, agent))
     width = _blocks_per_sample(dim) * 4
-    u = np.random.Generator(bits).random((count, width))
-    return _uniform_to_normal(u[:, :dim], sigma)
+    flat = np.empty(count * width) if out is None else out[: count * width]
+    uniforms = flat.reshape(count, width)
+    np.random.Generator(bits).random(out=uniforms)
+    noise = flat[: count * dim].reshape(count, dim)
+    # each row's first dim uniforms move to the front, clamped, since
+    # Generator.random() can emit exactly 0, outside the quantile's
+    # domain; a chunk overwrites only rows already read
+    rows = max(1, _CHUNK_LANES // width)
+    for start in range(0, count, rows):
+        chunk = slice(start, start + rows)
+        np.maximum(uniforms[chunk, :dim], 2.0**-54, out=noise[chunk])
+    std_normal_quantile_vec(noise, out=noise)
+    noise *= sigma
+    return noise
+
+
+# the float64 vector that noise draws and smoothed decisions write into,
+# and the sample count it was made for
+_scratch_buffer = np.empty(0)
+_scratch_samples = 0
+
+
+def _scratch(net: nn.Mlp, dim: int, samples: int) -> np.ndarray:
+    """A vector with room for ``samples`` rows of a noise draw of width
+    ``dim`` or of ``net``'s first-layer pre-activations.
+
+    One vector serves every draw and decision in turn.  It is made the
+    first time one needs it and made again when the sample count changes
+    or a wider row is needed.  Raises ConfigError when it cannot be
+    allocated.
+    """
+    global _scratch_buffer, _scratch_samples
+    size = samples * max(_blocks_per_sample(dim) * 4, net.layer_dims[1])
+    if _scratch_samples != samples or _scratch_buffer.size < size:
+        _scratch_buffer, _scratch_samples = np.empty(0), 0  # release the old one
+        try:
+            _scratch_buffer = np.empty(size)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(
+                f"samples: {samples} needs {8 * size / 2**30:.3g} GiB for one "
+                "block of smoothing noise, more than can be allocated"
+            ) from exc
+        _scratch_samples = samples
+    return _scratch_buffer
 
 
 # agent -> ((dim, seed, step_index, samples, sigma), copy of the first-layer
@@ -137,8 +198,15 @@ def _projected_block(
     weights = net.weights[0]
     slot = _projected_noise.get(agent)
     if slot is None or slot[0] != key or not np.array_equal(slot[1], weights):
+        _projected_noise.pop(agent, None)  # free the old block before the new
         noise = gaussian_noise_block(
-            dim, cfg.sigma, cfg.seed, step_index, agent, cfg.samples
+            dim,
+            cfg.sigma,
+            cfg.seed,
+            step_index,
+            agent,
+            cfg.samples,
+            _scratch(net, dim, cfg.samples),
         )
         projected = noise @ weights.T
         projected.flags.writeable = False
@@ -162,7 +230,10 @@ def _action_counts(
     net = policy.agent_nets[agent]
     projected = _projected_block(net, base.size, cfg, state.step_count, agent)
     # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
-    values = nn.forward_rest(net, projected + (net.weights[0] @ base + net.biases[0]))
+    first = _scratch(net, base.size, cfg.samples)[: projected.size]
+    first = first.reshape(projected.shape)
+    np.add(projected, net.weights[0] @ base + net.biases[0], out=first)
+    values = nn.forward_rest(net, first)
     picks = np.argmax(values, axis=1)  # first max: lowest-index ties
     return np.bincount(picks, minlength=N_ACTIONS)
 

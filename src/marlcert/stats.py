@@ -16,7 +16,9 @@ Conventions
   cache-sized chunks: the central rational runs on every lane of a chunk
   with ``p - 0.5`` clipped to the central zone, and only the tail lanes,
   found by index, are overwritten.  Every step is elementwise, so the
-  output is bit-identical to evaluating each lane's own branch alone.
+  output is bit-identical to evaluating each lane's own branch alone.  It
+  can write into a caller's array, the input itself included, so a noise
+  draw transforms its uniforms where they lie.
 """
 
 import math
@@ -169,7 +171,7 @@ def _poly(coeffs, r):
 _QUANTILE_CHUNK = 8192
 
 
-def std_normal_quantile_vec(p):
+def std_normal_quantile_vec(p, out=None):
     """Vectorized inverse normal CDF (rational approximation, no polish).
 
     Absolute error in x is a few 1e-16 relative; used for bulk noise
@@ -178,35 +180,50 @@ def std_normal_quantile_vec(p):
     residual contract.
 
     The flattened input is walked in chunks of ``_QUANTILE_CHUNK`` lanes
-    into one preallocated output. In each chunk the central rational runs
-    on every lane with ``q = p - 0.5`` clipped to [-0.425, 0.425], which
-    leaves central lanes unchanged and keeps tail lanes finite; the tail
-    lanes, found by index, are then overwritten with the near or far tail
-    formula. Every operation is elementwise, so the result does not depend
-    on the chunking.
+    into the output. In each chunk the central rational runs on every lane
+    with ``q = p - 0.5`` clipped to [-0.425, 0.425], which leaves central
+    lanes unchanged and keeps tail lanes finite; the tail lanes, found by
+    index, are then overwritten with the near or far tail formula. Every
+    operation is elementwise, so the result does not depend on the
+    chunking, and each chunk is read before it is written, so the output
+    may be the input itself.
 
     Parameters
     ----------
     p : array_like of float in (0, 1)
+    out : numpy.ndarray, optional
+        C-contiguous float64 array of ``p``'s shape to write the result
+        into; it may be ``p`` itself.
 
     Returns
     -------
     numpy.ndarray
-        Same shape as ``p``.
+        ``out``, or a new array of ``p``'s shape.
 
     Raises
     ------
     ValueError
-        If any element lies outside (0, 1) or is NaN.
+        If any element lies outside (0, 1) or is NaN, or if ``out`` is not
+        a C-contiguous float64 array of ``p``'s shape.
     """
     p = np.asarray(p, dtype=np.float64)
+    if out is None:
+        out = np.empty(p.shape)
+    elif (
+        out.shape != p.shape
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {p.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
     flat = p.ravel()
-    x = np.empty(p.shape)
-    x_flat = x.reshape(-1)
+    x_flat = out.reshape(-1)
     for start in range(0, flat.size, _QUANTILE_CHUNK):
         stop = start + _QUANTILE_CHUNK
         _quantile_chunk(flat[start:stop], x_flat[start:stop])
-    return x
+    return out
 
 
 def _quantile_chunk(p, x):
@@ -214,14 +231,14 @@ def _quantile_chunk(p, x):
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("quantile arguments must lie strictly inside (0, 1)")
     q = p - 0.5
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    p_t = p[tail]  # read before x is written: x may be p
     q_c = np.clip(q, -0.425, 0.425)
     r_c = 0.180625 - q_c * q_c
     np.multiply(q_c, _poly(_PPND_A, r_c), out=x)
     x /= _poly(_PPND_B, r_c)
 
-    tail = np.flatnonzero(np.abs(q) > 0.425)
     q_t = q[tail]
-    p_t = p[tail]
     lower = q_t < 0.0
     # p below 1e-300, subnormals included, gets the quantile of 1e-300
     r_t = np.sqrt(-np.log(np.clip(np.where(lower, p_t, 1.0 - p_t), 1e-300, 0.5)))

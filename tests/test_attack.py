@@ -212,6 +212,29 @@ class TestPgdAttackState:
             assert result.flipped is False
 
 
+class TestPgdStep:
+    @pytest.mark.parametrize(
+        "net",
+        [
+            _linear_net(3, [1.0, 0.9, -5.0, -5.0, -5.0]),
+            _random_net(5, (16,), "relu"),
+            _random_net(7, (16, 8), "relu"),
+            _random_net(6, (16, 8), "tanh", scale=3.0),
+        ],
+        ids=["linear", "relu", "relu2", "tanh"],
+    )
+    def test_one_forward_gives_the_values_and_the_input_gradient(self, net):
+        rng = np.random.default_rng(11)
+        X = rng.normal(0.0, 1.0, size=(21, 47))
+        values, inputs = nn.forward_trace(net, X)
+        assert np.array_equal(values, nn.forward_batch(net, X))
+        G = np.zeros_like(values)
+        G[np.arange(21), rng.integers(1, 5, size=21)] = 1.0
+        G[:, 0] = -1.0
+        got = nn.reverse_sweep(net, inputs, G)
+        assert np.array_equal(got, nn.backward_batch(net, X, G)[1])
+
+
 class TestPgdAttackBatch:
     @pytest.mark.parametrize(
         "net",
@@ -270,13 +293,13 @@ class TestPgdAttackBatch:
         spec = _spec2()
         policy = _policy([_const_net(47, [1.0, 3.0, 0.0, 0.0, 0.0])] * 2)
         calls = Counter()
-        backward_batch = nn.backward_batch
+        reverse_sweep = nn.reverse_sweep
 
-        def counting(net, X, G):
-            calls[len(X)] += 1
-            return backward_batch(net, X, G)
+        def counting(net, inputs, G):
+            calls[len(G)] += 1
+            return reverse_sweep(net, inputs, G)
 
-        monkeypatch.setattr(nn, "backward_batch", counting)
+        monkeypatch.setattr(nn, "reverse_sweep", counting)
         results = pgd_attack_batch(
             policy, spec, reset(spec), 0, _cfg(restarts=3), 0.5, range(4)
         )
@@ -449,18 +472,18 @@ class TestValidateCertificates:
         assert len(checked) == 3
         backward = Counter()
         clean = Counter()
-        backward_batch = nn.backward_batch
+        reverse_sweep = nn.reverse_sweep
 
-        def counting_backward(net, X, G):
-            backward[len(X)] += 1
-            return backward_batch(net, X, G)
+        def counting_backward(net, inputs, G):
+            backward[len(G)] += 1
+            return reverse_sweep(net, inputs, G)
 
         def counting_modal(policy, spec, state, agent, noise, delta=None):
             if delta is None:
                 clean[state.step_count, agent] += 1
             return _smoothed_modal(policy, spec, state, agent, noise, delta)
 
-        monkeypatch.setattr(nn, "backward_batch", counting_backward)
+        monkeypatch.setattr(nn, "reverse_sweep", counting_backward)
         monkeypatch.setattr(attack, "_smoothed_modal", counting_modal)
         cfg = AttackConfig(noise=noise, steps=15, restarts=2)
         report = validate_certificates(
@@ -484,9 +507,9 @@ class TestValidateCertificates:
         drawn = []
         inner_block = smoothing.gaussian_noise_block
 
-        def counting_block(dim, sigma, seed, step_index, agent, count):
+        def counting_block(dim, sigma, seed, step_index, agent, count, out=None):
             drawn.append((step_index, agent))
-            return inner_block(dim, sigma, seed, step_index, agent, count)
+            return inner_block(dim, sigma, seed, step_index, agent, count, out)
 
         monkeypatch.setattr(smoothing, "gaussian_noise_block", counting_block)
         report = validate_certificates(

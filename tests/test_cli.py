@@ -282,6 +282,23 @@ class TestModes:
         )
         assert main(["certify-state", "--config", path]) == 3
 
+    # 2**52 rows of 64 float64s are 2 EiB, more than any address space
+    # holds, so the request fails without allocating; 2**60 rows are past
+    # numpy's largest array size
+    @pytest.mark.parametrize("samples", [2**52, 2**60])
+    def test_unallocatable_samples_exit_code(self, tmp_path, capsys, samples):
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env="checkers",
+            checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "o"),
+            samples=samples,
+        )
+        assert main(["certify-state", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"samples: {samples} needs " in err and " GiB " in err
+
     @pytest.mark.parametrize(
         "case",
         [
@@ -443,9 +460,9 @@ class TestModes:
         drawn = []
         inner = smoothing.gaussian_noise_block
 
-        def counting(dim, sigma, seed, step_index, agent, count):
+        def counting(dim, sigma, seed, step_index, agent, count, out=None):
             drawn.append((step_index, agent))
-            return inner(dim, sigma, seed, step_index, agent, count)
+            return inner(dim, sigma, seed, step_index, agent, count, out)
 
         monkeypatch.setattr(smoothing, "gaussian_noise_block", counting)
         cfg = RunConfig(
@@ -659,9 +676,9 @@ class TestModes:
         inner_block = smoothing.gaussian_noise_block
         inner_validate = cli.validate_certificates
 
-        def counting_block(dim, sigma, seed, step_index, agent, count):
+        def counting_block(dim, sigma, seed, step_index, agent, count, out=None):
             drawn.append((step_index, agent))
-            return inner_block(dim, sigma, seed, step_index, agent, count)
+            return inner_block(dim, sigma, seed, step_index, agent, count, out)
 
         def validate(*args, **kwargs):
             before_validation.extend(drawn)

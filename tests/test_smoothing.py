@@ -1,5 +1,7 @@
 """Tests for Gaussian observation smoothing: noise streams, tallies, radii."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import oracles
 from marlcert import nn, smoothing
 from marlcert.envs import N_ACTIONS, observation_length, observe, parse_grid_config, reset
 from marlcert.errors import ConfigError
-from marlcert.policy import JointPolicy, new_policy
+from marlcert.policy import AGENT_HIDDEN, JointPolicy, new_policy
 from marlcert.seeds import philox_key
 from marlcert.smoothing import (
     ActionTally,
@@ -81,6 +83,14 @@ class TestGaussianNoise:
     def test_rejects_sigma_outside_positive_finite(self, sigma):
         with pytest.raises(ConfigError, match="sigma must be positive and finite"):
             gaussian_noise_block(20, sigma, seed=1, step_index=0, agent=0, count=3)
+
+    def test_draws_into_a_given_buffer(self):
+        want = gaussian_noise_block(47, 0.1, seed=7, step_index=3, agent=1, count=13)
+        buffer = np.full(13 * 48 + 5, np.nan)
+        got = gaussian_noise_block(47, 0.1, 7, 3, 1, 13, buffer)
+        assert got.shape == (13, 47) and np.shares_memory(got, buffer)
+        assert np.array_equal(got, want)
+        assert np.isnan(buffer[13 * 48 :]).all()
 
     def test_sample_mean(self):
         block = gaussian_noise_block(
@@ -205,6 +215,54 @@ class TestActionCountsProjection:
             got = smoothing._action_counts(policy, spec, state, 0, cfg)
             assert np.array_equal(got, _oracle_counts(policy, spec, state, 0, cfg))
         assert [args[1] for args in drawn] == [0.4, 0.9]
+
+
+def _peak_bytes(call):
+    """Peak bytes that ``call()`` holds allocated at once."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratch:
+    M = 10000
+    UNIFORMS = M * 48 * 8  # one draw's uniforms for 47 observation components
+    BLOCK = M * AGENT_HIDDEN * 8  # one projected block
+
+    def _setup(self, monkeypatch, rows):
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
+        spec = parse_grid_config(f"map: |\n  {rows}\nstep_cap: 6\n")
+        policy = new_policy(spec, "vdn", np.random.default_rng(3))
+        return spec, policy, reset(spec)
+
+    def _cfg(self, seed):
+        return NoiseConfig(sigma=0.1, samples=self.M, alpha=0.05, seed=seed)
+
+    def test_repeated_tally_allocates_less_than_a_block(self, monkeypatch):
+        spec, policy, state = self._setup(monkeypatch, "1.a\n  2.l")
+        want = sample_tally(policy, spec, state, self._cfg(1))
+        got = []
+        peak = _peak_bytes(
+            lambda: got.append(sample_tally(policy, spec, state, self._cfg(1)))
+        )
+        assert np.array_equal(got[0].per_agent, want.per_agent)
+        assert peak < self.BLOCK
+
+    def test_tally_at_a_new_address_allocates_one_projected_block(
+        self, monkeypatch
+    ):
+        spec, policy, state = self._setup(monkeypatch, "1.a")
+        sample_tally(policy, spec, state, self._cfg(1))
+        got = []
+        peak = _peak_bytes(
+            lambda: got.append(sample_tally(policy, spec, state, self._cfg(2)))
+        )
+        want = _oracle_counts(policy, spec, state, 0, self._cfg(2))
+        assert np.array_equal(got[0].per_agent[0], want)
+        assert peak <= self.UNIFORMS + self.BLOCK + 2**20
 
 
 class TestSampleTally:

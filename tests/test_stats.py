@@ -114,6 +114,42 @@ QUANTILE_EDGES = (
 )
 
 
+class TestQuantileOut:
+    def test_view_of_a_larger_buffer_matches_the_allocating_call(self):
+        rng = np.random.default_rng(8)
+        p = np.maximum(rng.random((700, 47)), 2.0**-54)
+        p[3, :7] = QUANTILE_EDGES
+        want = std_normal_quantile_vec(p)
+        buffer = np.full(700 * 64 + 9, np.nan)
+        out = buffer[: p.size].reshape(p.shape)
+        assert std_normal_quantile_vec(p, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.isnan(buffer[p.size :]).all()
+
+    def test_in_place(self):
+        rng = np.random.default_rng(9)
+        p = np.maximum(rng.random(3 * C + 5), 2.0**-54)
+        p[C - 3 : C + 4] = QUANTILE_EDGES
+        want = std_normal_quantile_vec(p)
+        assert std_normal_quantile_vec(p, out=p) is p
+        assert np.array_equal(p, want)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 5)),
+            np.empty(20),
+            np.empty((5, 4), dtype=np.float32),
+            np.empty((5, 8))[:, :4],
+        ],
+        ids=["transposed", "flat", "float32", "strided"],
+    )
+    def test_wrongly_shaped_out_is_rejected(self, out):
+        p = np.full((5, 4), 0.3)
+        with pytest.raises(ValueError, match="out must be"):
+            std_normal_quantile_vec(p, out=out)
+
+
 def _assert_chunked_quantile_exact(p):
     before = np.array(p, copy=True)
     x = std_normal_quantile_vec(p)
