@@ -277,14 +277,8 @@ def _resolve_moves(spec: GridSpec, positions, actions):
     # cancel contested moves until stable; every round reverts at least one
     # mover, so this ends after at most n_agents rounds
     while True:
-        claims = {}
-        for cell in targets:
-            claims[cell] = claims.get(cell, 0) + 1
-        contested = [
-            i
-            for i, cell in enumerate(targets)
-            if claims[cell] > 1 and cell != positions[i]
-        ]
+        moved = [i for i, cell in enumerate(targets) if cell != positions[i]]
+        contested = [i for i in moved if targets.count(targets[i]) > 1]
         if not contested:
             return tuple(targets)
         for i in contested:
@@ -296,9 +290,7 @@ def step(spec: GridSpec, state: EnvState, actions: JointAction) -> StepOutcome:
     if state.done:
         raise ValueError("cannot step a finished episode")
     if len(actions) != spec.n_agents:
-        raise ValueError(
-            f"expected {spec.n_agents} actions, got {len(actions)}"
-        )
+        raise ValueError(f"expected {spec.n_agents} actions, got {len(actions)}")
     for action in actions:
         if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action {action} out of range")
@@ -307,31 +299,22 @@ def step(spec: GridSpec, state: EnvState, actions: JointAction) -> StepOutcome:
 
     remaining = dict(state.remaining_items)
     reward = 0.0
+    goals = spec.agent_goals
     for idx, cell in enumerate(positions):
         kind = remaining.get(cell)
-        if kind is None:
-            continue
-        if kind == "goal" and spec.agent_goals is not None:
-            if spec.agent_goals[idx] != cell:
-                continue  # someone else's goal: leave it be
+        if kind is None or (kind == "goal" and goals and goals[idx] != cell):
+            continue  # nothing here, or someone else's goal: leave it be
         del remaining[cell]
         reward += spec.reward_table[kind]
 
     step_count = state.step_count + 1
-    had_apples = any(kind == "apple" for kind in spec.items.values())
-    apples_left = any(kind == "apple" for _, kind in remaining.items())
-    done = step_count >= spec.step_cap
-    if had_apples and not apples_left:
-        done = True
-    if spec.agent_goals is not None and positions == spec.agent_goals:
-        done = True
-
-    next_state = EnvState(
-        agent_positions=positions,
-        remaining_items=frozenset(remaining.items()),
-        step_count=step_count,
-        done=done,
+    done = (
+        step_count >= spec.step_cap
+        or ("apple" in spec.items.values() and "apple" not in remaining.values())
+        or positions == spec.agent_goals
     )
+
+    next_state = EnvState(positions, frozenset(remaining.items()), step_count, done)
     return StepOutcome(next_state=next_state, team_reward=reward, done=done)
 
 
@@ -351,30 +334,27 @@ def observe(spec: GridSpec, state: EnvState, agent: int) -> np.ndarray:
     if not 0 <= agent < spec.n_agents:
         raise ValueError(f"no agent {agent}")
     ax, ay = state.agent_positions[agent]
-    item_at = dict(state.remaining_items)
-    others = {
-        cell for i, cell in enumerate(state.agent_positions) if i != agent
-    }
     out = np.zeros(observation_length(spec), dtype=np.float64)
     k = 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            cell = (ax + dx, ay + dy)
-            if not _passable(spec, cell):
+    for y in (ay - 1, ay, ay + 1):
+        for x in (ax - 1, ax, ax + 1):
+            if not (0 <= x < spec.width and 0 <= y < spec.height) or (x, y) in spec.walls:
                 out[k] = 1.0
-            else:
-                kind = item_at.get(cell)
-                if kind == "apple":
-                    out[k + 1] = 1.0
-                elif kind == "lemon":
-                    out[k + 2] = 1.0
-                elif kind == "goal":
-                    out[k + 3] = 1.0
-                if cell in others:
-                    out[k + 4] = 1.0
             k += 5
-    out[k] = ax / max(spec.width - 1, 1)
-    out[k + 1] = ay / max(spec.height - 1, 1)
+    # an item or another agent marks its window cell's channel unless
+    # that cell reads as wall
+    for (x, y), kind in state.remaining_items:
+        if -1 <= x - ax <= 1 and -1 <= y - ay <= 1:
+            k = 5 * (3 * (y - ay) + x - ax + 4)
+            if not out[k]:
+                out[k + 1 + ITEM_KINDS.index(kind)] = 1.0
+    for i, (x, y) in enumerate(state.agent_positions):
+        if i != agent and -1 <= x - ax <= 1 and -1 <= y - ay <= 1:
+            k = 5 * (3 * (y - ay) + x - ax + 4)
+            if not out[k]:
+                out[k + 4] = 1.0
+    out[-2] = ax / max(spec.width - 1, 1)
+    out[-1] = ay / max(spec.height - 1, 1)
     return out
 
 

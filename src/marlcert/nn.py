@@ -15,6 +15,11 @@ checkpoint's payload order below.  A parameter gradient and Adam's moments
 are vectors in that same layout, and ``pack`` moves several nets into one
 vector, so a training step updates them all with one ``adam_step``.
 
+``stack`` views n packed nets of one shape with a leading agent axis, no
+copy: ``params`` (n, P), weight l (n, out, in), bias l (n, out).  Given
+one, ``forward_trace`` and ``reverse_sweep`` make one product per layer
+for all n nets, each net's slice bit for bit what it makes alone.
+
 Checkpoint byte layout (version 1, all integers little-endian):
 
     offset  size  field
@@ -103,14 +108,15 @@ def _layers(dims, flat):
 
     The one place that knows the parameter layout, the checkpoint's payload
     order: W_0 row-major with shape (dims[1], dims[0]), then b_0, then W_1,
-    b_1, and so on.
+    b_1, and so on.  Leading axes of ``flat`` (a ``stack``) lead every view.
     """
     weights, biases = [], []
     k = 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[k : k + fan_out * fan_in].reshape(fan_out, fan_in))
+        W = flat[..., k : k + fan_out * fan_in]
+        weights.append(W.reshape(*flat.shape[:-1], fan_out, fan_in))
         k += fan_out * fan_in
-        biases.append(flat[k : k + fan_out])
+        biases.append(flat[..., k : k + fan_out])
         k += fan_out
     return tuple(weights), tuple(biases)
 
@@ -126,14 +132,40 @@ def pack(nets):
     return flat
 
 
+def stack(nets):
+    """An ``Mlp`` view of ``nets`` with a leading agent axis, sharing their
+    memory.  ValueError unless the nets share layer_dims and activation
+    and lie back to back in one vector, as ``pack`` leaves them."""
+    first, n = nets[0], len(nets)
+    flat = first.params if first.params.base is None else first.params.base
+    start = (_address(first.params) - _address(flat)) // flat.itemsize
+    block = flat[start : start + n * first.params.size]
+    rows = block.reshape(n, -1) if block.size == n * first.params.size else ()
+    if len(rows) != n or any(
+        (net.layer_dims, net.activation, _address(net.params), net.params.shape)
+        != (first.layer_dims, first.activation, _address(row), row.shape)
+        for net, row in zip(nets, rows)
+    ):
+        raise ValueError("stacked nets must share one shape and lie back to back")
+    view = Mlp.__new__(Mlp)
+    view.layer_dims, view.activation = first.layer_dims, first.activation
+    view._adopt(rows)
+    return view
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
 @dataclass
 class AdamState:
-    """Adam's learning rate, moments and step count for one vector."""
+    """Adam's learning rate, moments, step count and two scratch vectors."""
 
     lr: float
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray = field(default=None, repr=False)
 
 
 def mlp_init(layer_dims, activation, rng):
@@ -163,8 +195,10 @@ def _act_grad(net, h):
 
 
 def _check_batch(net, X):
+    # (batch, in), or (n, batch, in) for a stacked view of n nets
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.layer_dims[0]:
+    lead = net.params.shape[:-1]
+    if X.ndim != len(lead) + 2 or X.shape[:-2] + X.shape[-1:] != lead + net.layer_dims[:1]:
         raise ValueError(
             f"input shape {X.shape} incompatible with in_dim {net.layer_dims[0]}"
         )
@@ -196,12 +230,7 @@ def forward_rest(net, Z):
 
 def forward(net, x):
     """Forward map for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.layer_dims[0],):
-        raise ValueError(
-            f"input shape {x.shape} incompatible with in_dim {net.layer_dims[0]}"
-        )
-    return forward_batch(net, x[None, :])[0]
+    return forward_batch(net, np.asarray(x, dtype=np.float64)[None])[0]
 
 
 def forward_trace(net, X):
@@ -209,13 +238,15 @@ def forward_trace(net, X):
 
     Returns (outputs, inputs): the (batch, out_dim) outputs and the list of
     every layer's input, X and then each hidden layer's activations.  The
-    outputs are a new array the caller may overwrite.
+    outputs are a new array the caller may overwrite.  For a ``stack`` view
+    X is (n, batch, in_dim) and every array gains the leading agent axis.
     """
     X = _check_batch(net, X)
     inputs = [X]
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        inputs.append(_act(net, inputs[-1] @ W.T + b))
-    return inputs[-1] @ net.weights[-1].T + net.biases[-1], inputs
+        inputs.append(_act(net, inputs[-1] @ W.swapaxes(-1, -2) + b[..., None, :]))
+    W, b = net.weights[-1], net.biases[-1]
+    return inputs[-1] @ W.swapaxes(-1, -2) + b[..., None, :], inputs
 
 
 def reverse_sweep(net, inputs, G, grad=None):
@@ -223,16 +254,17 @@ def reverse_sweep(net, inputs, G, grad=None):
 
     G is (batch, out_dim), the loss gradient at the outputs.  Returns the
     per-sample input gradients, (batch, in_dim).  When ``grad`` is given,
-    a vector laid out like ``net.params``, the parameter gradient summed
-    over the batch is written into it; otherwise none is formed.
+    an array laid out like ``net.params``, the parameter gradient summed
+    over the batch is written into it; otherwise none is formed.  A
+    ``stack`` view's G, result and ``grad`` have the leading agent axis.
     """
     delta = G
     if grad is not None:
         dW, db = _layers(net.layer_dims, grad)
     for l in range(len(net.weights) - 1, -1, -1):
         if grad is not None:
-            dW[l][...] = delta.T @ inputs[l]
-            db[l][...] = delta.sum(axis=0)
+            dW[l][...] = delta.swapaxes(-1, -2) @ inputs[l]
+            db[l][...] = delta.sum(axis=-2)
         delta = delta @ net.weights[l]
         if l > 0:
             delta = delta * _act_grad(net, inputs[l])
@@ -257,18 +289,15 @@ def backward_batch(net, X, G):
 
 def backward(net, x, output_grad):
     """Single-vector gradients: (parameter gradient, input gradient)."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(output_grad, dtype=np.float64)
-    if x.shape != (net.layer_dims[0],):
-        raise ValueError(f"bad input shape {x.shape}")
-    if g.shape != (net.layer_dims[-1],):
-        raise ValueError(f"bad output_grad shape {g.shape}")
-    grads, gin = backward_batch(net, x[None, :], g[None, :])
+    grads, gin = backward_batch(
+        net, np.asarray(x, dtype=np.float64)[None], np.asarray(output_grad)[None]
+    )
     return grads, gin[0]
 
 
 def adam_init(params, lr):
-    return AdamState(float(lr), np.zeros_like(params), np.zeros_like(params))
+    zeros = np.zeros((4,) + params.shape)
+    return AdamState(float(lr), zeros[0], zeros[1], scratch=zeros[2:])
 
 
 def adam_step(params, grad, state):
@@ -278,11 +307,15 @@ def adam_step(params, grad, state):
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
+    a, b = state.scratch  # every operation below writes into these two
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grad
+    state.m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grad * grad
-    params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
+    state.v += np.multiply(np.multiply(grad, 1.0 - ADAM_BETA2, out=a), grad, out=a)
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order
+    np.multiply(np.divide(state.m, bc1, out=a), state.lr, out=a)
+    a /= np.add(np.sqrt(np.divide(state.v, bc2, out=b), out=b), ADAM_EPS, out=b)
+    params -= a
     if not np.isfinite(params).all():
         raise NumericalError("parameters became non-finite in adam_step")
 

@@ -11,26 +11,30 @@ never lower the team value.
 The trainer is standard TD learning on q_total with a replay buffer, a
 periodically synced target network, and per-agent epsilon-greedy
 exploration.  ``nn.pack`` moves the policy's nets into one parameter
-vector and the target's into another, so each update is one ``adam_step``
-and each sync one copy.  Training uses its own discount (default 0.99);
-certification elsewhere evaluates undiscounted returns.  Everything is
-seeded: the same TrainConfig produces bit-identical checkpoints.
-TrainConfig holds what a run may set (episodes, seed, learning rate,
-discount, augmentation); the batch size, replay capacity, target sync
-period and exploration schedule are the module constants beside
-``TRAIN_EVERY``.
+vector and the target's into another, so each sync is one copy, and
+``nn.stack`` views the agent nets as one net with a leading agent axis.
+An update is one stacked pass (plus the hypernet's for qmix_mono) that
+writes the gradient into one reused vector, then one ``adam_step``; an
+exploration step makes one stacked forward for its greedy agents.
+Training uses its own discount (default 0.99); certification elsewhere
+evaluates undiscounted returns.  Everything is seeded: the same
+TrainConfig produces bit-identical checkpoints.  TrainConfig holds what a
+run may set (episodes, seed, learning rate, discount, augmentation); the
+batch size, replay capacity, target sync period and exploration schedule
+are the module constants beside ``TRAIN_EVERY``.
 
 The replay buffer is a set of preallocated ring arrays indexed by slot:
-observations and next observations ``(capacity, n, obs_len)``, actions
-``(capacity, n)`` int64, rewards, done flags, and for qmix_mono the two
-global encodings (vdn never encodes the global state).  Transition ``t``
-goes to slot ``t % capacity``, and each update gathers its batch with one
-fancy index per array.  The ``obs_noise`` augmentation of a batch is one
-``standard_normal((batch, 2, n, obs_len))`` draw: ``[:, 0]`` perturbs the
-observations and ``[:, 1]`` the next observations, which is the stream
-order of drawing both for each sampled transition in turn.  A step's next
-observation is the following step's observation, so each state is
-observed once.
+observation pairs ``(capacity, 2, n, obs_len)``, ``[:, 0]`` the
+observations and ``[:, 1]`` the next observations, actions ``(capacity,
+n)`` int64, rewards, done flags, and for qmix_mono the global encoding
+pairs in the same order (vdn never encodes the global state).
+Transition ``t`` goes to slot ``t % capacity``, and each update gathers
+its batch with one fancy index per array.  The ``obs_noise``
+augmentation of a batch is one standard normal draw of the gathered
+pairs' shape, which is the stream order of drawing the observations and
+then the next observations for each sampled transition in turn.  A
+step's next observation is the following step's observation, so each
+state is observed once.
 
 A policy checkpoint is a directory: ``manifest.json`` describing shapes and
 mixer kind, one ``agent_<i>.mlp`` network file per agent, and
@@ -133,17 +137,10 @@ def global_encoding_length(spec: GridSpec) -> int:
 
 def encode_global_state(spec: GridSpec, state: EnvState) -> np.ndarray:
     """Normalized agent positions followed by a remaining-item bitmap."""
-    enc = np.empty(global_encoding_length(spec), dtype=np.float64)
-    k = 0
-    for x, y in state.agent_positions:
-        enc[k] = x / max(spec.width - 1, 1)
-        enc[k + 1] = y / max(spec.height - 1, 1)
-        k += 2
-    remaining = state.remaining_items
-    for cell in sorted(spec.items):
-        enc[k] = 1.0 if (cell, spec.items[cell]) in remaining else 0.0
-        k += 1
-    return enc
+    sx, sy = max(spec.width - 1, 1), max(spec.height - 1, 1)
+    enc = [v for x, y in state.agent_positions for v in (x / sx, y / sy)]
+    enc += [float(item in state.remaining_items) for item in sorted(spec.items.items())]
+    return np.array(enc)
 
 
 def new_policy(spec: GridSpec, mixer: str, rng) -> JointPolicy:
@@ -237,6 +234,8 @@ def _epsilon(cfg: TrainConfig, episode: int) -> float:
     return start + (end - start) * t
 
 
+# the finiteness checks report divergence; the overflow before it is not warned
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     spec: GridSpec,
     cfg: TrainConfig,
@@ -249,6 +248,9 @@ def train(
         new_policy(spec, mixer, np.random.default_rng(cfg.init_seed())) for _ in range(2)
     )
     params, target_params = nn.pack(policy.nets), nn.pack(target.nets)
+    agents = nn.stack(policy.agent_nets), nn.stack(target.agent_nets)
+    hypernets = policy.hypernet, target.hypernet
+    grad = np.empty_like(params)
     adam = nn.adam_init(params, cfg.learning_rate)
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
 
@@ -256,44 +258,41 @@ def train(
     obs_len = observation_length(spec)
     # a ring larger than the whole run would never wrap: allocate only that
     capacity = min(REPLAY_CAPACITY, cfg.episodes * spec.step_cap)
-    replay_obs = np.empty((capacity, n, obs_len))
-    replay_next_obs = np.empty((capacity, n, obs_len))
+    replay_obs = np.empty((capacity, 2, n, obs_len))
     replay_acts = np.empty((capacity, n), dtype=np.int64)
     replay_rewards = np.empty(capacity)
     replay_done = np.empty(capacity, dtype=bool)
     if policy.hypernet is not None:
-        enc_len = global_encoding_length(spec)
-        replay_encs = np.empty((capacity, enc_len))
-        replay_next_encs = np.empty((capacity, enc_len))
+        replay_encs = np.empty((capacity, 2, global_encoding_length(spec)))
     env_steps = 0
     updates = 0
 
     for episode in range(cfg.episodes):
         state = reset(spec)
-        obs = np.stack([observe(spec, state, i) for i in range(n)])
+        obs = np.array([observe(spec, state, i) for i in range(n)])
         if policy.hypernet is not None:
             enc = encode_global_state(spec, state)
         eps = _epsilon(cfg, episode)
         while not state.done:
-            actions = []
-            for i in range(n):
-                if rng.random() < eps:
-                    actions.append(int(rng.integers(0, N_ACTIONS)))
-                else:
-                    actions.append(int(np.argmax(nn.forward(policy.agent_nets[i], obs[i]))))
+            # coins and random actions drawn in agent order; -1 marks a greedy agent
+            actions = [
+                int(rng.integers(0, N_ACTIONS)) if rng.random() < eps else -1
+                for _ in range(n)
+            ]
+            if -1 in actions:
+                greedy = nn.forward_trace(agents[0], obs[:, None])[0][:, 0].argmax(axis=1)
+                actions = [g if a < 0 else a for a, g in zip(actions, greedy.tolist())]
             out = step(spec, state, tuple(actions))
             nxt = out.next_state
-            next_obs = np.stack([observe(spec, nxt, i) for i in range(n)])
+            next_obs = np.array([observe(spec, nxt, i) for i in range(n)])
             slot = env_steps % capacity
-            replay_obs[slot] = obs
-            replay_next_obs[slot] = next_obs
+            replay_obs[slot] = obs, next_obs
             replay_acts[slot] = actions
             replay_rewards[slot] = out.team_reward
             replay_done[slot] = out.done
             if policy.hypernet is not None:
                 next_enc = encode_global_state(spec, nxt)
-                replay_encs[slot] = enc
-                replay_next_encs[slot] = next_enc
+                replay_encs[slot] = enc, next_enc
                 enc = next_enc
             env_steps += 1
             state, obs = nxt, next_obs
@@ -302,27 +301,14 @@ def train(
             if env_steps % TRAIN_EVERY or size < BATCH_SIZE:
                 continue
             picks = rng.integers(0, size, BATCH_SIZE)
-            batch_obs = replay_obs[picks]
-            batch_next_obs = replay_next_obs[picks]
+            pairs = replay_obs[picks]
             if cfg.obs_noise > 0:
                 # fresh Gaussian augmentation per draw: values learned this
                 # way stay decisive under smoothing noise of similar scale
-                noise = rng.standard_normal((BATCH_SIZE, 2, n, obs_len))
-                batch_obs = batch_obs + noise[:, 0] * cfg.obs_noise
-                batch_next_obs = batch_next_obs + noise[:, 1] * cfg.obs_noise
-            encs = next_encs = None
-            if policy.hypernet is not None:
-                encs, next_encs = replay_encs[picks], replay_next_encs[picks]
-            batch = (
-                batch_obs,
-                replay_acts[picks],
-                replay_rewards[picks],
-                batch_next_obs,
-                encs,
-                next_encs,
-                replay_done[picks],
-            )
-            _td_update(policy, target, params, adam, batch, cfg, episode)
+                pairs += rng.standard_normal(pairs.shape) * cfg.obs_noise
+            encs = None if policy.hypernet is None else replay_encs[picks]
+            batch = pairs, replay_acts[picks], replay_rewards[picks], encs, replay_done[picks]
+            _td_update(agents, hypernets, params, grad, adam, batch, cfg, episode)
             updates += 1
             if updates % TARGET_SYNC == 0:
                 target_params[:] = params
@@ -332,39 +318,39 @@ def train(
     return policy
 
 
-def _td_update(policy, target, params, adam, batch, cfg, episode):
+def _td_update(agents, hypernets, params, grad, adam, batch, cfg, episode):
     """One TD step on a gathered batch, as one Adam step of ``params``.
 
-    `batch` is (obs (b, n, obs), acts (b, n), rewards (b,), next_obs,
-    encs (b, enc), next_encs, done (b,)); the encodings are None for vdn.
+    ``agents`` and ``hypernets`` are (policy, target) pairs of
+    ``nn.stack`` views of the agent nets and of hypernets (None for vdn);
+    ``grad`` is scratch laid out like ``params``.  `batch` is (pairs (b, 2,
+    n, obs), acts (b, n), rewards (b,), encs (b, 2, enc) or None, done
+    (b,)), with the next observations and encodings at ``[:, 1]``.
     """
-    obs, acts, rewards, next_obs, encs, next_encs, done = batch
+    pairs, acts, rewards, encs, done = batch
     b, n = acts.shape
+    obs, next_obs = pairs.transpose(1, 2, 0, 3)  # each (n, b, obs)
+    hypernet, target_hypernet = hypernets
 
-    # bootstrapped target: each agent's greedy value under the target nets
-    next_chosen = np.empty((b, n))
-    for i in range(n):
-        vals = nn.forward_batch(target.agent_nets[i], next_obs[:, i, :])
-        next_chosen[:, i] = vals.max(axis=1)
-    if policy.mixer == "vdn":
+    # bootstrapped target: each agent's greedy value under the target nets;
+    # the (b, n) tables stay C-ordered, so their row sums add in agent order
+    vals = nn.forward_trace(agents[1], next_obs)[0]
+    next_chosen = vals.max(axis=-1).T.copy()
+    if hypernet is None:
         next_q = next_chosen.sum(axis=1)
     else:
-        hyper_out = nn.forward_batch(target.hypernet, next_encs)
-        next_q = (
-            np.abs(hyper_out[:, :-1]) * next_chosen
-        ).sum(axis=1) + hyper_out[:, -1]
+        hyper_out = nn.forward_trace(target_hypernet, encs[:, 1])[0]
+        next_q = (np.abs(hyper_out[:, :-1]) * next_chosen).sum(axis=1) + hyper_out[:, -1]
     y = rewards + cfg.gamma_train * next_q * (~done)
 
-    chosen = np.empty((b, n))
-    for i in range(n):
-        vals = nn.forward_batch(policy.agent_nets[i], obs[:, i, :])
-        chosen[:, i] = vals[np.arange(b), acts[:, i]]
-    if policy.mixer == "vdn":
+    vals, inputs = nn.forward_trace(agents[0], obs)
+    taken = np.arange(n)[:, None], np.arange(b), acts.T  # (agent, row, action)
+    chosen = vals[taken].T.copy()
+    if hypernet is None:
         q = chosen.sum(axis=1)
         weights = np.ones((b, n))
-        hyper_out = None
     else:
-        hyper_out = nn.forward_batch(policy.hypernet, encs)
+        hyper_out, hyper_inputs = nn.forward_trace(hypernet, encs[:, 0])
         weights = np.abs(hyper_out[:, :-1])
         q = (weights * chosen).sum(axis=1) + hyper_out[:, -1]
 
@@ -374,17 +360,16 @@ def _td_update(policy, target, params, adam, batch, cfg, episode):
         )
 
     dq = 2.0 * (q - y) / b
-    grads = []
-    for i in range(n):
-        grad_out = np.zeros((b, N_ACTIONS))
-        grad_out[np.arange(b), acts[:, i]] = dq * weights[:, i]
-        grads.append(nn.backward_batch(policy.agent_nets[i], obs[:, i, :], grad_out)[0])
-    if policy.mixer == "qmix_mono":
+    grad_out = np.zeros((n, b, N_ACTIONS))
+    grad_out[taken] = weights.T * dq
+    split = agents[0].params.size
+    nn.reverse_sweep(agents[0], inputs, grad_out, grad[:split].reshape(n, -1))
+    if hypernet is not None:
         grad_hyper = np.empty((b, n + 1))
         grad_hyper[:, :-1] = dq[:, None] * np.sign(hyper_out[:, :-1]) * chosen
         grad_hyper[:, -1] = dq
-        grads.append(nn.backward_batch(policy.hypernet, encs, grad_hyper)[0])
-    nn.adam_step(params, np.concatenate(grads), adam)
+        nn.reverse_sweep(hypernet, hyper_inputs, grad_hyper, grad[split:])
+    nn.adam_step(params, grad, adam)
 
 
 def save_policy(policy: JointPolicy, path) -> None:

@@ -207,3 +207,34 @@ def pgd_single_row(
         if margin > best_margin:
             best, best_margin = delta, margin
     return best, False
+
+
+def observe(spec, state, agent):
+    """An agent's 3x3 observation built one window cell at a time: each
+    cell is checked for bounds and walls, then looked up in a dict of the
+    remaining items and a set of the other agents' cells."""
+    ax, ay = state.agent_positions[agent]
+    item_at = dict(state.remaining_items)
+    others = {cell for i, cell in enumerate(state.agent_positions) if i != agent}
+    out = np.zeros(9 * 5 + 2, dtype=np.float64)
+    k = 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            cell = (ax + dx, ay + dy)
+            x, y = cell
+            if not (0 <= x < spec.width and 0 <= y < spec.height) or cell in spec.walls:
+                out[k] = 1.0
+            else:
+                kind = item_at.get(cell)
+                if kind == "apple":
+                    out[k + 1] = 1.0
+                elif kind == "lemon":
+                    out[k + 2] = 1.0
+                elif kind == "goal":
+                    out[k + 3] = 1.0
+                if cell in others:
+                    out[k + 4] = 1.0
+            k += 5
+    out[k] = ax / max(spec.width - 1, 1)
+    out[k + 1] = ay / max(spec.height - 1, 1)
+    return out

@@ -370,9 +370,22 @@ class TestModes:
             episodes=60,
             learning_rate=1e280,
         )
-        # the blow-up itself emits overflow warnings before detection
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--config", path]) == 4
+        assert main(["train", "--config", path]) == 4
+
+    def test_diverging_qmix_training_exits_4_without_warnings(self, tmp_path, capsys):
+        # pytest turns a numpy overflow warning into an error, so this also
+        # checks that the blow-up before detection stays quiet
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env="checkers",
+            mixer="qmix_mono",
+            out=str(tmp_path / "o"),
+            episodes=30,
+            learning_rate="1.0e+280",
+        )
+        assert main(["train", "--config", path]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure: training diverged")
 
     def test_train_honours_gamma_and_obs_noise(self, tmp_path, corridor_env):
         path = _write_config(

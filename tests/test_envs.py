@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from marlcert.envs import (
     ACTION_LEFT,
     ACTION_RIGHT,
@@ -240,6 +241,48 @@ def test_observation_locality():
         s1.done,
     )
     assert np.array_equal(observe(spec, s1, 0), observe(spec, s2, 0))
+
+
+_WALLED_GOALS = """
+map: |
+  ##.##
+  #1a.#
+  .#l2.
+  #...#
+step_cap: 12
+goals:
+  - [3, 3]
+  - [1, 3]
+"""
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "checkers",
+        "switch",
+        "map: |\n  1#\nstep_cap: 5\n",
+        "map: |\n  #al.\n  g12.\n  ....\nstep_cap: 5\n",
+        "map: |\n  12.\nstep_cap: 9\ngoals:\n  - [2, 0]\n  - [0, 0]\n",
+        "map: |\n  1.2\n  .3.\nstep_cap: 9\n",
+        _WALLED_GOALS,
+    ],
+    ids=["checkers", "switch", "wall", "scene", "goals", "three", "walled-goals"],
+)
+def test_observe_matches_per_cell_oracle(grid):
+    spec = builtin_spec(grid) if grid in ("checkers", "switch") else _toy(grid)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        state = reset(spec)
+        while True:
+            for agent in range(spec.n_agents):
+                assert np.array_equal(
+                    observe(spec, state, agent), oracles.observe(spec, state, agent)
+                )
+            if state.done:
+                break
+            actions = tuple(int(a) for a in rng.integers(0, 5, spec.n_agents))
+            state = step(spec, state, actions).next_state
 
 
 def test_step_purity():

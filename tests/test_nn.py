@@ -19,8 +19,11 @@ from marlcert.nn import (
     checkpoint_save,
     forward,
     forward_batch,
+    forward_trace,
     mlp_init,
     pack,
+    reverse_sweep,
+    stack,
 )
 
 
@@ -177,6 +180,52 @@ def test_pack_repoints_nets_into_one_vector():
     flat *= 2.0
     assert np.array_equal(nets[1].params, 2.0 * before[1])
     assert np.array_equal(nets[0].weights[0].ravel(), 2.0 * before[0][:12])
+
+
+@pytest.mark.parametrize("rows", [1, 32])  # one action choice, one TD batch
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(64,), (64, 32)])
+def test_stacked_pass_matches_per_net_passes(rows, activation, hidden):
+    # the agent nets of a policy: same shape, back to back in one vector
+    rng = np.random.default_rng(17)
+    nets = [mlp_init((47,) + hidden + (5,), activation, rng) for _ in range(3)]
+    flat = pack(nets)
+    flat[:] = rng.normal(size=flat.size) * 0.3  # nonzero biases too
+    view = stack(nets)
+    assert view.params.shape == (3, nets[0].params.size)
+    assert all(np.shares_memory(W, flat) for W in view.weights + view.biases)
+    X = rng.normal(size=(rows, 3, 47))  # laid out as the replay's (b, n, obs)
+    G = rng.normal(size=(3, rows, 5))
+    outputs, inputs = forward_trace(view, X.swapaxes(0, 1))
+    grad = np.full_like(flat, np.nan)
+    grad_in = reverse_sweep(view, inputs, G, grad.reshape(3, -1))
+    assert np.array_equal(reverse_sweep(view, inputs, G), grad_in)
+    single = forward_trace(view, X[0][:, None, :])[0]  # as exploration calls it
+    for i, net in enumerate(nets):
+        assert np.array_equal(outputs[i], forward_batch(net, X[:, i, :]))
+        want_grad, want_in = backward_batch(net, X[:, i, :], G[i])
+        assert np.array_equal(grad.reshape(3, -1)[i], want_grad)
+        assert np.array_equal(grad_in[i], want_in)
+        assert np.array_equal(single[i, 0], forward(net, X[0, i]))
+
+
+def test_stack_rejects_nets_that_are_not_one_block():
+    rng = np.random.default_rng(18)
+    a, b, c = (mlp_init((4, 6, 3), "relu", rng) for _ in range(3))
+    pack([a, b, c])
+    assert stack([b, c]).params.shape == (2, 51)
+    assert stack([a]).params.shape == (1, 51)
+    loose = [mlp_init((4, 6, 3), "relu", rng) for _ in range(2)]
+    tanh = [mlp_init((4, 6, 3), "relu", rng), mlp_init((4, 6, 3), "tanh", rng)]
+    dims = [mlp_init((4, 6, 3), "relu", rng), mlp_init((4, 5, 3), "relu", rng)]
+    short = [mlp_init((4, 6, 3), "relu", rng), mlp_init((4, 3), "relu", rng)]
+    for nets in (tanh, dims, short):
+        pack(nets)
+    for nets in ([a, c], [b, a], loose, tanh, dims, short):
+        with pytest.raises(ValueError):
+            stack(nets)
+    with pytest.raises(ValueError):
+        forward_trace(stack([a, b]), np.zeros((3, 1, 4)))  # three inputs, two nets
 
 
 class TestAdam:
