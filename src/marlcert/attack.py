@@ -22,23 +22,22 @@ row of a single array, and the rows step together: each step runs one
 gradient and no second forward pass.  Restart 0 starts at the clean
 observation and depends on no seed, so the batch holds it once for all
 seeds.
-Each row's end point is still judged on its own by the full CRN smoothed
-decision, which counts actions exactly as ``smoothing.sample_tally``
-does for the certificates.  ``pgd_attack_state`` is the one-seed batch.
-``attacked_rollout`` applies the attack persistently along an episode,
-one episode per seed.
+Each row's end point is still judged on its own by the CRN smoothed
+decision, which counts actions as ``smoothing.sample_tally`` does for
+the certificates but stops once the leader's lead exceeds the rows left,
+so its action is always the full vote's.  ``pgd_attack_state`` is the
+one-seed batch.  ``attacked_rollout`` applies the attack persistently
+along an episode, one episode per seed, all episodes stepping together.
 
 Every smoothed decision at one step and agent reads one noise address,
 and each agent's smoothing slot holds one block, so validation visits
-addresses in order.  ``validate_certificates`` walks the certificates
-once: for each one it checks every agent's recorded action against a
-fresh smoothed decision, then attacks each certified agent with all its
-trials in one batch at its certified radius, and again at twice that
-radius as a contrast, before it moves to the next step.
-``attacked_rollout`` steps all its episodes together, and the episodes
-that stand on the same state share one batch per agent.  Each
-(step, agent) block is thus drawn once by the walk and once by the
-rollouts.
+addresses in step order.  ``validate_certificates`` walks the
+certificates by step: at step t it checks every agent's recorded action
+against a fresh smoothed decision, attacks each certified agent with all
+its trials in one batch at its certified radius, and again at twice that
+radius as a contrast, and then advances every live attacked rollout by
+step t, the episodes that stand on the same state sharing one batch per
+agent.  Each (step, agent) block is thus drawn once in validation.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .envs import EnvState, GridSpec, observe, reset, step
 from .errors import ConfigError
 from .policy import JointPolicy
 from .seeds import derive_seed
-from .smoothing import NoiseConfig, _action_counts
+from .smoothing import NoiseConfig, _running_counts
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,10 @@ class ValidationReport:
     rmin_violated: bool
 
 
+# rows after which a vote checks for a settled winner, in percent of M
+_VOTE_CUTS = (51, 60, 80, 100)
+
+
 def _smoothed_modal(
     policy: JointPolicy,
     spec: GridSpec,
@@ -116,8 +119,16 @@ def _smoothed_modal(
     noise: NoiseConfig,
     delta: np.ndarray | None = None,
 ) -> int:
-    """Modal greedy action under the certification noise stream."""
-    return int(np.argmax(_action_counts(policy, spec, state, agent, noise, delta)))
+    """Modal greedy action under the certification noise stream, the
+    lowest-index argmax of ``_action_counts``.  The vote stops once the
+    leader's lead exceeds the rows not yet counted."""
+    samples = noise.samples
+    cuts = sorted({max(samples // 2 + 1, samples * cut // 100) for cut in _VOTE_CUTS})
+    for counted, counts in _running_counts(policy, spec, state, agent, noise, delta, cuts):
+        *_, runner, top = np.sort(counts)
+        if top - runner > samples - counted:
+            break
+    return int(np.argmax(counts))
 
 
 def _margins(net: nn.Mlp, X: np.ndarray, modal: int) -> np.ndarray:
@@ -233,18 +244,9 @@ def pgd_attack_state(
     return pgd_attack_batch(policy, spec, state, agent, cfg, epsilon, (seed,))[0]
 
 
-def attacked_rollout(
-    policy: JointPolicy, spec: GridSpec, cfg: AttackConfig, epsilon: float, seeds
-) -> tuple:
-    """Episodes under persistent attack on every agent's observation, one
-    result per seed.
-
-    Each step attacks all agents independently within the budget and
-    executes the resulting (possibly flipped) smoothed actions.  The
-    trials step together, and the trials that stand on the same state
-    share one ``pgd_attack_batch`` call per agent, so a trial's result is
-    the one its seed would get alone.
-    """
+def _rollout_steps(policy, spec, cfg, epsilon, seeds):
+    """``attacked_rollout`` one step at a time: after each step that the
+    live episodes take together, yields every episode's result so far."""
     states = [reset(spec)] * len(seeds)
     totals = [0.0] * len(states)
     ever_flipped = [[False] * policy.n_agents for _ in states]
@@ -267,10 +269,22 @@ def attacked_rollout(
             totals[trial] += outcome.team_reward
             states[trial] = outcome.next_state
         live = [trial for trial in live if not states[trial].done]
-    return tuple(
-        RolloutResult(total, tuple(flipped))
-        for total, flipped in zip(totals, ever_flipped)
-    )
+        yield tuple(map(RolloutResult, totals, map(tuple, ever_flipped)))
+
+
+def attacked_rollout(
+    policy: JointPolicy, spec: GridSpec, cfg: AttackConfig, epsilon: float, seeds
+) -> tuple:
+    """Episodes under persistent attack on every agent's observation, one
+    result per seed.
+
+    Each step attacks all agents independently within the budget and
+    executes the resulting (possibly flipped) smoothed actions.  The
+    trials step together, and the trials that stand on the same state
+    share one ``pgd_attack_batch`` call per agent, so a trial's result is
+    the one its seed would get alone.
+    """
+    return [(), *_rollout_steps(policy, spec, cfg, epsilon, seeds)][-1]
 
 
 def validate_certificates(
@@ -289,10 +303,11 @@ def validate_certificates(
     seeds derived from ``seed`` at its certified radius (flips here
     would falsify the certificate) and one more at twice the radius as a
     contrast.  Rollout attacks at the reward certificate's epsilon check
-    that no episode scores below its bound.  Raises ConfigError (exit
+    that no episode scores below its bound; they advance by step t once
+    the certificates of step t are attacked.  Raises ConfigError (exit
     code 2) when ``trials`` is below 1, when a certificate's step index
-    disagrees with its state, or when its recorded actions disagree with
-    this policy and noise configuration.
+    disagrees with its state (checked before any attack), or when its
+    recorded actions disagree with this policy and noise configuration.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -306,12 +321,18 @@ def validate_certificates(
         results = pgd_attack_batch(policy, spec, cert.state, agent, cfg, epsilon, seeds)
         return sum(result.flipped for result in results)
 
-    checked = 0
-    in_flips = 0
-    contrast_flips = 0
     for cert in state_certificates:
         if cert.step_index != cert.state.step_count:
             raise ConfigError("certificate state/step mismatch")
+    rollout_seeds = [derive_seed(seed, "validate-rollout", t) for t in range(rollout_trials)]
+    epsilon = reward_certificate.epsilon_cert
+    rollouts = _rollout_steps(policy, spec, cfg, epsilon, rollout_seeds)
+    checked = in_flips = contrast_flips = taken = 0
+    results = ()
+    for cert in sorted(state_certificates, key=lambda cert: cert.step_index):
+        while taken < cert.step_index:  # the rollouts' steps before this one
+            results = next(rollouts, results)
+            taken += 1
         for agent in range(policy.n_agents):
             fresh = _smoothed_modal(policy, spec, cert.state, agent, cfg.noise)
             if fresh != cert.actions[agent]:
@@ -322,14 +343,9 @@ def validate_certificates(
             in_flips += flips(cert, agent, 1.0)
             contrast_flips += flips(cert, agent, 2.0)
             checked += 1
-    rollouts = attacked_rollout(
-        policy,
-        spec,
-        cfg,
-        reward_certificate.epsilon_cert,
-        [derive_seed(seed, "validate-rollout", trial) for trial in range(rollout_trials)],
-    )
-    rewards = tuple(rollout.attacked_reward for rollout in rollouts)
+    for results in rollouts:  # the steps that outlive the last certificate
+        pass
+    rewards = tuple(rollout.attacked_reward for rollout in results)
     return ValidationReport(
         states_checked=len(state_certificates),
         agents_checked=checked,

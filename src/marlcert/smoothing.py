@@ -19,18 +19,19 @@ through the inverse CDF (`stats.std_normal_quantile_vec`, which walks
 them in cache-sized chunks) and scaled, all in place.  A caller that
 passes a buffer gets them drawn into it, so the draw makes none.
 
-`sample_tally` and the attacks count actions through `_action_counts`.
-At one (seed, step, agent) address every smoothed decision, whatever the
-state or attack shift x, feeds the same noise block E through the
-agent's first layer, and W1 (x + E) = W1 x + W1 E.  So each agent has one
-slot that holds its block already projected, ``P = (sigma E) @ W1.T``
-(M x hidden), keyed by dim, seed, step, M and sigma and checked against
-a stored copy of W1.  One block per agent bounds the memory kept, so a
-caller must visit addresses in order: finish every decision at one
-(step, agent) before moving on, and never come back to an earlier step
-within one walk.  The tree search expands one step level at a time; the
-attack validation walks the certificates step by step and steps its
-attacked rollouts together.
+`sample_tally` and the attacks count actions through `_running_counts`,
+a range of rows at a time: a tally counts all M rows, an attack's vote
+stops once its winner is settled.  At one (seed, step, agent) address
+every smoothed decision, whatever the state or attack shift x, feeds the
+same noise block E through the agent's first layer, and W1 (x + E) =
+W1 x + W1 E.  So each agent has one slot that holds its block already
+projected, ``P = (sigma E) @ W1.T`` (M x hidden), keyed by dim, seed,
+step, M and sigma and checked against a stored copy of W1.  One block
+per agent bounds the memory kept, so a caller must visit addresses in
+order: finish every decision at one (step, agent) before moving on, and
+never come back to an earlier step within one walk.  The tree search
+expands one step level at a time; the attack validation attacks the
+certificates of step t, then advances all its attacked rollouts by it.
 
 Draws and decisions write into one scratch vector, room for M rows of
 max(4 ceil(dim / 4), hidden) doubles, made the first time a decision
@@ -214,28 +215,31 @@ def _projected_block(
     return slot[2]
 
 
-def _action_counts(
-    policy: JointPolicy,
-    spec: GridSpec,
-    state: EnvState,
-    agent: int,
-    cfg: NoiseConfig,
-    delta: np.ndarray | None = None,
-) -> np.ndarray:
-    """Agent's greedy-action counts over the M noisy copies of its
-    observation, shifted by ``delta`` when one is given."""
+def _running_counts(policy, spec, state, agent, cfg, delta, cuts):
+    """Agent's greedy-action counts over the first ``cut`` noisy copies of
+    its observation (shifted by ``delta`` unless None) after each of the
+    increasing ``cuts``, as (cut, counts); no row's pick depends on them."""
     base = observe(spec, state, agent)
     if delta is not None:
         base = base + delta
     net = policy.agent_nets[agent]
     projected = _projected_block(net, base.size, cfg, state.step_count, agent)
     # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
-    first = _scratch(net, base.size, cfg.samples)[: projected.size]
-    first = first.reshape(projected.shape)
-    np.add(projected, net.weights[0] @ base + net.biases[0], out=first)
-    values = nn.forward_rest(net, first)
-    picks = np.argmax(values, axis=1)  # first max: lowest-index ties
-    return np.bincount(picks, minlength=N_ACTIONS)
+    shift = net.weights[0] @ base + net.biases[0]
+    scratch = _scratch(net, base.size, cfg.samples)
+    counts = np.zeros(N_ACTIONS, dtype=np.int64)
+    for start, stop in zip([0, *cuts], cuts):
+        first = scratch[: (stop - start) * shift.size].reshape(-1, shift.size)
+        np.add(projected[start:stop], shift, out=first)
+        picks = np.argmax(nn.forward_rest(net, first), axis=1)  # lowest-index ties
+        counts = counts + np.bincount(picks, minlength=N_ACTIONS)
+        yield stop, counts
+
+
+def _action_counts(policy, spec, state, agent, cfg, delta=None) -> np.ndarray:
+    """Agent's greedy-action counts over the M noisy copies of its
+    observation, shifted by ``delta`` when one is given."""
+    return next(_running_counts(policy, spec, state, agent, cfg, delta, [cfg.samples]))[1]
 
 
 def sample_tally(

@@ -3,8 +3,11 @@
 Deliberately slow and simple: arbitrary-precision special functions (mpmath),
 exact rational binomial sums (fractions.Fraction), bisection root finding,
 naive enumeration, one-row-at-a-time gradient ascent and noise draws.
-Nothing in this file calls into marlcert, so each check in the test suite
-compares two independent routes to the same quantity.
+Nothing in this file imports marlcert, so each check in the test suite
+compares two independent routes to the same quantity.  The one exception
+is ``validate_two_phase``, a reference for the order of a walk rather
+than for its arithmetic: it takes the attack module as an argument and
+composes that module's own attacks in the order the walk replaced.
 """
 
 import math
@@ -238,3 +241,67 @@ def observe(spec, state, agent):
     out[k] = ax / max(spec.width - 1, 1)
     out[k + 1] = ay / max(spec.height - 1, 1)
     return out
+
+
+def validate_two_phase(
+    attack, policy, spec, state_certificates, reward_certificate, cfg, seed,
+    trials, rollout_trials=5,
+):
+    """Certificate validation in two phases: every certificate in list
+    order (its step index, its recorded actions, then PGD batches at one
+    and two times each certified radius), and only then every attacked
+    rollout at once through ``attack.attacked_rollout``.
+
+    ``attack`` is the ``marlcert.attack`` module; the walk uses its
+    ``pgd_attack_batch``, ``_smoothed_modal``, ``attacked_rollout``,
+    ``derive_seed``, ``ConfigError`` and ``ValidationReport``.
+    """
+    if trials < 1:
+        raise attack.ConfigError("trials must be at least 1")
+
+    def flips(cert, agent, scale):
+        seeds = [
+            attack.derive_seed(seed, "validate", cert.step_index, agent, trial, scale)
+            for trial in range(trials)
+        ]
+        epsilon = scale * cert.per_agent_radius[agent]
+        results = attack.pgd_attack_batch(
+            policy, spec, cert.state, agent, cfg, epsilon, seeds
+        )
+        return sum(result.flipped for result in results)
+
+    checked = in_flips = contrast_flips = 0
+    for cert in state_certificates:
+        if cert.step_index != cert.state.step_count:
+            raise attack.ConfigError("certificate state/step mismatch")
+        for agent in range(policy.n_agents):
+            fresh = attack._smoothed_modal(policy, spec, cert.state, agent, cfg.noise)
+            if fresh != cert.actions[agent]:
+                raise attack.ConfigError(
+                    "certificates do not match this policy/noise configuration"
+                )
+        for agent in sorted(cert.certified_set):
+            in_flips += flips(cert, agent, 1.0)
+            contrast_flips += flips(cert, agent, 2.0)
+            checked += 1
+    rollouts = attack.attacked_rollout(
+        policy,
+        spec,
+        cfg,
+        reward_certificate.epsilon_cert,
+        [
+            attack.derive_seed(seed, "validate-rollout", trial)
+            for trial in range(rollout_trials)
+        ],
+    )
+    rewards = tuple(rollout.attacked_reward for rollout in rollouts)
+    return attack.ValidationReport(
+        states_checked=len(state_certificates),
+        agents_checked=checked,
+        in_ball_trials=trials * checked,
+        in_ball_flips=in_flips,
+        contrast_trials=trials * checked,
+        contrast_flips=contrast_flips,
+        rollout_rewards=rewards,
+        rmin_violated=any(reward < reward_certificate.r_min for reward in rewards),
+    )

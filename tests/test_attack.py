@@ -18,12 +18,12 @@ from marlcert.attack import (
     pgd_attack_state,
     validate_certificates,
 )
-from marlcert.certify import certify_trajectory, crsc, tcrgr
+from marlcert.certify import certify_trajectory, crsc, decide, tcrgr
 from marlcert.envs import builtin_spec, observe, parse_grid_config, reset, step
 from marlcert.errors import ConfigError
 from marlcert.policy import JointPolicy, load_policy
 from marlcert.seeds import derive_seed
-from marlcert.smoothing import NoiseConfig
+from marlcert.smoothing import NoiseConfig, _action_counts, _running_counts
 
 _NULL_COMPONENT = 20
 _CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
@@ -496,9 +496,7 @@ class TestValidateCertificates:
         # one decision checks the certificate, then one per scale's batch
         assert clean == Counter({key: 1 + 2 for key in checked})
 
-    def test_draws_each_block_once_in_the_walk_and_once_in_the_rollouts(
-        self, monkeypatch
-    ):
+    def test_draws_each_address_once_in_step_order(self, monkeypatch):
         policy, spec, noise = _checkers_vdn(100)
         bound = tcrgr(policy, spec, noise)
         certs = [crsc(decision, noise) for decision in bound.clean_path]
@@ -517,9 +515,13 @@ class TestValidateCertificates:
         )
         assert report.agents_checked > 0
         assert len(report.rollout_rewards) == 3
-        walk = [(t, n) for t in range(len(certs)) for n in range(policy.n_agents)]
         assert len(certs) >= 2
-        assert drawn == walk + walk
+        # the certificates and the rollouts read each address once, and
+        # no address is left for a later one
+        assert len(set(drawn)) == len(drawn)
+        assert drawn == sorted(drawn)
+        walk = {(t, n) for t in range(len(certs)) for n in range(policy.n_agents)}
+        assert walk <= set(drawn)
 
     def test_trials_below_one_is_a_config_error(self):
         spec, policy, certs, bound, cfg = self._setup()
@@ -542,3 +544,216 @@ class TestValidateCertificates:
         shifted = [dataclasses.replace(certs[0], step_index=1), *certs[1:]]
         with pytest.raises(ConfigError, match="step mismatch"):
             validate_certificates(policy, spec, shifted, bound, cfg, 9, trials=1)
+
+
+def _counted_rows(monkeypatch):
+    """Count the rows of every ``nn.forward_rest`` call and keep its picks."""
+    rows = []
+    picks = []
+    inner = nn.forward_rest
+
+    def counting(net, Z):
+        rows.append(len(Z))
+        values = inner(net, Z)
+        picks.append(np.argmax(values, axis=1))
+        return values
+
+    monkeypatch.setattr(nn, "forward_rest", counting)
+    return rows, picks
+
+
+def _random_states(spec, n_agents, seed, count):
+    """States reached by random joint actions, one per episode."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        state = reset(spec)
+        for _ in range(rng.integers(0, spec.step_cap)):
+            outcome = step(spec, state, tuple(rng.integers(0, 5, size=n_agents)))
+            if outcome.next_state.done:
+                break
+            state = outcome.next_state
+        states.append(state)
+    return states
+
+
+_VOTE_SAMPLES = (2, 3, 7, 100, 1000, 1001)
+
+
+def _vote_cases(name):
+    if name == "checkers-vdn":
+        return load_policy(str(_CHECKERS_VDN)), builtin_spec("checkers")
+    net = {
+        "relu": _random_net(5, (16,), "relu"),
+        "tanh": _random_net(6, (16, 8), "tanh", scale=3.0),
+    }[name]
+    return _policy([net, _random_net(7, (16, 8), "relu")]), _spec2()
+
+
+class TestSmoothedVote:
+    """The early-stopping vote against the full M-row count."""
+
+    @pytest.mark.parametrize("sigma", [0.06, 0.5])
+    @pytest.mark.parametrize("name", ["relu", "tanh", "checkers-vdn"])
+    def test_vote_is_the_full_counts_argmax(self, monkeypatch, name, sigma):
+        policy, spec = _vote_cases(name)
+        rng = np.random.default_rng(31)
+        rows, _ = _counted_rows(monkeypatch)
+        stopped = 0
+        for samples in _VOTE_SAMPLES:
+            noise = _noise(sigma=sigma, samples=samples)
+            for state in _random_states(spec, policy.n_agents, samples, 3):
+                for agent in range(policy.n_agents):
+                    for scale in (0.0, sigma, 3 * sigma):
+                        delta = None if scale == 0.0 else scale * rng.standard_normal(47)
+                        counts = _action_counts(policy, spec, state, agent, noise, delta)
+                        want = int(np.argmax(counts))
+                        del rows[:]
+                        got = _smoothed_modal(policy, spec, state, agent, noise, delta)
+                        assert got == want
+                        assert sum(rows) <= samples
+                        stopped += sum(rows) < samples
+        assert stopped > 0
+
+    @pytest.mark.parametrize("samples", _VOTE_SAMPLES)
+    def test_unanimous_vote_stops_just_past_half(self, monkeypatch, samples):
+        spec = _spec2()
+        # the top two outputs are equal, so only the lowest-index rule
+        # decides each row, and every row picks action 1
+        tied = _const_net(47, [0.0, 2.0, 2.0, 0.0, 0.0])
+        policy = _policy([tied, tied])
+        noise = _noise(samples=samples)
+        rows, _ = _counted_rows(monkeypatch)
+        assert _smoothed_modal(policy, spec, reset(spec), 0, noise) == 1
+        assert sum(rows) == max(samples // 2 + 1, samples * 51 // 100)
+        assert samples / 2 < sum(rows) <= 0.51 * samples + 1
+        del rows[:]
+        counts = _action_counts(policy, spec, reset(spec), 1, noise)
+        assert counts.tolist() == [0, samples, 0, 0, 0]
+        assert rows == [samples]
+
+    @pytest.mark.parametrize("samples", [2, 100, 1000])
+    def test_tied_vote_counts_every_row(self, monkeypatch, samples):
+        # action 0 or 1 by the sign of one noise component: find a seed
+        # whose counts tie, so the lowest-index rule decides the vote
+        spec = _spec2()
+        policy = _policy([_flip_net(47), _flip_net(47)])
+        for seed in range(1000):
+            noise = _noise(sigma=0.5, samples=samples, seed=seed)
+            counts = _action_counts(policy, spec, reset(spec), 0, noise)
+            if counts[0] == counts[1]:
+                break
+        assert counts[0] == counts[1] == samples // 2
+        rows, _ = _counted_rows(monkeypatch)
+        assert _smoothed_modal(policy, spec, reset(spec), 0, noise) == 0
+        assert sum(rows) == samples
+
+    @pytest.mark.parametrize("name", ["relu", "tanh", "checkers-vdn"])
+    def test_chunked_picks_equal_the_full_blocks(self, monkeypatch, name):
+        policy, spec = _vote_cases(name)
+        _, picks = _counted_rows(monkeypatch)
+        for samples in (1000, 1001):
+            for sigma in (0.06, 0.5):
+                noise = _noise(sigma=sigma, samples=samples)
+                cuts = [1, 333, samples // 2 + 1, 4 * samples // 5, samples]
+                for state in _random_states(spec, policy.n_agents, 3, 2):
+                    for agent in range(policy.n_agents):
+                        del picks[:]
+                        chunked = list(_running_counts(
+                            policy, spec, state, agent, noise, None, cuts
+                        ))
+                        assert len(picks) == len(cuts)
+                        chunked_picks = np.concatenate(picks)
+                        del picks[:]
+                        full = _action_counts(policy, spec, state, agent, noise)
+                        (full_picks,) = picks
+                        assert np.array_equal(chunked_picks, full_picks)
+                        assert np.array_equal(chunked[-1][1], full)
+                        assert [cut for cut, _ in chunked] == cuts
+                        for cut, counts in chunked:
+                            assert counts.sum() == cut
+
+
+def _attack_step_states(spec, steps):
+    """The first ``steps`` states of an episode whose one agent stays put."""
+    states = [reset(spec)]
+    for _ in range(steps - 1):
+        states.append(step(spec, states[-1], (4,)).next_state)
+    return states
+
+
+class TestValidationWalk:
+    """The step-interleaved walk against the two-phase reference."""
+
+    def _checkers(self):
+        # at M = 1000 the contrast attacks flip some agents
+        policy, spec, noise = _checkers_vdn(1000)
+        bound = tcrgr(policy, spec, noise)
+        certs = [crsc(decision, noise) for decision in bound.clean_path]
+        cfg = AttackConfig(noise=noise, steps=3, restarts=2)
+        return policy, spec, certs, bound, cfg
+
+    @staticmethod
+    def _both(policy, spec, certs, bound, cfg, **kw):
+        got = validate_certificates(policy, spec, certs, bound, cfg, 9, trials=2, **kw)
+        want = oracles.validate_two_phase(
+            attack, policy, spec, certs, bound, cfg, 9, trials=2, **kw
+        )
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize(
+        "order", ["in_order", "reversed", "duplicates", "gaps", "empty", "outlived"]
+    )
+    def test_matches_two_phase_reference(self, order):
+        policy, spec, certs, bound, cfg = self._checkers()
+        assert len(certs) >= 4
+        case = {
+            "in_order": certs,
+            "reversed": certs[::-1],
+            "duplicates": [certs[1], certs[0], certs[1], *certs[1:]],
+            "gaps": certs[::2],
+            "empty": [],
+            "outlived": certs[:1],  # the rollouts run on past the last one
+        }[order]
+        report = self._both(policy, spec, case, bound, cfg, rollout_trials=3)
+        assert report.states_checked == len(case)
+        assert len(report.rollout_rewards) == 3
+        if order == "in_order":
+            assert report.agents_checked > 0 and report.contrast_flips > 0
+
+    def test_rollouts_that_end_before_the_last_certificate(self):
+        # the agent eats the apple at step 0, which ends the rollouts,
+        # while the certificates stand on states where it waited
+        spec = parse_grid_config("map: |\n  1a..\nstep_cap: 6\nrewards:\n  apple: 10.0\n")
+        policy = _policy([_const_net(47, [0.0, 0.0, 0.0, 1.0, 0.0])])
+        noise = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=17)
+        bound = tcrgr(policy, spec, noise)
+        certs = [
+            crsc(decide(policy, spec, state, noise), noise)
+            for state in _attack_step_states(spec, 4)
+        ]
+        cfg = AttackConfig(noise=noise, steps=2, restarts=2)
+        report = self._both(policy, spec, certs, bound, cfg, rollout_trials=2)
+        assert report.agents_checked == 4
+        assert report.rollout_rewards == (10.0, 10.0)
+
+    @pytest.mark.parametrize("fault", ["foreign", "step_mismatch"])
+    def test_raises_what_the_reference_raises(self, fault):
+        policy, spec, certs, bound, cfg = self._checkers()
+        if fault == "foreign":
+            other = _checkers_vdn(1000)[0]
+            other.agent_nets[0].biases[-1][:] += np.array([0.0, 0.0, 0.0, 0.0, 50.0])
+            policy_used = other
+        else:
+            certs = [*certs[:2], dataclasses.replace(certs[2], step_index=0), *certs[3:]]
+            policy_used = policy
+        errors = []
+        for validate in (validate_certificates, oracles.validate_two_phase):
+            args = (policy_used, spec, certs, bound, cfg, 9)
+            if validate is oracles.validate_two_phase:
+                args = (attack, *args)
+            with pytest.raises(ConfigError) as info:
+                validate(*args, trials=1, rollout_trials=2)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
