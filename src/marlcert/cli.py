@@ -95,11 +95,11 @@ class RunConfig:
     seed: int = 0
     mixer: str = "vdn"
     episodes: int = 2000
-    learning_rate: float = 1e-3
-    gamma_train: float = 0.99
-    obs_noise: float = 0.0
-    attack_steps: int = 40
-    attack_restarts: int = 5
+    learning_rate: float = TrainConfig.learning_rate
+    gamma_train: float = TrainConfig.gamma_train
+    obs_noise: float = TrainConfig.obs_noise
+    attack_steps: int = AttackConfig.steps
+    attack_restarts: int = AttackConfig.restarts
     attack_trials: int = 20
     rollout_trials: int = 5
     inputs: tuple = ()
@@ -208,7 +208,7 @@ def _require_checkpoint(cfg: RunConfig, spec):
             f"the grid has {spec.n_agents}"
         )
     width = observation_length(spec)
-    if any(net.layer_dims[0] != width for net in policy.agent_nets):
+    if policy.agents.layer_dims[0] != width:
         raise CheckpointError(
             f"incompatible checkpoint data: an agent network does not read "
             f"{width} observation features"

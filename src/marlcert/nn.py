@@ -11,14 +11,13 @@ the parameter gradient; an attack takes the action values from the
 trace and asks the sweep for the input gradient alone.
 
 A net keeps every parameter in one vector, ``Mlp.params``, in the
-checkpoint's payload order below.  A parameter gradient and Adam's moments
-are vectors in that same layout, and ``pack`` moves several nets into one
-vector, so a training step updates them all with one ``adam_step``.
-
-``stack`` views n packed nets of one shape with a leading agent axis, no
-copy: ``params`` (n, P), weight l (n, out, in), bias l (n, out).  Given
-one, ``forward_trace`` and ``reverse_sweep`` make one product per layer
-for all n nets, each net's slice bit for bit what it makes alone.
+checkpoint's payload order below, and a parameter gradient and Adam's
+moments are vectors in that same layout.  ``mlp_view`` makes a net of a
+given vector without a copy: of a slice, or of an (n, P) block that holds
+n nets of one shape with a leading agent axis, ``params`` (n, P), weight
+l (n, out, in), bias l (n, out).  Given such a block, ``forward_trace``
+and ``reverse_sweep`` make one product per layer for all n nets, each
+net's slice bit for bit what it makes alone.
 
 Checkpoint byte layout (version 1, all integers little-endian):
 
@@ -108,7 +107,7 @@ def _layers(dims, flat):
 
     The one place that knows the parameter layout, the checkpoint's payload
     order: W_0 row-major with shape (dims[1], dims[0]), then b_0, then W_1,
-    b_1, and so on.  Leading axes of ``flat`` (a ``stack``) lead every view.
+    b_1, and so on.  Leading axes of ``flat`` (a block of nets) lead every view.
     """
     weights, biases = [], []
     k = 0
@@ -121,40 +120,13 @@ def _layers(dims, flat):
     return tuple(weights), tuple(biases)
 
 
-def pack(nets):
-    """Move ``nets`` into one new parameter vector, in order, and return it:
-    each net's ``params``, ``weights`` and ``biases`` become views into it."""
-    flat = np.concatenate([net.params for net in nets])
-    k = 0
-    for net in nets:
-        net._adopt(flat[k : k + net.params.size])
-        k += net.params.size
-    return flat
-
-
-def stack(nets):
-    """An ``Mlp`` view of ``nets`` with a leading agent axis, sharing their
-    memory.  ValueError unless the nets share layer_dims and activation
-    and lie back to back in one vector, as ``pack`` leaves them."""
-    first, n = nets[0], len(nets)
-    flat = first.params if first.params.base is None else first.params.base
-    start = (_address(first.params) - _address(flat)) // flat.itemsize
-    block = flat[start : start + n * first.params.size]
-    rows = block.reshape(n, -1) if block.size == n * first.params.size else ()
-    if len(rows) != n or any(
-        (net.layer_dims, net.activation, _address(net.params), net.params.shape)
-        != (first.layer_dims, first.activation, _address(row), row.shape)
-        for net, row in zip(nets, rows)
-    ):
-        raise ValueError("stacked nets must share one shape and lie back to back")
-    view = Mlp.__new__(Mlp)
-    view.layer_dims, view.activation = first.layer_dims, first.activation
-    view._adopt(rows)
-    return view
-
-
-def _address(a):
-    return a.__array_interface__["data"][0]
+def mlp_view(layer_dims, activation, flat):
+    """An ``Mlp`` whose ``params`` is ``flat`` itself, no copy: a vector of
+    one net's parameters, or an (n, P) block of n nets of one shape."""
+    net = Mlp.__new__(Mlp)
+    net.layer_dims, net.activation = tuple(layer_dims), activation
+    net._adopt(flat)
+    return net
 
 
 @dataclass
@@ -238,7 +210,7 @@ def forward_trace(net, X):
 
     Returns (outputs, inputs): the (batch, out_dim) outputs and the list of
     every layer's input, X and then each hidden layer's activations.  The
-    outputs are a new array the caller may overwrite.  For a ``stack`` view
+    outputs are a new array the caller may overwrite.  For a block of n nets
     X is (n, batch, in_dim) and every array gains the leading agent axis.
     """
     X = _check_batch(net, X)
@@ -255,8 +227,8 @@ def reverse_sweep(net, inputs, G, grad=None):
     G is (batch, out_dim), the loss gradient at the outputs.  Returns the
     per-sample input gradients, (batch, in_dim).  When ``grad`` is given,
     an array laid out like ``net.params``, the parameter gradient summed
-    over the batch is written into it; otherwise none is formed.  A
-    ``stack`` view's G, result and ``grad`` have the leading agent axis.
+    over the batch is written into it; otherwise none is formed.  For a
+    block of n nets, G, the result and ``grad`` have the leading agent axis.
     """
     delta = G
     if grad is not None:
@@ -300,10 +272,14 @@ def adam_init(params, lr):
     return AdamState(float(lr), zeros[0], zeros[1], scratch=zeros[2:])
 
 
+# the finiteness check reports a non-finite step; the arithmetic is not warned
+@np.errstate(over="ignore", invalid="ignore")
 def adam_step(params, grad, state):
-    """One in-place Adam update of the vector ``params``."""
-    if not np.isfinite(grad).all():
-        raise NumericalError("non-finite gradient passed to adam_step")
+    """One in-place Adam update of the vector ``params``.
+
+    Raises NumericalError when the updated parameters are not all finite,
+    which a non-finite gradient always makes them.
+    """
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
@@ -317,7 +293,7 @@ def adam_step(params, grad, state):
     a /= np.add(np.sqrt(np.divide(state.v, bc2, out=b), out=b), ADAM_EPS, out=b)
     params -= a
     if not np.isfinite(params).all():
-        raise NumericalError("parameters became non-finite in adam_step")
+        raise NumericalError("non-finite parameters after adam_step")
 
 
 def checkpoint_save(net, path):

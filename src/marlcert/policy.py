@@ -2,20 +2,23 @@
 
 Each agent owns a small MLP mapping its local observation to five action
 values and always acts greedily on them (ties to the lowest index).  The
-team value q_total combines the per-agent chosen values either by summation
-("vdn") or through a state-conditioned monotone mixer ("qmix_mono"): a
-hypernetwork reads a global state encoding and emits one weight per agent
-plus a bias; weights pass through abs() so raising any agent's value can
-never lower the team value.
+agent nets share one architecture, and a policy holds every network in
+one parameter vector of its own, ``params``, in checkpoint order: the
+agent nets, then the hypernet.  ``agents`` views the agent nets as one
+net with a leading agent axis, so ``agent_values`` computes every agent's
+values in one stacked pass.
+
+The team value q_total combines the per-agent chosen values either by
+summation ("vdn") or through a state-conditioned monotone mixer
+("qmix_mono"): a hypernetwork reads a global state encoding and emits one
+weight per agent plus a bias; weights pass through abs() so raising any
+agent's value can never lower the team value.
 
 The trainer is standard TD learning on q_total with a replay buffer, a
 periodically synced target network, and per-agent epsilon-greedy
-exploration.  ``nn.pack`` moves the policy's nets into one parameter
-vector and the target's into another, so each sync is one copy, and
-``nn.stack`` views the agent nets as one net with a leading agent axis.
-An update is one stacked pass (plus the hypernet's for qmix_mono) that
-writes the gradient into one reused vector, then one ``adam_step``; an
-exploration step makes one stacked forward for its greedy agents.
+exploration.  A target sync is one copy of the policy's ``params``, and
+an update is one stacked pass (plus the hypernet's for qmix_mono) that
+writes the gradient into one reused vector, then one ``adam_step``.
 Training uses its own discount (default 0.99); certification elsewhere
 evaluates undiscounted returns.  Everything is seeded: the same
 TrainConfig produces bit-identical checkpoints.  TrainConfig holds what a
@@ -40,13 +43,14 @@ A policy checkpoint is a directory: ``manifest.json`` describing shapes and
 mixer kind, one ``agent_<i>.mlp`` network file per agent, and
 ``hypernet.mlp`` for the qmix_mono mixer.  ``load_policy`` raises
 CheckpointError for a manifest with a missing or wrongly typed key, an
-unknown mixer, or networks that do not fit it.
+unknown mixer, or networks that do not fit it, agent nets of different
+architectures among them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -83,9 +87,18 @@ _MANIFEST_VERSION = 1
 
 @dataclass
 class JointPolicy:
+    """Agent nets and mixer; construction copies every net into ``params``.
+
+    ``agent_nets`` and ``hypernet`` become views into ``params``, and
+    ``agents`` is the (n, P) view of the agent nets, so a net passed in
+    is never shared with the policy.
+    """
+
     agent_nets: tuple
     mixer: str
     hypernet: Optional[nn.Mlp]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    agents: nn.Mlp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mixer not in MIXERS:
@@ -97,6 +110,17 @@ class JointPolicy:
         outs = {net.layer_dims[-1] for net in self.agent_nets}
         if outs != {N_ACTIONS}:
             raise ConfigError("agent nets must emit one value per action")
+        shape = self.agent_nets[0].layer_dims, self.agent_nets[0].activation
+        if any((net.layer_dims, net.activation) != shape for net in self.agent_nets):
+            raise ConfigError("agent nets must share one architecture")
+        self.params = np.concatenate([net.params for net in self.nets])
+        n = len(self.agent_nets)
+        split = n * self.agent_nets[0].params.size
+        self.agents = nn.mlp_view(*shape, self.params[:split].reshape(n, -1))
+        self.agent_nets = tuple(nn.mlp_view(*shape, row) for row in self.agents.params)
+        if self.hypernet is not None:
+            dims, activation = self.hypernet.layer_dims, self.hypernet.activation
+            self.hypernet = nn.mlp_view(dims, activation, self.params[split:])
 
     @property
     def n_agents(self) -> int:
@@ -160,16 +184,19 @@ def new_policy(spec: GridSpec, mixer: str, rng) -> JointPolicy:
     return JointPolicy(nets, mixer, hyper)
 
 
-def agent_values(policy: JointPolicy, observation: np.ndarray, agent: int) -> np.ndarray:
-    return nn.forward(policy.agent_nets[agent], observation)
+def agent_values(policy: JointPolicy, observations: np.ndarray) -> np.ndarray:
+    """Every agent's action values, (n, N_ACTIONS), from the (n, obs_len)
+    observations, agent n's row from its own net: one stacked pass."""
+    return nn.forward_trace(policy.agents, np.asarray(observations)[:, None])[0][:, 0]
+
+
+def _observations(policy: JointPolicy, spec: GridSpec, state: EnvState) -> np.ndarray:
+    return np.array([observe(spec, state, n) for n in range(policy.n_agents)])
 
 
 def greedy_joint_action(policy: JointPolicy, spec: GridSpec, state: EnvState) -> JointAction:
-    # np.argmax returns the first maximum: the lowest-index tie rule
-    return tuple(
-        int(np.argmax(agent_values(policy, observe(spec, state, n), n)))
-        for n in range(policy.n_agents)
-    )
+    values = agent_values(policy, _observations(policy, spec, state))
+    return tuple(values.argmax(axis=1).tolist())  # first maximum: lowest-index ties
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +214,12 @@ class StateValues:
 
 
 def state_values(policy: JointPolicy, spec: GridSpec, state: EnvState) -> StateValues:
-    """One forward pass of each agent net, and of the hypernet, at ``state``."""
-    per_agent = np.array(
-        [agent_values(policy, observe(spec, state, n), n) for n in range(policy.n_agents)]
-    )
+    """One stacked pass of the agent nets, and one of the hypernet, at ``state``."""
+    per_agent = agent_values(policy, _observations(policy, spec, state))
     mixer_out = None
     if policy.mixer == "qmix_mono":
-        mixer_out = nn.forward(policy.hypernet, encode_global_state(spec, state))
+        enc = encode_global_state(spec, state)
+        mixer_out = nn.forward_trace(policy.hypernet, enc[None])[0][0]
     return StateValues(per_agent, mixer_out)
 
 
@@ -247,11 +273,8 @@ def train(
     policy, target = (
         new_policy(spec, mixer, np.random.default_rng(cfg.init_seed())) for _ in range(2)
     )
-    params, target_params = nn.pack(policy.nets), nn.pack(target.nets)
-    agents = nn.stack(policy.agent_nets), nn.stack(target.agent_nets)
-    hypernets = policy.hypernet, target.hypernet
-    grad = np.empty_like(params)
-    adam = nn.adam_init(params, cfg.learning_rate)
+    grad = np.empty_like(policy.params)
+    adam = nn.adam_init(policy.params, cfg.learning_rate)
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
 
     n = policy.n_agents
@@ -269,7 +292,7 @@ def train(
 
     for episode in range(cfg.episodes):
         state = reset(spec)
-        obs = np.array([observe(spec, state, i) for i in range(n)])
+        obs = _observations(policy, spec, state)
         if policy.hypernet is not None:
             enc = encode_global_state(spec, state)
         eps = _epsilon(cfg, episode)
@@ -280,11 +303,11 @@ def train(
                 for _ in range(n)
             ]
             if -1 in actions:
-                greedy = nn.forward_trace(agents[0], obs[:, None])[0][:, 0].argmax(axis=1)
-                actions = [g if a < 0 else a for a, g in zip(actions, greedy.tolist())]
+                greedy = agent_values(policy, obs).argmax(axis=1).tolist()
+                actions = [g if a < 0 else a for a, g in zip(actions, greedy)]
             out = step(spec, state, tuple(actions))
             nxt = out.next_state
-            next_obs = np.array([observe(spec, nxt, i) for i in range(n)])
+            next_obs = _observations(policy, spec, nxt)
             slot = env_steps % capacity
             replay_obs[slot] = obs, next_obs
             replay_acts[slot] = actions
@@ -308,42 +331,41 @@ def train(
                 pairs += rng.standard_normal(pairs.shape) * cfg.obs_noise
             encs = None if policy.hypernet is None else replay_encs[picks]
             batch = pairs, replay_acts[picks], replay_rewards[picks], encs, replay_done[picks]
-            _td_update(agents, hypernets, params, grad, adam, batch, cfg, episode)
+            _td_update(policy, target, grad, adam, batch, cfg, episode)
             updates += 1
             if updates % TARGET_SYNC == 0:
-                target_params[:] = params
+                target.params[:] = policy.params
 
     if checkpoint_path is not None:
         save_policy(policy, checkpoint_path)
     return policy
 
 
-def _td_update(agents, hypernets, params, grad, adam, batch, cfg, episode):
-    """One TD step on a gathered batch, as one Adam step of ``params``.
+def _td_update(policy, target, grad, adam, batch, cfg, episode):
+    """One TD step on a gathered batch, as one Adam step of ``policy.params``.
 
-    ``agents`` and ``hypernets`` are (policy, target) pairs of
-    ``nn.stack`` views of the agent nets and of hypernets (None for vdn);
-    ``grad`` is scratch laid out like ``params``.  `batch` is (pairs (b, 2,
-    n, obs), acts (b, n), rewards (b,), encs (b, 2, enc) or None, done
-    (b,)), with the next observations and encodings at ``[:, 1]``.
+    ``target`` gives the bootstrapped values; ``grad`` is scratch laid out
+    like ``params``.  `batch` is (pairs (b, 2, n, obs), acts (b, n),
+    rewards (b,), encs (b, 2, enc) or None, done (b,)), with the next
+    observations and encodings at ``[:, 1]``.
     """
     pairs, acts, rewards, encs, done = batch
     b, n = acts.shape
     obs, next_obs = pairs.transpose(1, 2, 0, 3)  # each (n, b, obs)
-    hypernet, target_hypernet = hypernets
+    hypernet = policy.hypernet
 
     # bootstrapped target: each agent's greedy value under the target nets;
     # the (b, n) tables stay C-ordered, so their row sums add in agent order
-    vals = nn.forward_trace(agents[1], next_obs)[0]
+    vals = nn.forward_trace(target.agents, next_obs)[0]
     next_chosen = vals.max(axis=-1).T.copy()
     if hypernet is None:
         next_q = next_chosen.sum(axis=1)
     else:
-        hyper_out = nn.forward_trace(target_hypernet, encs[:, 1])[0]
+        hyper_out = nn.forward_trace(target.hypernet, encs[:, 1])[0]
         next_q = (np.abs(hyper_out[:, :-1]) * next_chosen).sum(axis=1) + hyper_out[:, -1]
     y = rewards + cfg.gamma_train * next_q * (~done)
 
-    vals, inputs = nn.forward_trace(agents[0], obs)
+    vals, inputs = nn.forward_trace(policy.agents, obs)
     taken = np.arange(n)[:, None], np.arange(b), acts.T  # (agent, row, action)
     chosen = vals[taken].T.copy()
     if hypernet is None:
@@ -362,14 +384,14 @@ def _td_update(agents, hypernets, params, grad, adam, batch, cfg, episode):
     dq = 2.0 * (q - y) / b
     grad_out = np.zeros((n, b, N_ACTIONS))
     grad_out[taken] = weights.T * dq
-    split = agents[0].params.size
-    nn.reverse_sweep(agents[0], inputs, grad_out, grad[:split].reshape(n, -1))
+    split = policy.agents.params.size
+    nn.reverse_sweep(policy.agents, inputs, grad_out, grad[:split].reshape(n, -1))
     if hypernet is not None:
         grad_hyper = np.empty((b, n + 1))
         grad_hyper[:, :-1] = dq[:, None] * np.sign(hyper_out[:, :-1]) * chosen
         grad_hyper[:, -1] = dq
         nn.reverse_sweep(hypernet, hyper_inputs, grad_hyper, grad[split:])
-    nn.adam_step(params, grad, adam)
+    nn.adam_step(policy.params, grad, adam)
 
 
 def save_policy(policy: JointPolicy, path) -> None:

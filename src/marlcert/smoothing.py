@@ -14,9 +14,9 @@ counts in blocks of four doubles).  `gaussian_noise_block` draws rows
 work is batched or parallelized.  Uniform draws map to normals through the
 inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
 factor.  A draw makes one block-sized array at most, its uniforms: the
-first dim of each row are clamped and packed to the front, then mapped
-through the inverse CDF (`stats.std_normal_quantile_vec`, which walks
-them in cache-sized chunks) and scaled, all in place.  A caller that
+first dim of each row are clamped and packed to the front, mapped
+through the inverse CDF (`stats.std_normal_quantile_vec`) and scaled, all
+in place, one cache-sized chunk of rows at a time.  A caller that
 passes a buffer gets them drawn into it, so the draw makes none.
 
 `sample_tally` and the attacks count actions through `_running_counts`,
@@ -138,15 +138,15 @@ def gaussian_noise_block(
     uniforms = flat.reshape(count, width)
     np.random.Generator(bits).random(out=uniforms)
     noise = flat[: count * dim].reshape(count, dim)
-    # each row's first dim uniforms move to the front, clamped, since
-    # Generator.random() can emit exactly 0, outside the quantile's
-    # domain; a chunk overwrites only rows already read
+    # chunk by chunk, each row's first dim uniforms move to the front,
+    # clamped, since Generator.random() can emit exactly 0, outside the
+    # quantile's domain; a chunk overwrites only rows already read
     rows = max(1, _CHUNK_LANES // width)
     for start in range(0, count, rows):
-        chunk = slice(start, start + rows)
-        np.maximum(uniforms[chunk, :dim], 2.0**-54, out=noise[chunk])
-    std_normal_quantile_vec(noise, out=noise)
-    noise *= sigma
+        chunk = noise[start : start + rows]
+        np.maximum(uniforms[start : start + rows, :dim], 2.0**-54, out=chunk)
+        std_normal_quantile_vec(chunk, out=chunk)
+        chunk *= sigma
     return noise
 
 

@@ -12,13 +12,14 @@ Conventions
   outputs.  Three process-wide ``lru_cache``s memoize pure helpers.
 * 64-bit arithmetic everywhere; tail sums run in log space so sample sizes of
   10,000 and beyond cannot underflow.
-* `std_normal_quantile_vec` is the bulk noise kernel.  It walks its input in
-  cache-sized chunks: the central rational runs on every lane of a chunk
-  with ``p - 0.5`` clipped to the central zone, and only the tail lanes,
-  found by index, are overwritten.  Every step is elementwise, so the
-  output is bit-identical to evaluating each lane's own branch alone.  It
-  can write into a caller's array, the input itself included, so a noise
-  draw transforms its uniforms where they lie.
+* `std_normal_quantile_vec` is the bulk noise kernel.  The central
+  rational runs on every lane with ``p - 0.5`` clipped to the central
+  zone, and only the tail lanes, found by index, are overwritten.  Every
+  step is elementwise, so the output is bit-identical to evaluating each
+  lane's own branch alone, however a caller chunks its input.  It can
+  write into a caller's array, the input itself included, so a noise
+  draw transforms its uniforms where they lie, a cache-sized chunk of
+  rows at a time.
 """
 
 import math
@@ -166,11 +167,6 @@ def _poly(coeffs, r):
     return acc
 
 
-# Lanes per chunk: 64 KiB of float64, so each temporary stays under glibc's
-# 128 KiB mmap threshold (no fresh pages per call) and inside L2.
-_QUANTILE_CHUNK = 8192
-
-
 def std_normal_quantile_vec(p, out=None):
     """Vectorized inverse normal CDF (rational approximation, no polish).
 
@@ -179,14 +175,15 @@ def std_normal_quantile_vec(p, out=None):
     scalar :func:`std_normal_quantile` adds a Newton step to meet its tighter
     residual contract.
 
-    The flattened input is walked in chunks of ``_QUANTILE_CHUNK`` lanes
-    into the output. In each chunk the central rational runs on every lane
-    with ``q = p - 0.5`` clipped to [-0.425, 0.425], which leaves central
-    lanes unchanged and keeps tail lanes finite; the tail lanes, found by
-    index, are then overwritten with the near or far tail formula. Every
-    operation is elementwise, so the result does not depend on the
-    chunking, and each chunk is read before it is written, so the output
-    may be the input itself.
+    The central rational runs on every lane with ``q = p - 0.5`` clipped
+    to [-0.425, 0.425], which leaves central lanes unchanged and keeps tail
+    lanes finite; the tail lanes, found by index, are then overwritten with
+    the near or far tail formula. Every operation is elementwise, so a
+    caller may split its input into chunks without changing a bit, and
+    the input is read before the output is written, so the output may be
+    the input itself.  A temporary is the size of the input: the noise
+    draws pass chunks of 64 KiB of float64, which stay under glibc's
+    128 KiB mmap threshold (no fresh pages per call) and inside L2.
 
     Parameters
     ----------
@@ -218,15 +215,7 @@ def std_normal_quantile_vec(p, out=None):
             f"out must be a C-contiguous float64 array of shape {p.shape}, "
             f"got {out.dtype} {out.shape}"
         )
-    flat = p.ravel()
-    x_flat = out.reshape(-1)
-    for start in range(0, flat.size, _QUANTILE_CHUNK):
-        stop = start + _QUANTILE_CHUNK
-        _quantile_chunk(flat[start:stop], x_flat[start:stop])
-    return out
-
-
-def _quantile_chunk(p, x):
+    p, x = p.ravel(), out.reshape(-1)
     # NaN fails both comparisons, so it is rejected too
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("quantile arguments must lie strictly inside (0, 1)")
@@ -251,6 +240,7 @@ def _quantile_chunk(p, x):
         r_far = r_t[far] - 5.0
         x_t[far] = _poly(_PPND_E, r_far) / _poly(_PPND_F, r_far)
     x[tail] = np.where(lower, -x_t, x_t)
+    return out
 
 
 def std_normal_quantile(p):

@@ -32,7 +32,7 @@ from marlcert.envs import (
     reset,
     step,
 )
-from marlcert.nn import Mlp, backward, forward, mlp_init
+from marlcert.nn import Mlp, forward_trace, mlp_init, mlp_view, reverse_sweep
 from marlcert.policy import (
     TrainConfig,
     greedy_joint_action,
@@ -187,6 +187,44 @@ def _rel_err(a, b):
     return float(np.linalg.norm(a - b)) / scale
 
 
+def _pipeline_gradients(net, x, out_grad):
+    """(parameter gradient, input gradient) of ``out_grad @ net(x)`` from
+    the two passes training and the attacks run.  For an (n, P) block of
+    nets, x is (n, in) and out_grad (n, out), and both results gain the
+    leading agent axis."""
+    _, inputs = forward_trace(net, x[..., None, :])
+    grad = np.empty_like(net.params)
+    input_grad = reverse_sweep(net, inputs, out_grad[..., None, :], grad=grad)
+    return grad, input_grad[..., 0, :]
+
+
+def _random_net(dims, activation, rng):
+    net = mlp_init(dims, activation, rng)
+    for layer in range(len(net.biases)):
+        net.biases[layer][...] = rng.normal(0.0, 0.3, net.biases[layer].shape)
+    return net
+
+
+def _input_off_the_kink(net, rng):
+    # central differences use h = 1e-5; keep relu pre-activations
+    # well clear of the kink so both sides stay on one branch
+    x = rng.normal(0.0, 1.0, net.layer_dims[0])
+    while net.activation == "relu" and _hidden_margin(net, x) < 1e-3:
+        x = rng.normal(0.0, 1.0, net.layer_dims[0])
+    return x
+
+
+def _assert_matches_finite_differences(net, x, out_grad, analytic_params, input_grad):
+    def value(v, params=net.params):
+        outputs = forward_trace(_net_with_params(net, params), np.asarray(v)[None])[0]
+        return float(out_grad @ outputs[0])
+
+    fd_params = oracles.central_difference(lambda t: value(x, t), net.params.tolist())
+    fd_input = oracles.central_difference(value, x.tolist())
+    assert _rel_err(analytic_params, fd_params) <= 1e-4
+    assert _rel_err(input_grad, fd_input) <= 1e-4
+
+
 def test_criterion_4_gradient_checks():
     with _criterion(4, 30.0):
         rng = np.random.default_rng(41)
@@ -198,27 +236,25 @@ def test_criterion_4_gradient_checks():
                 + [int(rng.integers(2, 7)) for _ in range(depth)]
                 + [int(rng.integers(1, 5))]
             )
-            net = mlp_init(dims, activation, rng)
-            for layer in range(len(net.biases)):
-                net.biases[layer][...] = rng.normal(0.0, 0.3, net.biases[layer].shape)
-            x = rng.normal(0.0, 1.0, dims[0])
-            # central differences use h = 1e-5; keep relu pre-activations
-            # well clear of the kink so both sides stay on one branch
-            while activation == "relu" and _hidden_margin(net, x) < 1e-3:
-                x = rng.normal(0.0, 1.0, dims[0])
+            net = _random_net(dims, activation, rng)
+            x = _input_off_the_kink(net, rng)
             out_grad = rng.normal(0.0, 1.0, dims[-1])
+            _assert_matches_finite_differences(
+                net, x, out_grad, *_pipeline_gradients(net, x, out_grad)
+            )
 
-            analytic_params, input_grad = backward(net, x, out_grad)
-            fd_params = oracles.central_difference(
-                lambda t: float(out_grad @ forward(_net_with_params(net, t), x)),
-                net.params.tolist(),
-            )
-            fd_input = oracles.central_difference(
-                lambda v: float(out_grad @ forward(net, np.asarray(v))),
-                x.tolist(),
-            )
-            assert _rel_err(analytic_params, fd_params) <= 1e-4
-            assert _rel_err(input_grad, fd_input) <= 1e-4
+            # the net between two siblings of its shape, one stacked pass
+            side = np.random.default_rng([41, index])
+            nets = [_random_net(dims, activation, side), net, _random_net(dims, activation, side)]
+            block = mlp_view(dims, activation, np.stack([n.params for n in nets]))
+            xs = np.stack([x if n is net else _input_off_the_kink(n, side) for n in nets])
+            side_grads = side.normal(0.0, 1.0, (2, dims[-1]))
+            out_grads = np.stack([side_grads[0], out_grad, side_grads[1]])
+            stacked = _pipeline_gradients(block, xs, out_grads)
+            for i, member in enumerate(nets):
+                _assert_matches_finite_differences(
+                    member, xs[i], out_grads[i], stacked[0][i], stacked[1][i]
+                )
 
 
 # --- 5: reward-bound search against exhaustive enumeration ---

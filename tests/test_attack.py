@@ -46,6 +46,13 @@ def _const_net(obs_len, values):
     return nn.Mlp((obs_len, 5), [w], [np.asarray(values, dtype=np.float64)], "relu")
 
 
+def _const_like(net, values):
+    """A net of ``net``'s shape that outputs ``values`` at every input."""
+    weights = [np.zeros_like(W) for W in net.weights]
+    biases = [np.zeros_like(b) for b in net.biases[:-1]] + [np.asarray(values, float)]
+    return nn.Mlp(net.layer_dims, weights, biases, net.activation)
+
+
 def _flip_net(obs_len):
     w = np.zeros((5, obs_len))
     w[0, _NULL_COMPONENT] = 1.0
@@ -249,7 +256,7 @@ class TestPgdAttackBatch:
     )
     def test_matches_single_row_reference_on_toy_nets(self, net):
         spec = _spec2()
-        other = _const_net(47, [2.0, 0.5, 0.0, 0.0, 0.0])
+        other = _const_like(net, [2.0, 0.5, 0.0, 0.0, 0.0])
         policy = _policy([net, other])
         state = step(spec, reset(spec), (3, 0)).next_state
         seeds = [40 + trial for trial in range(5)]
@@ -583,11 +590,11 @@ _VOTE_SAMPLES = (2, 3, 7, 100, 1000, 1001)
 def _vote_cases(name):
     if name == "checkers-vdn":
         return load_policy(str(_CHECKERS_VDN)), builtin_spec("checkers")
-    net = {
-        "relu": _random_net(5, (16,), "relu"),
-        "tanh": _random_net(6, (16, 8), "tanh", scale=3.0),
+    nets = {
+        "relu": [_random_net(5, (16,), "relu"), _random_net(7, (16,), "relu")],
+        "tanh": [_random_net(6, (16, 8), "tanh", scale=3.0), _random_net(7, (16, 8), "tanh")],
     }[name]
-    return _policy([net, _random_net(7, (16, 8), "relu")]), _spec2()
+    return _policy(nets), _spec2()
 
 
 class TestSmoothedVote:

@@ -20,7 +20,7 @@ import marlcert
 from marlcert import certify, cli, nn, smoothing
 from marlcert.cli import MODES, RunConfig, main, run
 from marlcert.envs import EnvState, builtin_spec, load_grid_config, reset, step
-from marlcert.errors import ConfigError, MissingArtifactError
+from marlcert.errors import CheckpointError, ConfigError, MissingArtifactError
 from marlcert.policy import (
     JointPolicy,
     TrainConfig,
@@ -334,6 +334,23 @@ class TestModes:
         else:
             manifest["hypernet"] = "agent_0.mlp"
         path.write_text(json.dumps(manifest), encoding="utf-8")
+        config = _write_config(
+            tmp_path, "c.yaml", env="checkers", checkpoint=str(checkpoint),
+            out=str(tmp_path / "o"),
+        )
+        assert main(["certify-state", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
+
+    def test_agent_nets_of_two_widths_exit_code(self, tmp_path, capsys):
+        # agent 1 gets 32 hidden units where agent 0 has 64: one stacked
+        # pass cannot hold both, so the checkpoint counts as corrupt
+        checkpoint = tmp_path / "ckpt"
+        shutil.copytree(_CHECKERS_VDN, checkpoint)
+        narrow = nn.mlp_init((47, 32, 5), "relu", np.random.default_rng(0))
+        nn.checkpoint_save(narrow, checkpoint / "agent_1.mlp")
+        with pytest.raises(CheckpointError, match="share one architecture"):
+            load_policy(checkpoint)
         config = _write_config(
             tmp_path, "c.yaml", env="checkers", checkpoint=str(checkpoint),
             out=str(tmp_path / "o"),

@@ -21,9 +21,8 @@ from marlcert.nn import (
     forward_batch,
     forward_trace,
     mlp_init,
-    pack,
+    mlp_view,
     reverse_sweep,
-    stack,
 )
 
 
@@ -168,18 +167,20 @@ def test_weights_and_biases_are_views_of_params():
         net.weights[0] = np.zeros((4, 3))  # a tuple: no element can be swapped out
 
 
-def test_pack_repoints_nets_into_one_vector():
+def test_view_of_a_slice_shares_the_vector():
     rng = np.random.default_rng(10)
     nets = [mlp_init((3, 4, 2), "relu", rng), mlp_init((2, 5), "tanh", rng)]
     x = rng.normal(size=(2, 3))
-    before = [net.params.copy() for net in nets]
-    outputs = forward_batch(nets[0], x)
-    flat = pack(nets)
-    assert np.array_equal(flat, np.concatenate(before))
-    assert np.array_equal(forward_batch(nets[0], x), outputs)
+    flat = np.concatenate([net.params for net in nets])
+    views = [
+        mlp_view(nets[0].layer_dims, "relu", flat[:26]),
+        mlp_view(nets[1].layer_dims, "tanh", flat[26:]),
+    ]
+    assert views[1].params.base is flat
+    assert np.array_equal(forward_batch(views[0], x), forward_batch(nets[0], x))
     flat *= 2.0
-    assert np.array_equal(nets[1].params, 2.0 * before[1])
-    assert np.array_equal(nets[0].weights[0].ravel(), 2.0 * before[0][:12])
+    assert np.array_equal(views[1].params, 2.0 * nets[1].params)
+    assert np.array_equal(views[0].weights[0].ravel(), 2.0 * nets[0].params[:12])
 
 
 @pytest.mark.parametrize("rows", [1, 32])  # one action choice, one TD batch
@@ -188,11 +189,11 @@ def test_pack_repoints_nets_into_one_vector():
 def test_stacked_pass_matches_per_net_passes(rows, activation, hidden):
     # the agent nets of a policy: same shape, back to back in one vector
     rng = np.random.default_rng(17)
-    nets = [mlp_init((47,) + hidden + (5,), activation, rng) for _ in range(3)]
-    flat = pack(nets)
-    flat[:] = rng.normal(size=flat.size) * 0.3  # nonzero biases too
-    view = stack(nets)
-    assert view.params.shape == (3, nets[0].params.size)
+    dims = (47,) + hidden + (5,)
+    size = mlp_init(dims, activation, rng).params.size
+    flat = rng.normal(size=3 * size) * 0.3  # nonzero biases too
+    view = mlp_view(dims, activation, flat.reshape(3, -1))
+    nets = [mlp_view(dims, activation, row) for row in view.params]
     assert all(np.shares_memory(W, flat) for W in view.weights + view.biases)
     X = rng.normal(size=(rows, 3, 47))  # laid out as the replay's (b, n, obs)
     G = rng.normal(size=(3, rows, 5))
@@ -207,25 +208,6 @@ def test_stacked_pass_matches_per_net_passes(rows, activation, hidden):
         assert np.array_equal(grad.reshape(3, -1)[i], want_grad)
         assert np.array_equal(grad_in[i], want_in)
         assert np.array_equal(single[i, 0], forward(net, X[0, i]))
-
-
-def test_stack_rejects_nets_that_are_not_one_block():
-    rng = np.random.default_rng(18)
-    a, b, c = (mlp_init((4, 6, 3), "relu", rng) for _ in range(3))
-    pack([a, b, c])
-    assert stack([b, c]).params.shape == (2, 51)
-    assert stack([a]).params.shape == (1, 51)
-    loose = [mlp_init((4, 6, 3), "relu", rng) for _ in range(2)]
-    tanh = [mlp_init((4, 6, 3), "relu", rng), mlp_init((4, 6, 3), "tanh", rng)]
-    dims = [mlp_init((4, 6, 3), "relu", rng), mlp_init((4, 5, 3), "relu", rng)]
-    short = [mlp_init((4, 6, 3), "relu", rng), mlp_init((4, 3), "relu", rng)]
-    for nets in (tanh, dims, short):
-        pack(nets)
-    for nets in ([a, c], [b, a], loose, tanh, dims, short):
-        with pytest.raises(ValueError):
-            stack(nets)
-    with pytest.raises(ValueError):
-        forward_trace(stack([a, b]), np.zeros((3, 1, 4)))  # three inputs, two nets
 
 
 class TestAdam:
@@ -253,11 +235,12 @@ class TestAdam:
         assert np.mean(losses[-10:]) < np.mean(losses[50:60])
         assert losses[-1] < 1e-6
 
-    def test_nan_gradient_rejected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nan_gradient_rejected(self, value):
         net = mlp_init((2, 2), "relu", np.random.default_rng(8))
         state = adam_init(net.params, lr=0.01)
         grads, _ = backward(net, np.ones(2), np.ones(2))
-        grads[0] = np.nan
+        grads[0] = value
         with pytest.raises(NumericalError):
             adam_step(net.params, grads, state)
 
@@ -273,12 +256,14 @@ class TestAdam:
         # two nets in one vector against the per-array loop, bit for bit
         rng = np.random.default_rng(16)
         nets = [mlp_init((4, 6, 3), "relu", rng), mlp_init((5, 2), "tanh", rng)]
-        copies = [Mlp(n.layer_dims, n.weights, n.biases, n.activation) for n in nets]
-        arrays = [a for n in copies for a in n.weights + n.biases]
+        arrays = [a for n in nets for a in n.weights + n.biases]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
-        params = pack(nets)
-        grad_nets = [Mlp(n.layer_dims, n.weights, n.biases, n.activation) for n in nets]
-        grad = pack(grad_nets)
+        params = np.concatenate([n.params for n in nets])
+        grad = np.empty_like(params)
+        grad_nets = [
+            mlp_view(nets[0].layer_dims, "relu", grad[:51]),
+            mlp_view(nets[1].layer_dims, "tanh", grad[51:]),
+        ]
         grad_arrays = [g for n in grad_nets for g in n.weights + n.biases]
         state = adam_init(params, lr=3e-3)
         for step in range(1, 1201):
@@ -287,7 +272,7 @@ class TestAdam:
             grad[rng.random(grad.size) < 0.1] = 0.0
             adam_step(params, grad, state)
             _per_array_adam(arrays, grad_arrays, moments, 3e-3, step)
-            assert np.array_equal(params, np.concatenate([n.params for n in copies]))
+            assert np.array_equal(params, np.concatenate([n.params for n in nets]))
         assert state.step == 1200
 
 

@@ -35,6 +35,8 @@ from marlcert.policy import (
 )
 from marlcert.seeds import derive_seed
 
+_CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
+
 
 def _corridor():
     return parse_grid_config("map: |\n  1...a\nstep_cap: 10\n")
@@ -63,28 +65,55 @@ def _zero_policy(spec, mixer="vdn"):
     return JointPolicy(tuple(nets), policy.mixer, policy.hypernet)
 
 
+def _values(policy, spec, state):
+    """Every agent's values at ``state``: row n is agent n's."""
+    return agent_values(policy, [observe(spec, state, n) for n in range(policy.n_agents)])
+
+
 def test_agent_values_match_forward():
     spec = _pair()
     policy = _random_policy(spec, "vdn", 1)
     state = reset(spec)
     obs = observe(spec, state, 1)
     expected = nn.forward(policy.agent_nets[1], obs)
-    assert np.array_equal(agent_values(policy, obs, 1), expected)
+    assert np.array_equal(_values(policy, spec, state)[1], expected)
+
+
+@pytest.mark.parametrize("case", ["checkers-vdn", "qmix_mono-4"])
+def test_agent_values_equal_each_nets_forward(case):
+    # the stacked pass against each agent's own single-row pass, bit for bit
+    if case == "checkers-vdn":
+        policy, spec = load_policy(_CHECKERS_VDN), builtin_spec("checkers")
+    else:
+        spec = parse_grid_config("map: |\n  1.a.2\n  ....l\n  3..4.\nstep_cap: 6\n")
+        policy = _random_policy(spec, "qmix_mono", 37)
+        assert policy.n_agents == 4
+    rng = np.random.default_rng(3)
+    state = reset(spec)
+    while not state.done:
+        obs = np.array([observe(spec, state, n) for n in range(policy.n_agents)])
+        values = agent_values(policy, obs)
+        assert values.shape == (policy.n_agents, N_ACTIONS)
+        for n, net in enumerate(policy.agent_nets):
+            assert np.array_equal(values[n], nn.forward(net, obs[n]))
+        joint = tuple(rng.integers(0, N_ACTIONS, policy.n_agents).tolist())
+        state = step(spec, state, joint).next_state
 
 
 def test_agent_values_dimension_mismatch():
     spec = _pair()
     policy = _random_policy(spec, "vdn", 1)
     with pytest.raises(ValueError):
-        agent_values(policy, np.zeros(3), 0)
+        agent_values(policy, np.zeros((2, 3)))
+    with pytest.raises(ValueError):  # three observations for two agents
+        agent_values(policy, np.zeros((3, policy.agents.layer_dims[0])))
 
 
 def test_zero_net_values_and_tie_rule():
     spec = _pair()
     policy = _zero_policy(spec)
     state = reset(spec)
-    obs = observe(spec, state, 0)
-    assert np.array_equal(agent_values(policy, obs, 0), np.zeros(5))
+    assert np.array_equal(_values(policy, spec, state), np.zeros((2, 5)))
     assert greedy_joint_action(policy, spec, state) == (0, 0)
 
 
@@ -101,7 +130,7 @@ def test_greedy_matches_per_agent_argmax():
             state = out.next_state
         joint = greedy_joint_action(policy, spec, state)
         for n in range(2):
-            values = agent_values(policy, observe(spec, state, n), n)
+            values = _values(policy, spec, state)[n]
             assert joint[n] == int(np.argmax(values))
 
 
@@ -114,8 +143,8 @@ def test_greedy_decentralized():
     s2 = out.next_state
     before = greedy_joint_action(policy, spec, s1)[1]
     after = greedy_joint_action(policy, spec, s2)[1]
-    values1 = agent_values(policy, observe(spec, s1, 1), 1)
-    values2 = agent_values(policy, observe(spec, s2, 1), 1)
+    values1 = _values(policy, spec, s1)[1]
+    values2 = _values(policy, spec, s2)[1]
     if np.array_equal(values1, values2):
         assert before == after
 
@@ -126,7 +155,7 @@ def test_q_total_vdn_sums_values():
     state = reset(spec)
     action = (2, 4)
     expected = sum(
-        agent_values(policy, observe(spec, state, n), n)[action[n]]
+        _values(policy, spec, state)[n][action[n]]
         for n in range(2)
     )
     values = state_values(policy, spec, state)
@@ -138,15 +167,15 @@ def test_q_total_vdn_identical_agents():
     policy = _random_policy(spec, "vdn", 5)
     nets = (policy.agent_nets[0], policy.agent_nets[0])
     policy = JointPolicy(nets, "vdn", None)
-    # both agents share one net; feed them the same observation by hand
+    # both agents get a copy of one net; feed them the same observation by hand
     state = reset(spec)
     obs = observe(spec, state, 0)
-    v = agent_values(policy, obs, 0)[3]
+    v = agent_values(policy, [obs, obs])[1, 3]
     # build a fake state where both agents see identically: not needed, use
     # the additivity identity instead
     total = q_total(state_values(policy, spec, state), (3, 3))
-    v0 = agent_values(policy, observe(spec, state, 0), 0)[3]
-    v1 = agent_values(policy, observe(spec, state, 1), 1)[3]
+    v0 = _values(policy, spec, state)[0][3]
+    v1 = _values(policy, spec, state)[1][3]
     assert total == v0 + v1
     assert v == v0
 
@@ -159,7 +188,7 @@ def test_vdn_additivity_exact():
     joint_values = state_values(policy, spec, state)
     for alt in range(5):
         lhs = q_total(joint_values, base) - q_total(joint_values, (base[0], alt))
-        values = agent_values(policy, observe(spec, state, 1), 1)
+        values = _values(policy, spec, state)[1]
         assert lhs == pytest.approx(values[base[1]] - values[alt], abs=1e-12)
 
 
@@ -169,7 +198,7 @@ def test_qmix_monotone_in_agent_values():
         policy = _random_policy(spec, "qmix_mono", 200 + seed)
         state = reset(spec)
         action = (0, 0)
-        own = agent_values(policy, observe(spec, state, 1), 1)
+        own = _values(policy, spec, state)[1]
         cf = counterfactual_values(state_values(policy, spec, state), action, 1)
         order = np.argsort(own, kind="stable")
         diffs = np.diff(cf[order])
@@ -209,7 +238,7 @@ def test_counterfactual_vdn_constant_offset():
     policy = _random_policy(spec, "vdn", 29)
     state = reset(spec)
     cf = counterfactual_values(state_values(policy, spec, state), (0, 0), 0)
-    own = agent_values(policy, observe(spec, state, 0), 0)
+    own = _values(policy, spec, state)[0]
     offsets = cf - own
     assert np.allclose(offsets, offsets[0], rtol=0, atol=1e-12)
 
@@ -239,16 +268,13 @@ def test_checkpoint_round_trip(tmp_path):
         assert q_total(state_values(loaded, spec, state), action) == q_total(
             state_values(policy, spec, state), action
         )
-        obs = observe(spec, state, 0)
-        assert np.array_equal(
-            agent_values(loaded, obs, 0), agent_values(policy, obs, 0)
-        )
+        assert np.array_equal(_values(loaded, spec, state), _values(policy, spec, state))
 
 
 def test_stored_checkpoint_is_rewritten_byte_for_byte(tmp_path):
     # pins the manifest and network file formats: a load and a save change
     # no byte of any file
-    stored = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
+    stored = _CHECKERS_VDN
     save_policy(load_policy(stored), tmp_path / "copy")
     names = sorted(path.name for path in (tmp_path / "copy").iterdir())
     assert names == sorted(path.name for path in stored.iterdir())
@@ -269,10 +295,7 @@ def test_train_zero_episodes_returns_init():
         spec, "vdn", rng=np.random.default_rng(cfg.init_seed())
     )
     state = reset(spec)
-    obs = observe(spec, state, 0)
-    assert np.array_equal(
-        agent_values(policy, obs, 0), agent_values(fresh, obs, 0)
-    )
+    assert np.array_equal(_values(policy, spec, state), _values(fresh, spec, state))
 
 
 def test_train_deterministic(tmp_path):
@@ -310,7 +333,7 @@ def test_train_divergence_reported():
 def _tuple_replay_train(spec, cfg, mixer):
     policy = new_policy(spec, mixer, np.random.default_rng(cfg.init_seed()))
     target = new_policy(spec, mixer, np.random.default_rng(cfg.init_seed()))
-    params, target_params = nn.pack(policy.nets), nn.pack(target.nets)
+    params, target_params = policy.params, target.params
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
     adam = nn.adam_init(params, cfg.learning_rate)
     n = policy.n_agents

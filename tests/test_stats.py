@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from marlcert import stats
+from marlcert import smoothing, stats
+from marlcert.seeds import philox_key
 from marlcert.stats import (
     BhOutcome,
     bh_procedure,
@@ -108,7 +109,7 @@ class TestStdNormalQuantile:
         )
 
 
-C = stats._QUANTILE_CHUNK
+C = smoothing._CHUNK_LANES  # a noise draw's quantile chunk holds at most C lanes
 QUANTILE_EDGES = (
     2.0**-54, 1e-310, 0.075, 0.5, 0.925, 1.0 - 2.0**-53, 1e-20,
 )
@@ -156,11 +157,34 @@ def _assert_chunked_quantile_exact(p):
     assert x.shape == np.shape(p)
     assert np.array_equal(x, _all_lanes_quantile(p))
     assert np.array_equal(p, before)
+    flat = before.reshape(-1)
+    for start in range(0, flat.size, C):  # as a noise draw passes its chunks
+        chunk = flat[start : start + C]
+        std_normal_quantile_vec(chunk, out=chunk)
+        assert np.array_equal(chunk, x.reshape(-1)[start : start + C])
+
+
+def _all_lanes_draw(dim, sigma, key, count):
+    """A noise block with every row's quantile in one all-lanes pass."""
+    width = 4 * ((dim + 3) // 4)
+    u = np.random.Generator(np.random.Philox(key=key)).random((count, width))
+    return _all_lanes_quantile(np.maximum(u[:, :dim], 2.0**-54)) * sigma
 
 
 class TestQuantileChunks:
-    """`std_normal_quantile_vec` walks its input in chunks of
-    ``_QUANTILE_CHUNK`` lanes; none of that may show in its output."""
+    """A noise draw passes `std_normal_quantile_vec` one chunk of rows at
+    a time, at most ``_CHUNK_LANES`` lanes; none of that may show in the
+    quantile's output or in the draw."""
+
+    @pytest.mark.parametrize("dim", [4, 5, 47])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_draws_straddling_a_row_chunk(self, dim, extra):
+        rows = C // (4 * ((dim + 3) // 4))  # rows per chunk of the draw
+        count = 2 * rows + 3 if extra is None else rows + extra
+        key = philox_key(13, "noise", 2, 1)
+        want = _all_lanes_draw(dim, 0.3, key, count)
+        got = smoothing.gaussian_noise_block(dim, 0.3, 13, 2, 1, count)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 3 * C + 5])
     def test_sizes_around_the_chunk(self, n):
