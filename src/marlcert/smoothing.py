@@ -16,8 +16,10 @@ inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
 factor.  A draw makes one block-sized array at most, its uniforms: the
 first dim of each row are clamped and packed to the front, mapped
 through the inverse CDF (`stats.std_normal_quantile_vec`) and scaled, all
-in place, one cache-sized chunk of rows at a time.  A caller that
-passes a buffer gets them drawn into it, so the draw makes none.
+in place, one 256 KiB chunk of rows at a time, for which the inverse
+CDF allocates its two working vectors; noise bits follow numpy's SIMD log.
+A caller that passes a buffer gets them drawn into it, so the draw makes
+none.
 
 `sample_tally` and the attacks count actions through `_running_counts`,
 a range of rows at a time: a tally counts all M rows, an attack's vote
@@ -105,8 +107,10 @@ class ActionTally:
         return self.per_agent.shape[0]
 
 
-# lanes a draw packs at once: 64 KiB of float64
-_CHUNK_LANES = 8192
+# lanes a draw maps at once: 256 KiB of float64, few enough numpy calls
+# per block that dispatch is a small share, and the chunk with the inverse
+# CDF's two working vectors still fits a 2 MiB L2
+_CHUNK_LANES = 32768
 
 
 def _blocks_per_sample(dim: int) -> int:

@@ -13,13 +13,15 @@ Conventions
 * 64-bit arithmetic everywhere; tail sums run in log space so sample sizes of
   10,000 and beyond cannot underflow.
 * `std_normal_quantile_vec` is the bulk noise kernel.  The central
-  rational runs on every lane with ``p - 0.5`` clipped to the central
+  rational runs on every lane with ``p - 0.5`` clamped to the central
   zone, and only the tail lanes, found by index, are overwritten.  Every
   step is elementwise, so the output is bit-identical to evaluating each
   lane's own branch alone, however a caller chunks its input.  It can
-  write into a caller's array, the input itself included, so a noise
-  draw transforms its uniforms where they lie, a cache-sized chunk of
-  rows at a time.
+  write into a caller's array, the input itself included, and works in
+  one fresh pair of input-sized vectors per call, so a noise draw passes
+  256 KiB chunks.  Its tail lanes take numpy's log, so their bits, and
+  those of the polished scalar `std_normal_quantile`, follow numpy's SIMD
+  dispatch.
 """
 
 import math
@@ -158,10 +160,11 @@ _PPND_F = (
 )
 
 
-def _poly(coeffs, r):
-    # Horner from the highest-order coefficient; works on arrays.
-    acc = np.full_like(r, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
+def _poly(coeffs, r, out=None):
+    # Horner from the highest-order coefficient; in place into ``out``
+    acc = np.multiply(r, coeffs[-1], out=out)
+    acc += coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         acc *= r
         acc += c
     return acc
@@ -175,15 +178,17 @@ def std_normal_quantile_vec(p, out=None):
     scalar :func:`std_normal_quantile` adds a Newton step to meet its tighter
     residual contract.
 
-    The central rational runs on every lane with ``q = p - 0.5`` clipped
+    The central rational runs on every lane with ``q = p - 0.5`` clamped
     to [-0.425, 0.425], which leaves central lanes unchanged and keeps tail
     lanes finite; the tail lanes, found by index, are then overwritten with
     the near or far tail formula. Every operation is elementwise, so a
-    caller may split its input into chunks without changing a bit, and
-    the input is read before the output is written, so the output may be
-    the input itself.  A temporary is the size of the input: the noise
-    draws pass chunks of 64 KiB of float64, which stay under glibc's
-    128 KiB mmap threshold (no fresh pages per call) and inside L2.
+    caller may split its input into chunks without changing a bit, and the
+    input is read before the output is written, so the output may be the
+    input itself. The tail lanes take numpy's log, so their bits follow its
+    SIMD path. Besides the output, which accumulates ``q * A(r)``, the
+    kernel works in one pair of input-sized vectors, q then ``B(r)``, and
+    r, allocated together per call: a noise draw's 256 KiB chunk allocates
+    that 512 KiB pair and its tail lanes, nothing else.
 
     Parameters
     ----------
@@ -217,29 +222,30 @@ def std_normal_quantile_vec(p, out=None):
         )
     p, x = p.ravel(), out.reshape(-1)
     # NaN fails both comparisons, so it is rejected too
-    if not np.all((p > 0.0) & (p < 1.0)):
+    if p.size and not (p.min() > 0.0 and p.max() < 1.0):
         raise ValueError("quantile arguments must lie strictly inside (0, 1)")
-    q = p - 0.5
-    tail = np.flatnonzero(np.abs(q) > 0.425)
+    q, r = np.empty((2, p.size))
+    np.subtract(p, 0.5, out=q)
+    tail = np.flatnonzero(np.abs(q, out=r) > 0.425)
     p_t = p[tail]  # read before x is written: x may be p
-    q_c = np.clip(q, -0.425, 0.425)
-    r_c = 0.180625 - q_c * q_c
-    np.multiply(q_c, _poly(_PPND_A, r_c), out=x)
-    x /= _poly(_PPND_B, r_c)
-
-    q_t = q[tail]
-    lower = q_t < 0.0
-    # p below 1e-300, subnormals included, gets the quantile of 1e-300
-    r_t = np.sqrt(-np.log(np.clip(np.where(lower, p_t, 1.0 - p_t), 1e-300, 0.5)))
-    x_t = np.empty_like(r_t)
-    near = r_t <= 5.0
-    r_near = r_t[near] - 1.6
-    x_t[near] = _poly(_PPND_C, r_near) / _poly(_PPND_D, r_near)
-    far = ~near
-    if far.any():
+    np.maximum(q, -0.425, out=q)
+    np.minimum(q, 0.425, out=q)
+    np.multiply(q, q, out=r)
+    np.subtract(0.180625, r, out=r)
+    _poly(_PPND_A, r, x)
+    x *= q
+    x /= _poly(_PPND_B, r, q)
+    # min(p, 1 - p) is the lower tail's p or the upper tail's 1 - p; below
+    # 1e-300, subnormals included, it gets the quantile of 1e-300
+    s = np.minimum(p_t, 1.0 - p_t)
+    r_t = np.sqrt(-np.log(np.maximum(s, 1e-300, out=s)))
+    r_near = r_t - 1.6  # the near tail's formula stays finite on far lanes
+    x_t = _poly(_PPND_C, r_near) / _poly(_PPND_D, r_near)
+    far = np.flatnonzero(r_t > 5.0)
+    if far.size:
         r_far = r_t[far] - 5.0
         x_t[far] = _poly(_PPND_E, r_far) / _poly(_PPND_F, r_far)
-    x[tail] = np.where(lower, -x_t, x_t)
+    x[tail] = np.negative(x_t, out=x_t, where=p_t < 0.5)
     return out
 
 

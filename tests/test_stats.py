@@ -109,7 +109,57 @@ class TestStdNormalQuantile:
         )
 
 
-C = smoothing._CHUNK_LANES  # a noise draw's quantile chunk holds at most C lanes
+W = smoothing._CHUNK_LANES  # lanes of a noise draw's quantile chunk
+# p on both sides of each central/tail boundary, and far-tail p (p or
+# 1 - p below 1.4e-11), 1e-300, subnormals and the smallest clamped draw
+ZONE_EDGES = [
+    float(np.nextafter(b, toward)) for b in (0.075, 0.925) for toward in (0.0, 1.0)
+] + [0.075, 0.925]
+FAR_TAILS = [
+    1.3e-11, 1e-13, 2.0**-54, 1e-200, 1e-300, 1e-310, 5e-324,
+    1.0 - 1.3e-11, 1.0 - 1e-13, 1.0 - 2.0**-53,
+]
+
+
+class TestQuantileIdentity:
+    """The vector kernel around a noise draw's chunk length.  CI also runs
+    this class with numpy's dispatch targets above its baseline disabled,
+    where the tail lanes' log gives other bits."""
+
+    @pytest.mark.parametrize("n", [W - 1, W, W + 1, 2 * W + 3])
+    def test_whole_array_equals_any_split(self, n):
+        rng = np.random.default_rng(n)
+        p = np.maximum(rng.random(n), 2.0**-54)
+        p[rng.integers(n)] = 1e-13  # one far-tail lane
+        p[rng.integers(n, size=len(ZONE_EDGES))] = ZONE_EDGES
+        whole = std_normal_quantile_vec(p)
+        for cuts in ([n // 2], [1, W - 1, W + 1], sorted(rng.integers(0, n, 6))):
+            parts = [std_normal_quantile_vec(part) for part in np.split(p, cuts)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_out_is_p(self):
+        # r = sqrt(-log(min(p, 1 - p))) > 5 selects the far-tail formula
+        assert all(math.sqrt(-math.log(min(p, 1.0 - p))) > 5.0 for p in FAR_TAILS)
+        p = np.maximum(np.random.default_rng(12).random(W - 3), 2.0**-54)
+        p[:10] = FAR_TAILS
+        want = std_normal_quantile_vec(p)
+        assert std_normal_quantile_vec(p, out=p) is p
+        assert np.array_equal(p, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.0, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, W + 3])
+    def test_outside_the_open_interval_raises(self, bad, n):
+        p = np.full(n, 0.3)
+        p[n // 2] = bad
+        with pytest.raises(ValueError, match="strictly inside"):
+            std_normal_quantile_vec(p)
+        with pytest.raises(ValueError):
+            std_normal_quantile(bad)
+
+
+# the split length of the tests below, fixed because their ids embed it;
+# TestQuantileIdentity splits around a draw's chunk length W
+C = 8192
 QUANTILE_EDGES = (
     2.0**-54, 1e-310, 0.075, 0.5, 0.925, 1.0 - 2.0**-53, 1e-20,
 )
@@ -158,7 +208,7 @@ def _assert_chunked_quantile_exact(p):
     assert np.array_equal(x, _all_lanes_quantile(p))
     assert np.array_equal(p, before)
     flat = before.reshape(-1)
-    for start in range(0, flat.size, C):  # as a noise draw passes its chunks
+    for start in range(0, flat.size, C):  # chunk by chunk, each in place
         chunk = flat[start : start + C]
         std_normal_quantile_vec(chunk, out=chunk)
         assert np.array_equal(chunk, x.reshape(-1)[start : start + C])
@@ -179,7 +229,7 @@ class TestQuantileChunks:
     @pytest.mark.parametrize("dim", [4, 5, 47])
     @pytest.mark.parametrize("extra", [-1, 0, 1, None])
     def test_draws_straddling_a_row_chunk(self, dim, extra):
-        rows = C // (4 * ((dim + 3) // 4))  # rows per chunk of the draw
+        rows = W // (4 * ((dim + 3) // 4))  # rows per chunk of the draw
         count = 2 * rows + 3 if extra is None else rows + extra
         key = philox_key(13, "noise", 2, 1)
         want = _all_lanes_draw(dim, 0.3, key, count)
@@ -191,7 +241,7 @@ class TestQuantileChunks:
         rng = np.random.default_rng(n)
         _assert_chunked_quantile_exact(np.maximum(rng.random(n), 2.0**-54))
 
-    @pytest.mark.parametrize("shape", [(), (7, C // 3), (3, 5, C // 7)])
+    @pytest.mark.parametrize("shape", [(), (7, C // 3), (3, 5, C // 7), (0, 47)])
     def test_shapes(self, shape):
         rng = np.random.default_rng(len(shape))
         p = np.asarray(np.maximum(rng.random(shape), 2.0**-54))
