@@ -9,23 +9,22 @@ certified action by construction, never by luck, and no result carries
 anything for it.
 
 One ``AttackConfig`` is a run's attack schedule: the noise that judges
-flips, the number of PGD steps and the number of restarts.  The budget
-epsilon and the seeds are arguments of each call.
-``pgd_attack_batch`` runs projected gradient ascent on the margin
-between the best non-modal action value and the modal action value of
-one agent's network, one result per seed.  Each step moves
-2.5 * epsilon / steps, so a straight climb reaches the edge of the ball
-within the first half of its steps.  Every restart of every seed is one
-row of a single array, and the rows step together: each step runs one
-``nn.forward_trace``, takes the action values from it, and asks
-``nn.reverse_sweep`` for the input gradient alone, with no parameter
-gradient and no second forward pass.  Restart 0 starts at the clean
-observation and depends on no seed, so the batch holds it once for all
-seeds.
-Each row's end point is still judged on its own by the CRN smoothed
-decision, which counts actions as ``smoothing.sample_tally`` does for
-the certificates but stops once the leader's lead exceeds the rows left,
-so its action is always the full vote's.  ``pgd_attack_state`` is the
+flips, the number of PGD steps and the number of restarts.  The budgets
+(epsilon and seeds) are arguments of each call.  ``pgd_attack_batch``
+runs projected gradient ascent on the margin between the best non-modal
+action value and the modal action value of one agent's network, one
+result per seed of each budget.  Each step moves 2.5 * epsilon / steps,
+so a straight climb reaches the edge of the ball within the first half
+of its steps.  Every restart of every seed of every budget is one row of
+a single array, and the rows step together, each in its own ball: each
+step runs one ``nn.forward_trace`` and asks ``nn.reverse_sweep`` for
+the input gradient alone, and the rows are gathered only once one of
+them stops.  Restart 0 starts at the clean observation and depends on no
+seed, so each budget holds it once for all its seeds.  Each row's end
+point is still judged on its own by the CRN smoothed decision, set up
+once per batch, which counts actions through ``smoothing.sample_tally``'s
+loop but stops once the leader's lead exceeds the rows left, so its
+action is always the full vote's.  ``pgd_attack_state`` is the
 one-seed batch.  ``attacked_rollout`` applies the attack persistently
 along an episode, one episode per seed, all episodes stepping together.
 
@@ -33,8 +32,8 @@ Every smoothed decision at one step and agent reads one noise address,
 and each agent's smoothing slot holds one block, so validation visits
 addresses in step order.  ``validate_certificates`` walks the
 certificates by step: at step t it checks every agent's recorded action
-against a fresh smoothed decision, attacks each certified agent with all
-its trials in one batch at its certified radius, and again at twice that
+against a fresh smoothed decision, attacks each certified agent in one
+batch of all its trials at its certified radius and at twice that
 radius as a contrast, and then advances every live attacked rollout by
 step t, the episodes that stand on the same state sharing one batch per
 agent.  Each (step, agent) block is thus drawn once in validation.
@@ -42,6 +41,8 @@ agent.  Each (step, agent) block is thus drawn once in validation.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ from .envs import EnvState, GridSpec, observe, reset, step
 from .errors import ConfigError
 from .policy import JointPolicy
 from .seeds import derive_seed
-from .smoothing import NoiseConfig, _running_counts
+from .smoothing import NoiseConfig, _counter
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,24 @@ class ValidationReport:
 _VOTE_CUTS = (51, 60, 80, 100)
 
 
+def _voter(policy, state, agent, noise, base):
+    """The smoothed decision at ``base + delta`` as a function of delta,
+    set up once.  A vote stops once the leader's lead exceeds the rows
+    not yet counted, so it picks the full counts' lowest-index argmax."""
+    samples = noise.samples
+    cuts = sorted({max(samples // 2 + 1, samples * cut // 100) for cut in _VOTE_CUTS})
+    count = _counter(policy.agent_nets[agent], base.size, noise, state.step_count, agent)
+
+    def vote(delta=None) -> int:
+        for counted, counts in count(base if delta is None else base + delta, cuts):
+            *_, runner, top = np.sort(counts)
+            if top - runner > samples - counted:
+                break
+        return int(np.argmax(counts))
+
+    return vote
+
+
 def _smoothed_modal(
     policy: JointPolicy,
     spec: GridSpec,
@@ -120,21 +139,8 @@ def _smoothed_modal(
     delta: np.ndarray | None = None,
 ) -> int:
     """Modal greedy action under the certification noise stream, the
-    lowest-index argmax of ``_action_counts``.  The vote stops once the
-    leader's lead exceeds the rows not yet counted."""
-    samples = noise.samples
-    cuts = sorted({max(samples // 2 + 1, samples * cut // 100) for cut in _VOTE_CUTS})
-    for counted, counts in _running_counts(policy, spec, state, agent, noise, delta, cuts):
-        *_, runner, top = np.sort(counts)
-        if top - runner > samples - counted:
-            break
-    return int(np.argmax(counts))
-
-
-def _margins(net: nn.Mlp, X: np.ndarray, modal: int) -> np.ndarray:
-    """Best non-modal value minus the modal value, per row of X."""
-    values = nn.forward_batch(net, X)
-    return np.delete(values, modal, axis=1).max(axis=1) - values[:, modal]
+    lowest-index argmax of ``_action_counts``: one vote of ``_voter``."""
+    return _voter(policy, state, agent, noise, observe(spec, state, agent))(delta)
 
 
 def _restart_starts(seed, restarts, epsilon, step_index, agent, dim):
@@ -143,7 +149,7 @@ def _restart_starts(seed, restarts, epsilon, step_index, agent, dim):
     starts = np.zeros((restarts - 1, dim))
     for start in starts:
         direction = rng.standard_normal(dim)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction @ direction)
         radius = epsilon * rng.random() ** (1.0 / dim)
         if norm > 0:
             start[:] = direction * (radius / norm)
@@ -151,29 +157,32 @@ def _restart_starts(seed, restarts, epsilon, step_index, agent, dim):
 
 
 def _pgd_rows(net, base, deltas, clean, steps, epsilon) -> np.ndarray:
-    """Margin-ascent PGD on every row of ``deltas`` at once, in place.
+    """Margin-ascent PGD on every row of ``deltas`` at once, in place,
+    row i within its own budget ``epsilon[i]``.
 
     A row whose input gradient is zero cannot make progress and stops
-    where it is; the others keep stepping and projecting onto the ball.
+    where it is; the others keep stepping and projecting onto their ball.
     """
-    step_size = 2.5 * epsilon / steps
-    live = np.arange(len(deltas))
+    step_size = (2.5 * epsilon / steps)[:, None]
+    live = slice(None)
     for _ in range(steps):
         values, inputs = nn.forward_trace(net, base + deltas[live])
         values[:, clean] = -np.inf
         grad_out = np.zeros_like(values)
-        grad_out[np.arange(len(live)), np.argmax(values, axis=1)] = 1.0
+        grad_out[np.arange(len(values)), np.argmax(values, axis=1)] = 1.0
         grad_out[:, clean] = -1.0
         grad_in = nn.reverse_sweep(net, inputs, grad_out)
-        norms = np.linalg.norm(grad_in, axis=1)
+        norms = np.sqrt(np.add.reduce(grad_in * grad_in, axis=1))  # = linalg.norm(axis=1)
         moving = norms != 0.0
-        live = live[moving]
-        if live.size == 0:
-            break
-        stepped = deltas[live] + step_size * grad_in[moving] / norms[moving, None]
-        lengths = np.linalg.norm(stepped, axis=1)
-        over = lengths > epsilon
-        stepped[over] *= (epsilon / lengths[over])[:, None]
+        if not moving.all():  # gather the rows still moving
+            live = np.arange(len(deltas))[live][moving]
+            if live.size == 0:
+                break
+            grad_in, norms = grad_in[moving], norms[moving]
+        stepped = deltas[live] + step_size[live] * grad_in / norms[:, None]
+        lengths = np.sqrt(np.add.reduce(stepped * stepped, axis=1))
+        over = lengths > epsilon[live]
+        stepped[over] *= (epsilon[live][over] / lengths[over])[:, None]
         deltas[live] = stepped
     return deltas
 
@@ -184,51 +193,59 @@ def pgd_attack_batch(
     state: EnvState,
     agent: int,
     cfg: AttackConfig,
-    epsilon: float,
-    seeds,
+    budgets,
 ) -> tuple:
-    """Margin-ascent PGD on one agent's observation, one result per seed.
+    """Margin-ascent PGD on one agent's observation, for each
+    ``(epsilon, seeds)`` of ``budgets`` a tuple with one result per seed.
 
-    Raises ConfigError unless ``epsilon`` is finite and non-negative.
-    Restart 0 starts from the clean observation and is one row shared by
-    every seed; each seed's further restarts start uniformly inside the
-    budget ball, drawn from that seed.  A seed's result is its first
+    Raises ConfigError unless every epsilon is finite and non-negative.
+    A budget of 0 leaves each seed its clean action.  Otherwise restart 0
+    starts from the clean observation and is one row shared by the
+    budget's seeds; each seed's further restarts start uniformly inside
+    the budget ball, drawn from that seed.  A seed's result is its first
     restart, in restart order, that flips the smoothed decision,
-    otherwise the one with the largest final margin.
+    otherwise the one with the largest final margin.  A budget gets the
+    results of a batch of its own, unless that batch is one row, which
+    numpy multiplies as a matrix-vector product, rounded otherwise.
     """
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ConfigError("epsilon must be finite and non-negative")
+    for epsilon, _ in budgets:
+        if not np.isfinite(epsilon) or epsilon < 0:
+            raise ConfigError("epsilon must be finite and non-negative")
     base = observe(spec, state, agent)
-    clean = _smoothed_modal(policy, spec, state, agent, cfg.noise)
-    if epsilon == 0.0:
-        return tuple(AttackResult(np.zeros(base.size), clean, False) for _ in seeds)
+    vote = _voter(policy, state, agent, cfg.noise, base)
+    clean = vote()
     net = policy.agent_nets[agent]
-    starts = [np.zeros((1, base.size))]
-    starts += [
-        _restart_starts(seed, cfg.restarts, epsilon, state.step_count, agent, base.size)
-        for seed in seeds
-    ]
-    deltas = _pgd_rows(net, base, np.concatenate(starts), clean, cfg.steps, epsilon)
-    margins = _margins(net, base + deltas, clean)
-    modes = {}
-
-    def mode(row):
-        if row not in modes:
-            modes[row] = _smoothed_modal(
-                policy, spec, state, agent, cfg.noise, deltas[row]
-            )
-        return modes[row]
-
     own = cfg.restarts - 1
-    results = []
-    for s in range(len(seeds)):
-        rows = [0, *range(1 + s * own, 1 + (s + 1) * own)]
-        chosen = next((row for row in rows if mode(row) != clean), None)
-        if chosen is None:
-            chosen = rows[int(np.argmax(margins[rows]))]
-        action = mode(chosen)
-        results.append(AttackResult(deltas[chosen].copy(), action, action != clean))
-    return tuple(results)
+    starts, epsilons, firsts = [], [], []
+    for epsilon, seeds in budgets:
+        firsts.append(len(epsilons))
+        if epsilon > 0.0:
+            starts += [np.zeros((1, base.size))] + [
+                _restart_starts(seed, cfg.restarts, epsilon, state.step_count, agent, base.size)
+                for seed in seeds
+            ]
+            epsilons += [epsilon] * (1 + own * len(seeds))
+    if starts:
+        deltas = _pgd_rows(
+            net, base, np.concatenate(starts), clean, cfg.steps, np.array(epsilons)
+        )
+        values = nn.forward_batch(net, base + deltas)  # margins: best rival - clean
+        margins = np.delete(values, clean, axis=1).max(axis=1) - values[:, clean]
+    mode = functools.cache(lambda row: vote(deltas[row]))
+
+    def result(rows):  # the first flipping row, else the largest margin
+        row = next((r for r in rows if mode(r) != clean), rows[int(np.argmax(margins[rows]))])
+        return AttackResult(deltas[row].copy(), mode(row), mode(row) != clean)
+
+    return tuple(
+        tuple(
+            result([first, *range(first + 1 + s * own, first + 1 + (s + 1) * own)])
+            if epsilon > 0.0
+            else AttackResult(np.zeros(base.size), clean, False)
+            for s in range(len(seeds))
+        )
+        for (epsilon, seeds), first in zip(budgets, firsts)
+    )
 
 
 def pgd_attack_state(
@@ -240,8 +257,8 @@ def pgd_attack_state(
     epsilon: float,
     seed: int,
 ) -> AttackResult:
-    """``pgd_attack_batch`` with the single seed ``seed``."""
-    return pgd_attack_batch(policy, spec, state, agent, cfg, epsilon, (seed,))[0]
+    """``pgd_attack_batch`` with the single budget ``epsilon`` and seed ``seed``."""
+    return pgd_attack_batch(policy, spec, state, agent, cfg, [(epsilon, (seed,))])[0][0]
 
 
 def _rollout_steps(policy, spec, cfg, epsilon, seeds):
@@ -258,8 +275,8 @@ def _rollout_steps(policy, spec, cfg, epsilon, seeds):
         actions = {trial: [] for trial in live}
         for state, trials in groups.items():
             for agent in range(policy.n_agents):
-                results = pgd_attack_batch(
-                    policy, spec, state, agent, cfg, epsilon, [seeds[t] for t in trials]
+                (results,) = pgd_attack_batch(
+                    policy, spec, state, agent, cfg, [(epsilon, [seeds[t] for t in trials])]
                 )
                 for trial, result in zip(trials, results):
                     actions[trial].append(result.action)
@@ -299,27 +316,26 @@ def validate_certificates(
 ) -> ValidationReport:
     """Stress-test certificates with repeated attacks.
 
-    Every certified (state, agent) pair gets one PGD batch of ``trials``
-    seeds derived from ``seed`` at its certified radius (flips here
-    would falsify the certificate) and one more at twice the radius as a
-    contrast.  Rollout attacks at the reward certificate's epsilon check
-    that no episode scores below its bound; they advance by step t once
-    the certificates of step t are attacked.  Raises ConfigError (exit
-    code 2) when ``trials`` is below 1, when a certificate's step index
-    disagrees with its state (checked before any attack), or when its
-    recorded actions disagree with this policy and noise configuration.
+    Every certified (state, agent) pair gets one PGD batch with two
+    budgets of ``trials`` seeds each, derived from ``seed``: its certified
+    radius (flips here would falsify the certificate) and twice the
+    radius as a contrast.  Rollout attacks at the reward certificate's
+    epsilon check that no episode scores below its bound; they advance
+    by step t once the certificates of step t are attacked.  Raises
+    ConfigError (exit code 2) when ``trials`` is below 1, when a
+    certificate's step index disagrees with its state (checked before
+    any attack), or when its recorded actions disagree with this policy
+    and noise configuration.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
 
-    def flips(cert, agent, scale):
+    def budget(cert, agent, scale):
         seeds = [
             derive_seed(seed, "validate", cert.step_index, agent, trial, scale)
             for trial in range(trials)
         ]
-        epsilon = scale * cert.per_agent_radius[agent]
-        results = pgd_attack_batch(policy, spec, cert.state, agent, cfg, epsilon, seeds)
-        return sum(result.flipped for result in results)
+        return scale * cert.per_agent_radius[agent], seeds
 
     for cert in state_certificates:
         if cert.step_index != cert.state.step_count:
@@ -340,8 +356,10 @@ def validate_certificates(
                     "certificates do not match this policy/noise configuration"
                 )
         for agent in sorted(cert.certified_set):
-            in_flips += flips(cert, agent, 1.0)
-            contrast_flips += flips(cert, agent, 2.0)
+            budgets = [budget(cert, agent, 1.0), budget(cert, agent, 2.0)]
+            in_ball, contrast = pgd_attack_batch(policy, spec, cert.state, agent, cfg, budgets)
+            in_flips += sum(result.flipped for result in in_ball)
+            contrast_flips += sum(result.flipped for result in contrast)
             checked += 1
     for results in rollouts:  # the steps that outlive the last certificate
         pass

@@ -168,21 +168,26 @@ class ResultRecord:
         return dataclasses.asdict(self)
 
 
+_build = None  # found once per process: the loaded code cannot change
+
+
 def _build_id() -> str:
-    base = f"marlcert-{__version__}"
-    try:
-        probe = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except OSError:
-        return base
-    if probe.returncode == 0:
-        return f"{base}+{probe.stdout.strip()}"
-    return base
+    global _build
+    if _build is None:
+        _build = f"marlcert-{__version__}"
+        try:
+            probe = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+        except OSError:
+            return _build
+        if probe.returncode == 0:
+            _build += f"+{probe.stdout.strip()}"
+    return _build
 
 
 def _load_spec(env: str):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from marlcert.errors import CheckpointError, NumericalError
+from .errors import CheckpointError, NumericalError
 
 _MAGIC = b"MLPNET01"
 _VERSION = 1

@@ -21,7 +21,7 @@ CDF allocates its two working vectors; noise bits follow numpy's SIMD log.
 A caller that passes a buffer gets them drawn into it, so the draw makes
 none.
 
-`sample_tally` and the attacks count actions through `_running_counts`,
+`sample_tally` and the attacks count actions through `_counter`'s loop,
 a range of rows at a time: a tally counts all M rows, an attack's vote
 stops once its winner is settled.  At one (seed, step, agent) address
 every smoothed decision, whatever the state or attack shift x, feeds the
@@ -224,20 +224,27 @@ def _running_counts(policy, spec, state, agent, cfg, delta, cuts):
     its observation (shifted by ``delta`` unless None) after each of the
     increasing ``cuts``, as (cut, counts); no row's pick depends on them."""
     base = observe(spec, state, agent)
-    if delta is not None:
-        base = base + delta
-    net = policy.agent_nets[agent]
-    projected = _projected_block(net, base.size, cfg, state.step_count, agent)
-    # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
-    shift = net.weights[0] @ base + net.biases[0]
-    scratch = _scratch(net, base.size, cfg.samples)
-    counts = np.zeros(N_ACTIONS, dtype=np.int64)
-    for start, stop in zip([0, *cuts], cuts):
-        first = scratch[: (stop - start) * shift.size].reshape(-1, shift.size)
-        np.add(projected[start:stop], shift, out=first)
-        picks = np.argmax(nn.forward_rest(net, first), axis=1)  # lowest-index ties
-        counts = counts + np.bincount(picks, minlength=N_ACTIONS)
-        yield stop, counts
+    counter = _counter(policy.agent_nets[agent], base.size, cfg, state.step_count, agent)
+    return counter(base if delta is None else base + delta, cuts)
+
+
+def _counter(net, dim, cfg, step_index, agent):
+    """``_running_counts`` set up once at an address: a function of (x, cuts)."""
+    projected = _projected_block(net, dim, cfg, step_index, agent)
+    scratch = _scratch(net, dim, cfg.samples)
+
+    def running_counts(x, cuts):
+        # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
+        shift = net.weights[0] @ x + net.biases[0]
+        counts = np.zeros(N_ACTIONS, dtype=np.int64)
+        for start, stop in zip([0, *cuts], cuts):
+            first = scratch[: (stop - start) * shift.size].reshape(-1, shift.size)
+            np.add(projected[start:stop], shift, out=first)
+            picks = np.argmax(nn.forward_rest(net, first), axis=1)  # lowest-index ties
+            counts = counts + np.bincount(picks, minlength=N_ACTIONS)
+            yield stop, counts
+
+    return running_counts
 
 
 def _action_counts(policy, spec, state, agent, cfg, delta=None) -> np.ndarray:

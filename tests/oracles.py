@@ -4,10 +4,13 @@ Deliberately slow and simple: arbitrary-precision special functions (mpmath),
 exact rational binomial sums (fractions.Fraction), bisection root finding,
 naive enumeration, one-row-at-a-time gradient ascent and noise draws.
 Nothing in this file imports marlcert, so each check in the test suite
-compares two independent routes to the same quantity.  The one exception
-is ``validate_two_phase``, a reference for the order of a walk rather
-than for its arithmetic: it takes the attack module as an argument and
-composes that module's own attacks in the order the walk replaced.
+compares two independent routes to the same quantity.  Two exceptions
+take a marlcert module as an argument.  ``validate_two_phase`` is a
+reference for the order of a walk rather than for its arithmetic: it
+composes the attack module's own attacks in the order the walk
+replaced.  ``pgd_rows_gathered`` is a reference for a step's bits: the
+PGD loop as it gathered the live rows at every step, on the network
+passes of the nn module.
 """
 
 import math
@@ -212,6 +215,32 @@ def pgd_single_row(
     return best, False
 
 
+def pgd_rows_gathered(nn, net, base, deltas, clean, steps, epsilon):
+    """Margin-ascent PGD on every row of ``deltas`` within one budget, in
+    place, gathering the rows still moving at every step: the batched
+    loop before rows of several budgets stepped together ungathered."""
+    step_size = 2.5 * epsilon / steps
+    live = np.arange(len(deltas))
+    for _ in range(steps):
+        values, inputs = nn.forward_trace(net, base + deltas[live])
+        values[:, clean] = -np.inf
+        grad_out = np.zeros_like(values)
+        grad_out[np.arange(len(live)), np.argmax(values, axis=1)] = 1.0
+        grad_out[:, clean] = -1.0
+        grad_in = nn.reverse_sweep(net, inputs, grad_out)
+        norms = np.linalg.norm(grad_in, axis=1)
+        moving = norms != 0.0
+        live = live[moving]
+        if live.size == 0:
+            break
+        stepped = deltas[live] + step_size * grad_in[moving] / norms[moving, None]
+        lengths = np.linalg.norm(stepped, axis=1)
+        over = lengths > epsilon
+        stepped[over] *= (epsilon / lengths[over])[:, None]
+        deltas[live] = stepped
+    return deltas
+
+
 def observe(spec, state, agent):
     """An agent's 3x3 observation built one window cell at a time: each
     cell is checked for bounds and walls, then looked up in a dict of the
@@ -265,8 +294,8 @@ def validate_two_phase(
             for trial in range(trials)
         ]
         epsilon = scale * cert.per_agent_radius[agent]
-        results = attack.pgd_attack_batch(
-            policy, spec, cert.state, agent, cfg, epsilon, seeds
+        (results,) = attack.pgd_attack_batch(
+            policy, spec, cert.state, agent, cfg, [(epsilon, seeds)]
         )
         return sum(result.flipped for result in results)
 

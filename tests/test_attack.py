@@ -111,7 +111,7 @@ def _assert_matches_reference(policy, spec, state, agent, cfg, epsilon, seeds):
     def judge(delta):
         return _smoothed_modal(policy, spec, state, agent, cfg.noise, delta)
 
-    results = pgd_attack_batch(policy, spec, state, agent, cfg, epsilon, seeds)
+    (results,) = pgd_attack_batch(policy, spec, state, agent, cfg, [(epsilon, seeds)])
     assert len(results) == len(seeds)
     for seed, result in zip(seeds, results):
         want_delta, want_flipped = oracles.pgd_single_row(
@@ -307,8 +307,8 @@ class TestPgdAttackBatch:
             return reverse_sweep(net, inputs, G)
 
         monkeypatch.setattr(nn, "reverse_sweep", counting)
-        results = pgd_attack_batch(
-            policy, spec, reset(spec), 0, _cfg(restarts=3), 0.5, range(4)
+        (results,) = pgd_attack_batch(
+            policy, spec, reset(spec), 0, _cfg(restarts=3), [(0.5, range(4))]
         )
         # one shared restart-0 row plus two own restarts per seed, all of
         # which stop at the first step with a zero input gradient
@@ -318,6 +318,118 @@ class TestPgdAttackBatch:
             assert result.flipped is False
             assert result.action == 1
             assert not result.delta.any()
+
+
+def _same_results(got, want, atol=0.0):
+    """Per budget, the same actions and flips, and deltas that differ by
+    at most ``atol`` (bit for bit at the default 0)."""
+    return len(got) == len(want) and all(
+        len(g) == len(w)
+        and all(
+            np.allclose(a.delta, b.delta, rtol=0.0, atol=atol)
+            and (a.action, a.flipped) == (b.action, b.flipped)
+            for a, b in zip(g, w)
+        )
+        for g, w in zip(got, want)
+    )
+
+
+def _budget_cases(name):
+    """A policy, its spec, some states and a budget r for agent 0."""
+    if name == "checkers-vdn":
+        policy, spec, _ = _checkers_vdn(200)
+        return policy, spec, _random_states(spec, policy.n_agents, 4, 3), 0.2
+    net = {
+        "relu": _random_net(5, (16,), "relu"),
+        "tanh": _random_net(6, (16, 8), "tanh", scale=3.0),
+        "gated": _gated_net(2),
+    }[name]
+    spec = _spec2()
+    policy = _policy([net, _const_like(net, [2.0, 0.5, 0.0, 0.0, 0.0])])
+    return policy, spec, [step(spec, reset(spec), (3, 0)).next_state], 0.5
+
+
+class TestBudgetBatch:
+    """Several budgets in one PGD batch against one batch per budget."""
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["relu", "tanh", "gated", "checkers-vdn"])
+    def test_budgets_together_equal_budgets_alone(self, name, restarts):
+        policy, spec, states, r = _budget_cases(name)
+        cfg = _cfg(noise=_noise(sigma=0.06), steps=10, restarts=restarts)
+        flipped = set()
+        for state in states:
+            seeds = [
+                [derive_seed(3, "budget", scale, trial) for trial in range(4)]
+                for scale in (1, 2)
+            ]
+            for epsilons in ((r, 2 * r), (0.0, r)):
+                budgets = list(zip(epsilons, seeds))
+                together = pgd_attack_batch(policy, spec, state, 0, cfg, budgets)
+                alone = [
+                    pgd_attack_batch(policy, spec, state, 0, cfg, [budget])[0]
+                    for budget in budgets
+                ]
+                if restarts == 1 and 0.0 not in epsilons:
+                    # alone, each budget is its one restart-0 row, which
+                    # numpy multiplies as a matrix-vector product, rounded
+                    # otherwise than the two-row batch's matrix product
+                    assert _same_results(together, alone, atol=1e-12)
+                else:
+                    assert _same_results(together, alone)
+                flipped |= {result.flipped for results in together for result in results}
+        assert False in flipped
+        # the gated net's restart 0 cannot move, so only its random
+        # restarts flip
+        if name == "checkers-vdn" or name == "gated" and restarts > 1:
+            assert True in flipped
+
+    def test_each_budget_keeps_its_error_and_zero_answer(self):
+        policy, spec, (state,), r = _budget_cases("relu")
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                pgd_attack_batch(policy, spec, state, 0, _cfg(), [(r, [1]), (bad, [2])])
+        clean = _smoothed_modal(policy, spec, state, 0, _cfg().noise)
+        budgets = [(0.0, [1, 2]), (r, [])]
+        zero, empty = pgd_attack_batch(policy, spec, state, 0, _cfg(), budgets)
+        assert empty == ()
+        assert [(result.action, result.flipped) for result in zero] == [(clean, False)] * 2
+        assert not any(result.delta.any() for result in zero)
+
+    @pytest.mark.parametrize("name", ["relu", "tanh", "gated", "checkers-vdn"])
+    def test_pgd_rows_equal_the_gathering_loop(self, name):
+        policy, spec, states, r = _budget_cases(name)
+        net = policy.agent_nets[0]
+        rng = np.random.default_rng(17)
+        stopped = 0
+        for state in states:
+            base = observe(spec, state, 0)
+            clean = _smoothed_modal(policy, spec, state, 0, _noise(sigma=0.06))
+            blocks = []
+            for epsilon in (r, 2 * r, 0.01):
+                starts = rng.standard_normal((5, base.size))
+                starts /= np.linalg.norm(starts, axis=1)[:, None]
+                starts *= epsilon * rng.random((5, 1))
+                starts[0] = 0.0  # restart 0, where the gated net's gradient vanishes
+                want = oracles.pgd_rows_gathered(
+                    nn, net, base, starts.copy(), clean, 10, epsilon
+                )
+                got = attack._pgd_rows(
+                    net, base, starts.copy(), clean, 10, np.full(5, epsilon)
+                )
+                assert np.array_equal(got, want)
+                blocks.append((starts, epsilon, want))
+                stopped += int((want == starts).all(axis=1).sum())
+            together = attack._pgd_rows(
+                net,
+                base,
+                np.concatenate([starts for starts, _, _ in blocks]),
+                clean,
+                10,
+                np.repeat([epsilon for _, epsilon, _ in blocks], 5),
+            )
+            assert np.array_equal(together, np.concatenate([want for _, _, want in blocks]))
+        assert (stopped > 0) is (name == "gated")
 
 
 class TestAttackedRollout:
@@ -348,20 +460,38 @@ class TestAttackedRollout:
         policy = _policy(
             [_linear_net(1, [0.0, 0.0, 0.0, 1.0, 0.0]), _linear_net(2, [0.0, 1.0, 0.0, 0.0, 0.0])]
         )
-        calls = Counter()
-
-        def counting(policy, spec, state, agent, noise, delta=None):
-            calls[state.step_count, agent] += 1
-            return _smoothed_modal(policy, spec, state, agent, noise, delta)
-
-        monkeypatch.setattr(attack, "_smoothed_modal", counting)
+        setups, clean, rows = _counting_votes(monkeypatch)
         (result,) = attacked_rollout(policy, spec, _cfg(restarts=3), 0.05, [7])
         assert result.flipped == (False, False)
-        # the clean decision, then one per restart end point; the action
-        # executed is the attack's own, not a further decision
-        steps = 1 + max(t for t, _ in calls)
+        # one vote set-up per batch, the clean vote, then one vote per
+        # restart end point; the action executed is the attack's own, not
+        # a further vote
+        steps = 1 + max(t for t, _ in setups)
         assert steps > 1
-        assert calls == Counter({(t, n): 1 + 3 for t in range(steps) for n in range(2)})
+        keys = [(t, n) for t in range(steps) for n in range(2)]
+        assert setups == clean == Counter(keys)
+        assert rows == Counter({key: 3 for key in keys})
+
+
+def _counting_votes(monkeypatch):
+    """Count, per (step, agent), the vote set-ups, the clean votes and the
+    votes on shifted observations."""
+    setups, clean, rows = Counter(), Counter(), Counter()
+    inner = attack._voter
+
+    def counting(policy, state, agent, noise, base):
+        key = state.step_count, agent
+        setups[key] += 1
+        vote = inner(policy, state, agent, noise, base)
+
+        def counted(delta=None):
+            (clean if delta is None else rows)[key] += 1
+            return vote(delta)
+
+        return counted
+
+    monkeypatch.setattr(attack, "_voter", counting)
+    return setups, clean, rows
 
 
 def _checkers_vdn(samples):
@@ -378,9 +508,10 @@ def _recording_batches(monkeypatch):
     calls = []
     inner = attack.pgd_attack_batch
 
-    def recording(policy, spec, state, agent, cfg, epsilon, seeds):
+    def recording(policy, spec, state, agent, cfg, budgets):
+        ((_, seeds),) = budgets  # a rollout attacks at one budget
         calls.append((state, agent, tuple(seeds)))
-        return inner(policy, spec, state, agent, cfg, epsilon, seeds)
+        return inner(policy, spec, state, agent, cfg, budgets)
 
     monkeypatch.setattr(attack, "pgd_attack_batch", recording)
     return calls
@@ -467,7 +598,7 @@ class TestValidateCertificates:
         for reward in report.rollout_rewards:
             assert reward >= bound.r_min
 
-    def test_one_batch_per_state_agent_and_scale(self, monkeypatch):
+    def test_one_batch_per_certified_state_and_agent(self, monkeypatch):
         spec = parse_grid_config(
             "map: |\n  1..a\nstep_cap: 5\nrewards:\n  apple: 10.0\n"
         )
@@ -478,30 +609,37 @@ class TestValidateCertificates:
         checked = [(c.step_index, n) for c in certs for n in sorted(c.certified_set)]
         assert len(checked) == 3
         backward = Counter()
-        clean = Counter()
+        batches = []
         reverse_sweep = nn.reverse_sweep
+        inner_batch = attack.pgd_attack_batch
 
         def counting_backward(net, inputs, G):
             backward[len(G)] += 1
             return reverse_sweep(net, inputs, G)
 
-        def counting_modal(policy, spec, state, agent, noise, delta=None):
-            if delta is None:
-                clean[state.step_count, agent] += 1
-            return _smoothed_modal(policy, spec, state, agent, noise, delta)
+        def recording(policy, spec, state, agent, cfg, budgets):
+            batches.append((state.step_count, agent, [eps for eps, _ in budgets]))
+            return inner_batch(policy, spec, state, agent, cfg, budgets)
 
         monkeypatch.setattr(nn, "reverse_sweep", counting_backward)
-        monkeypatch.setattr(attack, "_smoothed_modal", counting_modal)
+        monkeypatch.setattr(attack, "pgd_attack_batch", recording)
+        setups, clean, rows = _counting_votes(monkeypatch)
         cfg = AttackConfig(noise=noise, steps=15, restarts=2)
         report = validate_certificates(
             policy, spec, certs, bound, cfg, 9, trials=4, rollout_trials=0
         )
-        assert report.in_ball_flips == 0
+        assert report.in_ball_flips == report.contrast_flips == 0
         assert report.in_ball_trials == report.contrast_trials == 4 * 3
-        # no row freezes on this net: every batch of 1 + 4 rows takes 15 steps
-        assert backward == Counter({1 + 4: 15 * 2 * len(checked)})
-        # one decision checks the certificate, then one per scale's batch
-        assert clean == Counter({key: 1 + 2 for key in checked})
+        # one batch per certified (state, agent) holds both budgets
+        radius = {cert.step_index: cert.per_agent_radius[0] for cert in certs}  # one agent
+        assert batches == [(t, 0, [radius[t], 2 * radius[t]]) for t, _ in checked]
+        # no row freezes on this net: every batch of 2 x (1 + 4) rows
+        # takes 15 steps
+        assert backward == Counter({2 * (1 + 4): 15 * len(checked)})
+        # a set-up and a clean vote check the certificate, then one more
+        # of each serves the batch, whose every row is voted on once
+        assert setups == clean == Counter({key: 1 + 1 for key in checked})
+        assert rows == Counter({key: 2 * (1 + 4) for key in checked})
 
     def test_draws_each_address_once_in_step_order(self, monkeypatch):
         policy, spec, noise = _checkers_vdn(100)

@@ -239,6 +239,34 @@ class TestModes:
         policy = load_policy(checkpoint)
         assert policy.mixer == "vdn"
 
+    def test_build_id_probed_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        inner = subprocess.run
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(cli, "_build", None)
+        monkeypatch.setattr(subprocess, "run", counting)
+        builds = []
+        for name in ("a", "b"):
+            path = _write_config(
+                tmp_path,
+                f"{name}.yaml",
+                env="checkers",
+                mixer="vdn",
+                checkpoint=str(_CHECKERS_VDN),
+                out=str(tmp_path / name),
+                samples=20,
+            )
+            assert main(["certify-state", "--config", path]) == 0
+            record = json.loads((tmp_path / name / "result.json").read_text(encoding="utf-8"))
+            builds.append(record["build"])
+        assert len(calls) == 1
+        assert builds[0] == builds[1] == cli._build
+        assert builds[0].startswith(f"marlcert-{marlcert.__version__}")
+
     def test_missing_checkpoint_exit_code(self, tmp_path, corridor_env):
         path = _write_config(
             tmp_path,
