@@ -22,11 +22,11 @@ the input gradient alone, and the rows are gathered only once one of
 them stops.  Restart 0 starts at the clean observation and depends on no
 seed, so each budget holds it once for all its seeds.  Each row's end
 point is still judged on its own by the CRN smoothed decision, set up
-once per batch, which counts actions through ``smoothing.sample_tally``'s
-loop but stops once the leader's lead exceeds the rows left, so its
-action is always the full vote's.  ``pgd_attack_state`` is the
-one-seed batch.  ``attacked_rollout`` applies the attack persistently
-along an episode, one episode per seed, all episodes stepping together.
+once per batch with the count ``smoothing.sample_tally`` uses, given
+cuts at which it stops once the winner is settled, so its action is
+always the full tally's.  ``pgd_attack_state`` is the one-seed batch.
+``attacked_rollout`` applies the attack persistently along an episode,
+one episode per seed, all episodes stepping together.
 
 Every smoothed decision at one step and agent reads one noise address,
 and each agent's smoothing slot holds one block, so validation visits
@@ -114,18 +114,14 @@ _VOTE_CUTS = (51, 60, 80, 100)
 
 def _voter(policy, state, agent, noise, base):
     """The smoothed decision at ``base + delta`` as a function of delta,
-    set up once.  A vote stops once the leader's lead exceeds the rows
-    not yet counted, so it picks the full counts' lowest-index argmax."""
+    set up once.  Its count may stop at any of the ``_VOTE_CUTS`` once the
+    winner is settled, so it picks the full counts' lowest-index argmax."""
     samples = noise.samples
     cuts = sorted({max(samples // 2 + 1, samples * cut // 100) for cut in _VOTE_CUTS})
     count = _counter(policy.agent_nets[agent], base.size, noise, state.step_count, agent)
 
     def vote(delta=None) -> int:
-        for counted, counts in count(base if delta is None else base + delta, cuts):
-            *_, runner, top = np.sort(counts)
-            if top - runner > samples - counted:
-                break
-        return int(np.argmax(counts))
+        return int(np.argmax(count(base if delta is None else base + delta, cuts)))
 
     return vote
 
@@ -139,21 +135,21 @@ def _smoothed_modal(
     delta: np.ndarray | None = None,
 ) -> int:
     """Modal greedy action under the certification noise stream, the
-    lowest-index argmax of ``_action_counts``: one vote of ``_voter``."""
+    lowest-index argmax of the full tally: one vote of ``_voter``."""
     return _voter(policy, state, agent, noise, observe(spec, state, agent))(delta)
 
 
-def _restart_starts(seed, restarts, epsilon, step_index, agent, dim):
-    """Starts of restarts 1.. of one seed, uniform in the budget ball."""
+def _restart_starts(seed, epsilon, step_index, agent, starts):
+    """Fills ``starts`` with the starts of restarts 1.. of one seed,
+    uniform in the budget ball."""
     rng = np.random.default_rng(derive_seed(seed, "pgd", step_index, agent))
-    starts = np.zeros((restarts - 1, dim))
+    dim = starts.shape[1]
     for start in starts:
         direction = rng.standard_normal(dim)
         norm = math.sqrt(direction @ direction)
         radius = epsilon * rng.random() ** (1.0 / dim)
         if norm > 0:
             start[:] = direction * (radius / norm)
-    return starts
 
 
 def _pgd_rows(net, base, deltas, clean, steps, epsilon) -> np.ndarray:
@@ -198,15 +194,16 @@ def pgd_attack_batch(
     """Margin-ascent PGD on one agent's observation, for each
     ``(epsilon, seeds)`` of ``budgets`` a tuple with one result per seed.
 
-    Raises ConfigError unless every epsilon is finite and non-negative.
-    A budget of 0 leaves each seed its clean action.  Otherwise restart 0
-    starts from the clean observation and is one row shared by the
-    budget's seeds; each seed's further restarts start uniformly inside
-    the budget ball, drawn from that seed.  A seed's result is its first
-    restart, in restart order, that flips the smoothed decision,
-    otherwise the one with the largest final margin.  A budget gets the
-    results of a batch of its own, unless that batch is one row, which
-    numpy multiplies as a matrix-vector product, rounded otherwise.
+    Raises ConfigError unless every epsilon is finite and non-negative,
+    and when the batch's rows cannot be allocated.  A budget of 0 leaves
+    each seed its clean action.  Otherwise restart 0 starts from the
+    clean observation and is one row shared by the budget's seeds; each
+    seed's further restarts start uniformly inside the budget ball, drawn
+    from that seed.  A seed's result is its first restart, in restart
+    order, that flips the smoothed decision, otherwise the one with the
+    largest final margin.  A budget gets the results of a batch of its
+    own, unless that batch is one row, which numpy multiplies as a
+    matrix-vector product, rounded otherwise.
     """
     for epsilon, _ in budgets:
         if not np.isfinite(epsilon) or epsilon < 0:
@@ -216,19 +213,23 @@ def pgd_attack_batch(
     clean = vote()
     net = policy.agent_nets[agent]
     own = cfg.restarts - 1
-    starts, epsilons, firsts = [], [], []
+    firsts = [0]
     for epsilon, seeds in budgets:
-        firsts.append(len(epsilons))
-        if epsilon > 0.0:
-            starts += [np.zeros((1, base.size))] + [
-                _restart_starts(seed, cfg.restarts, epsilon, state.step_count, agent, base.size)
-                for seed in seeds
-            ]
-            epsilons += [epsilon] * (1 + own * len(seeds))
-    if starts:
-        deltas = _pgd_rows(
-            net, base, np.concatenate(starts), clean, cfg.steps, np.array(epsilons)
-        )
+        firsts.append(firsts[-1] + (1 + own * len(seeds)) * (epsilon > 0.0))
+    try:
+        deltas = np.zeros((firsts[-1], base.size))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(
+            f"restarts: {cfg.restarts} needs {8 * firsts[-1] * base.size / 2**30:.3g} "
+            "GiB for one batch of PGD rows, more than can be allocated"
+        ) from exc
+    for (epsilon, seeds), first in zip(budgets, firsts):
+        for s, seed in enumerate(seeds if epsilon > 0.0 else ()):
+            starts = deltas[first + 1 + s * own : first + 1 + (s + 1) * own]
+            _restart_starts(seed, epsilon, state.step_count, agent, starts)
+    if firsts[-1]:
+        epsilons = np.repeat([epsilon for epsilon, _ in budgets], np.diff(firsts))
+        deltas = _pgd_rows(net, base, deltas, clean, cfg.steps, epsilons)
         values = nn.forward_batch(net, base + deltas)  # margins: best rival - clean
         margins = np.delete(values, clean, axis=1).max(axis=1) - values[:, clean]
     mode = functools.cache(lambda row: vote(deltas[row]))

@@ -183,7 +183,7 @@ def _build_id() -> str:
                 text=True,
                 timeout=10,
             )
-        except OSError:
+        except (OSError, subprocess.SubprocessError):
             return _build
         if probe.returncode == 0:
             _build += f"+{probe.stdout.strip()}"
@@ -330,7 +330,7 @@ def _run_report(cfg: RunConfig) -> dict:
                 record = json.load(fh)
         except FileNotFoundError as exc:
             raise MissingArtifactError(f"result file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"result file is not valid JSON: {path}") from exc
         if not isinstance(record, dict):
             raise ConfigError(f"result file {path} does not hold an object")
@@ -402,7 +402,7 @@ def _load_config_file(path: str) -> dict:
             doc = yaml.safe_load(fh.read())
     except FileNotFoundError as exc:
         raise MissingArtifactError(f"config file not found: {path}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if doc is None:
         return {}

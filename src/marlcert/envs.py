@@ -246,6 +246,8 @@ def load_grid_config(path) -> GridSpec:
             text = fh.read()
     except FileNotFoundError as exc:
         raise MissingArtifactError(f"grid config not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"grid config is not UTF-8: {path}") from exc
     return parse_grid_config(text)
 
 

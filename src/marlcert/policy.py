@@ -423,7 +423,7 @@ def load_policy(path) -> JointPolicy:
         raise MissingArtifactError(f"no policy checkpoint at {path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt policy manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise CheckpointError("not a policy checkpoint manifest")

@@ -21,25 +21,26 @@ CDF allocates its two working vectors; noise bits follow numpy's SIMD log.
 A caller that passes a buffer gets them drawn into it, so the draw makes
 none.
 
-`sample_tally` and the attacks count actions through `_counter`'s loop,
-a range of rows at a time: a tally counts all M rows, an attack's vote
-stops once its winner is settled.  At one (seed, step, agent) address
-every smoothed decision, whatever the state or attack shift x, feeds the
-same noise block E through the agent's first layer, and W1 (x + E) =
-W1 x + W1 E.  So each agent has one slot that holds its block already
-projected, ``P = (sigma E) @ W1.T`` (M x hidden), keyed by dim, seed,
-step, M and sigma and checked against a stored copy of W1.  One block
-per agent bounds the memory kept, so a caller must visit addresses in
-order: finish every decision at one (step, agent) before moving on, and
-never come back to an earlier step within one walk.  The tree search
+`_counter` sets up a smoothed decision at its (seed, step, agent) address
+and returns the one count: a tally counts all M rows, an attack's vote
+stops at the first of its cuts after which the winner is settled.  At one
+address every smoothed decision, whatever the state or attack shift x,
+feeds the same noise block E through the agent's first layer, and
+W1 (x + E) = W1 x + W1 E.  So each agent has one slot that holds its block
+already projected, ``P = (sigma E) @ W1.T`` (M x hidden), keyed by dim,
+seed, step, M and sigma and checked against a stored copy of W1.  One
+block per agent bounds the memory kept, so a caller must visit addresses
+in order: finish every decision at one (step, agent) before moving on,
+and never come back to an earlier step within one walk.  The tree search
 expands one step level at a time; the attack validation attacks the
 certificates of step t, then advances all its attacked rollouts by it.
 
 Draws and decisions write into one scratch vector, room for M rows of
 max(4 ceil(dim / 4), hidden) doubles, made the first time a decision
-needs it and made again when M changes.  A new address frees the
-agent's old projected block, draws the noise into the scratch and
-projects it into a new block.  A decision adds the vector ``W1 x + b1``
+needs it and made again when M changes.  A new address draws the noise
+into the scratch and projects it into the agent's block, in place unless
+M or hidden changed, which frees the old block first; a count set up at
+an earlier address then raises.  A decision adds the vector ``W1 x + b1``
 to P in the scratch and runs the layers after the first there
 (`nn.forward_rest` applies the activations in place), so it allocates
 only the M x n_actions values and the M picks.  Reusing the same pages
@@ -189,21 +190,22 @@ def _scratch(net: nn.Mlp, dim: int, samples: int) -> np.ndarray:
 _projected_noise: dict = {}
 
 
-def _projected_block(
-    net: nn.Mlp, dim: int, cfg: NoiseConfig, step_index: int, agent: int
-) -> np.ndarray:
-    """``gaussian_noise_block(dim, cfg.sigma, cfg.seed, step_index, agent,
-    cfg.samples) @ W1.T`` for the first-layer weights W1 of ``net``.
-
-    Drawn and projected once while the agent's address and W1 stay the
-    same.  W1 is compared by value, so weights edited in place (training,
-    a test) are projected afresh.  The block is shared, so it is read-only.
+def _counter(net, dim, cfg, step_index, agent):
+    """The smoothed decision of ``net`` at one (step_index, agent) address,
+    set up once: ``count(x, cuts=(M,))``, the greedy-action counts of the
+    noisy copies of x up to the first of the increasing ``cuts`` after
+    which the leader's lead exceeds the rows not yet counted, so their
+    lowest-index argmax is the full tally's.  The agent's block is drawn
+    and projected unless its slot holds this address and, by value, these
+    first-layer weights.  A count set up before the slot moved on raises.
     """
     key = (dim, cfg.seed, step_index, cfg.samples, cfg.sigma)
     weights = net.weights[0]
-    slot = _projected_noise.get(agent)
+    slot = _projected_noise.pop(agent, None)  # a failed set-up leaves no slot
     if slot is None or slot[0] != key or not np.array_equal(slot[1], weights):
-        _projected_noise.pop(agent, None)  # free the old block before the new
+        shape = (cfg.samples, weights.shape[0])
+        block = slot[2] if slot is not None and slot[2].shape == shape else None
+        slot = None  # a block of another shape is freed before the new one
         noise = gaussian_noise_block(
             dim,
             cfg.sigma,
@@ -213,44 +215,27 @@ def _projected_block(
             cfg.samples,
             _scratch(net, dim, cfg.samples),
         )
-        projected = noise @ weights.T
-        projected.flags.writeable = False
-        slot = _projected_noise[agent] = (key, weights.copy(), projected)
-    return slot[2]
-
-
-def _running_counts(policy, spec, state, agent, cfg, delta, cuts):
-    """Agent's greedy-action counts over the first ``cut`` noisy copies of
-    its observation (shifted by ``delta`` unless None) after each of the
-    increasing ``cuts``, as (cut, counts); no row's pick depends on them."""
-    base = observe(spec, state, agent)
-    counter = _counter(policy.agent_nets[agent], base.size, cfg, state.step_count, agent)
-    return counter(base if delta is None else base + delta, cuts)
-
-
-def _counter(net, dim, cfg, step_index, agent):
-    """``_running_counts`` set up once at an address: a function of (x, cuts)."""
-    projected = _projected_block(net, dim, cfg, step_index, agent)
+        slot = (key, weights.copy(), np.matmul(noise, weights.T, out=block))
+    _projected_noise[agent] = slot
     scratch = _scratch(net, dim, cfg.samples)
 
-    def running_counts(x, cuts):
+    def count(x, cuts=(cfg.samples,)):
+        if _projected_noise.get(agent) is not slot:
+            raise RuntimeError("the agent's smoothing slot has moved to another address")
         # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
         shift = net.weights[0] @ x + net.biases[0]
         counts = np.zeros(N_ACTIONS, dtype=np.int64)
         for start, stop in zip([0, *cuts], cuts):
             first = scratch[: (stop - start) * shift.size].reshape(-1, shift.size)
-            np.add(projected[start:stop], shift, out=first)
+            np.add(slot[2][start:stop], shift, out=first)
             picks = np.argmax(nn.forward_rest(net, first), axis=1)  # lowest-index ties
             counts = counts + np.bincount(picks, minlength=N_ACTIONS)
-            yield stop, counts
+            *_, runner, top = np.sort(counts)
+            if top - runner > cfg.samples - stop:
+                break
+        return counts
 
-    return running_counts
-
-
-def _action_counts(policy, spec, state, agent, cfg, delta=None) -> np.ndarray:
-    """Agent's greedy-action counts over the M noisy copies of its
-    observation, shifted by ``delta`` when one is given."""
-    return next(_running_counts(policy, spec, state, agent, cfg, delta, [cfg.samples]))[1]
+    return count
 
 
 def sample_tally(
@@ -259,10 +244,10 @@ def sample_tally(
     """Greedy actions of every agent under M shared noise samples."""
     if state.done:
         raise ValueError("cannot smooth a finished episode")
-    per_agent = [
-        _action_counts(policy, spec, state, agent, cfg)
-        for agent in range(policy.n_agents)
-    ]
+    per_agent = []
+    for agent, net in enumerate(policy.agent_nets):
+        x = observe(spec, state, agent)
+        per_agent.append(_counter(net, x.size, cfg, state.step_count, agent)(x))
     return ActionTally(np.array(per_agent), cfg.samples)
 
 

@@ -23,7 +23,7 @@ from marlcert.envs import builtin_spec, observe, parse_grid_config, reset, step
 from marlcert.errors import ConfigError
 from marlcert.policy import JointPolicy, load_policy
 from marlcert.seeds import derive_seed
-from marlcert.smoothing import NoiseConfig, _action_counts, _running_counts
+from marlcert.smoothing import NoiseConfig
 
 _NULL_COMPONENT = 20
 _CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
@@ -707,6 +707,19 @@ def _counted_rows(monkeypatch):
     return rows, picks
 
 
+def _counter(policy, spec, state, agent, noise):
+    """The agent's observation and the smoothing module's count set up at
+    its address."""
+    x = observe(spec, state, agent)
+    net = policy.agent_nets[agent]
+    return x, smoothing._counter(net, x.size, noise, state.step_count, agent)
+
+
+def _full_counts(policy, spec, state, agent, noise, delta=None):
+    x, count = _counter(policy, spec, state, agent, noise)
+    return count(x if delta is None else x + delta)
+
+
 def _random_states(spec, n_agents, seed, count):
     """States reached by random joint actions, one per episode."""
     rng = np.random.default_rng(seed)
@@ -751,7 +764,7 @@ class TestSmoothedVote:
                 for agent in range(policy.n_agents):
                     for scale in (0.0, sigma, 3 * sigma):
                         delta = None if scale == 0.0 else scale * rng.standard_normal(47)
-                        counts = _action_counts(policy, spec, state, agent, noise, delta)
+                        counts = _full_counts(policy, spec, state, agent, noise, delta)
                         want = int(np.argmax(counts))
                         del rows[:]
                         got = _smoothed_modal(policy, spec, state, agent, noise, delta)
@@ -773,7 +786,7 @@ class TestSmoothedVote:
         assert sum(rows) == max(samples // 2 + 1, samples * 51 // 100)
         assert samples / 2 < sum(rows) <= 0.51 * samples + 1
         del rows[:]
-        counts = _action_counts(policy, spec, reset(spec), 1, noise)
+        counts = _full_counts(policy, spec, reset(spec), 1, noise)
         assert counts.tolist() == [0, samples, 0, 0, 0]
         assert rows == [samples]
 
@@ -785,7 +798,7 @@ class TestSmoothedVote:
         policy = _policy([_flip_net(47), _flip_net(47)])
         for seed in range(1000):
             noise = _noise(sigma=0.5, samples=samples, seed=seed)
-            counts = _action_counts(policy, spec, reset(spec), 0, noise)
+            counts = _full_counts(policy, spec, reset(spec), 0, noise)
             if counts[0] == counts[1]:
                 break
         assert counts[0] == counts[1] == samples // 2
@@ -797,26 +810,35 @@ class TestSmoothedVote:
     def test_chunked_picks_equal_the_full_blocks(self, monkeypatch, name):
         policy, spec = _vote_cases(name)
         _, picks = _counted_rows(monkeypatch)
+        stopped = 0
         for samples in (1000, 1001):
             for sigma in (0.06, 0.5):
                 noise = _noise(sigma=sigma, samples=samples)
                 cuts = [1, 333, samples // 2 + 1, 4 * samples // 5, samples]
                 for state in _random_states(spec, policy.n_agents, 3, 2):
                     for agent in range(policy.n_agents):
+                        x, count = _counter(policy, spec, state, agent, noise)
                         del picks[:]
-                        chunked = list(_running_counts(
-                            policy, spec, state, agent, noise, None, cuts
-                        ))
-                        assert len(picks) == len(cuts)
+                        chunked = count(x, cuts)
                         chunked_picks = np.concatenate(picks)
+                        counted = cuts[len(picks) - 1]
                         del picks[:]
-                        full = _action_counts(policy, spec, state, agent, noise)
+                        full = count(x)
                         (full_picks,) = picks
-                        assert np.array_equal(chunked_picks, full_picks)
-                        assert np.array_equal(chunked[-1][1], full)
-                        assert [cut for cut, _ in chunked] == cuts
-                        for cut, counts in chunked:
-                            assert counts.sum() == cut
+                        assert np.array_equal(chunked_picks, full_picks[:counted])
+                        assert np.array_equal(
+                            chunked, np.bincount(chunked_picks, minlength=5)
+                        )
+                        assert np.argmax(chunked) == np.argmax(full)
+                        # the count stops at the first cut whose leader is settled
+                        for cut in cuts[: len(cuts) - 1]:
+                            *_, runner, top = np.sort(np.bincount(full_picks[:cut], minlength=5))
+                            settled = top - runner > samples - cut
+                            assert settled == (cut == counted)
+                            if settled:
+                                break
+                        stopped += counted < samples
+        assert stopped > 0
 
 
 def _attack_step_states(spec, steps):

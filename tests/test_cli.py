@@ -862,6 +862,68 @@ class TestModes:
         err = capsys.readouterr().err
         assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "reader, code", [("config", 2), ("grid", 2), ("report", 2), ("manifest", 3)]
+    )
+    def test_non_utf8_file_exits_with_its_readers_code(self, tmp_path, capsys, reader, code):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        name = {"grid": "grid.yaml", "report": "result.json", "manifest": "manifest.json"}
+        (bad / name.get(reader, "c.yaml")).write_bytes(b"\xff")
+        fields = dict(
+            env=str(bad / "grid.yaml") if reader == "grid" else "checkers",
+            checkpoint=str(bad if reader == "manifest" else _CHECKERS_VDN),
+            inputs=[str(bad / "result.json")],
+            out=str(tmp_path / "o"),
+        )
+        path = _write_config(tmp_path, "c.yaml", **fields)
+        if reader == "config":
+            path = str(bad / "c.yaml")
+        mode = "report" if reader == "report" else "certify-state"
+        assert main([mode, "--config", path]) == code
+        err = capsys.readouterr().err
+        prefix = "config error:" if code == 2 else "file or checkpoint error:"
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+    def test_hung_git_probe_keeps_the_run(self, tmp_path, monkeypatch):
+        def hung(*args, **kw):
+            raise subprocess.TimeoutExpired(args[0], kw.get("timeout"))
+
+        monkeypatch.setattr(cli, "_build", None)
+        monkeypatch.setattr(subprocess, "run", hung)
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env="checkers",
+            checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "o"),
+            samples=20,
+        )
+        assert main(["certify-state", "--config", path]) == 0
+        record = json.loads((tmp_path / "o" / "result.json").read_text(encoding="utf-8"))
+        assert record["build"] == f"marlcert-{marlcert.__version__}"
+
+    def test_unallocatable_attack_restarts_exit_code(self, tmp_path, capsys):
+        # 2**52 restarts of 47 float64s are more than any address space
+        # holds, so the PGD batch fails without allocating
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env="checkers",
+            checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "o"),
+            sigma=0.06,
+            samples=1000,
+            alpha=0.01,
+            attack_restarts=2**52,
+            attack_trials=1,
+            rollout_trials=1,
+        )
+        assert main(["attack", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"restarts: {2**52} needs " in err and " GiB " in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 class TestFlags:
     def test_flag_overrides_config(self, trained, tmp_path):
