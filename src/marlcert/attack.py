@@ -49,7 +49,7 @@ import numpy as np
 
 from . import nn
 from .certify import RewardCertificate
-from .envs import EnvState, GridSpec, observe, reset, step
+from .envs import EnvState, GridSpec, observation_length, observe, reset, step
 from .errors import ConfigError
 from .policy import JointPolicy
 from .seeds import derive_seed
@@ -305,6 +305,30 @@ def attacked_rollout(
     return [(), *_rollout_steps(policy, spec, cfg, epsilon, seeds)][-1]
 
 
+# bytes a seed's list entries and result hold besides its float64 rows,
+# rounded up
+_SEED_BYTES = 512
+
+
+def check_trials(cfg: AttackConfig, dim: int, trials: int, rollout_trials: int) -> None:
+    """Raises ConfigError (exit code 2) unless one PGD batch of two
+    budgets of ``trials`` seeds, and one of a budget of ``rollout_trials``
+    seeds, can be allocated with their per-seed results, before any seed
+    is derived.  A budget holds a restart-0 row and ``restarts - 1`` rows
+    of ``dim`` float64s per seed, and each seed's result keeps one more.
+    """
+    for name, seeds, budgets in ("trials", trials, 2), ("rollout_trials", rollout_trials, 1):
+        size = budgets * (8 * dim * (1 + cfg.restarts * seeds) + _SEED_BYTES * seeds)
+        try:
+            np.empty(size, dtype=np.uint8)  # untouched pages cost no memory
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(
+                f"{name}: {seeds} at restarts: {cfg.restarts} needs {size / 2**30:.3g} "
+                "GiB for one batch of PGD rows and its per-seed results, more than "
+                "can be allocated"
+            ) from exc
+
+
 def validate_certificates(
     policy: JointPolicy,
     spec: GridSpec,
@@ -323,13 +347,15 @@ def validate_certificates(
     radius as a contrast.  Rollout attacks at the reward certificate's
     epsilon check that no episode scores below its bound; they advance
     by step t once the certificates of step t are attacked.  Raises
-    ConfigError (exit code 2) when ``trials`` is below 1, when a
-    certificate's step index disagrees with its state (checked before
-    any attack), or when its recorded actions disagree with this policy
-    and noise configuration.
+    ConfigError (exit code 2) when ``trials`` is below 1, when either
+    trial count cannot fit (`check_trials`) or a certificate's step index
+    disagrees with its state (both checked before any attack), or when
+    its recorded actions disagree with this policy and noise
+    configuration.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    check_trials(cfg, observation_length(spec), trials, rollout_trials)
 
     def budget(cert, agent, scale):
         seeds = [

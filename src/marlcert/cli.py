@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import yaml
 
 from . import __version__
-from .attack import AttackConfig, validate_certificates
+from .attack import AttackConfig, check_trials, validate_certificates
 from .certify import certify_trajectory, crsc, tcrgr
 from .envs import builtin_spec, episode_reward, load_grid_config, observation_length
 from .errors import (
@@ -371,6 +371,9 @@ def run(cfg: RunConfig) -> ResultRecord:
     started = time.perf_counter()
     # a grid that exits 2 or 3 leaves no output directory behind
     spec = None if cfg.mode == "report" else _load_spec(cfg.env)
+    if cfg.mode == "attack":  # nor do trial counts that cannot fit
+        dim = observation_length(spec)
+        check_trials(cfg.attack, dim, cfg.attack_trials, cfg.rollout_trials)
     os.makedirs(cfg.out, exist_ok=True)
     handler = {
         "report": lambda cfg, _: _run_report(cfg),

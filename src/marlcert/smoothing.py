@@ -35,26 +35,27 @@ and never come back to an earlier step within one walk.  The tree search
 expands one step level at a time; the attack validation attacks the
 certificates of step t, then advances all its attacked rollouts by it.
 
-Draws and decisions write into one scratch vector, room for M rows of
-max(4 ceil(dim / 4), hidden) doubles, made the first time a decision
-needs it and made again when M changes.  A new address draws the noise
-into the scratch and projects it into the agent's block, in place unless
-M or hidden changed, which frees the old block first; a count set up at
-an earlier address then raises.  A decision adds the vector ``W1 x + b1``
-to P in the scratch and runs the layers after the first there
-(`nn.forward_rest` applies the activations in place), so it allocates
-only the M x n_actions values and the M picks.  Reusing the same pages
-spares the page faults that fresh block-sized arrays cost each call.
+Each slot owns one float64 vector, room for M rows of max(4 ceil(dim /
+4), hidden) doubles, and no other array of M rows is kept.  A new address
+draws the noise into it and projects its front (M, hidden) view in place
+through one kept chunk scratch of `_CHUNK_ROWS` rows: from the last chunk
+back when hidden >= dim, from the first forward when hidden < dim, so
+each write covers only noise rows already projected.  A slot of another
+size is freed before the new one is made, and a count set up at an
+earlier address then raises.  A decision adds ``W1 x + b1`` to P a chunk
+of rows at a time in the scratch and runs the layers after the first
+there (`nn.forward_rest` applies the activations in place), so it
+allocates only each chunk's values and picks.  The chunks are of
+near-equal size, so none is a small remainder that BLAS rounds another
+way, and sit well inside L2.
 
 What the slot trades: a decision skips the M x dim x hidden product, but
-a block used once still pays it, the slot keeps M x hidden numbers
-(64 hidden units against 47 observation components for the built-in
-nets), and since P is of the scaled noise a new sigma draws the block
-again.  The scratch holds one more M x hidden block for the life of the
-process.  The first-layer pre-activations are rounded in another order
-than ``forward_batch(x + sigma E)``, so they can differ from it in the
-last bits; every action tally in the recorded benchmark goldens is
-unchanged.
+a block used once still pays it, the slot keeps M x 64 numbers for the
+built-in nets (64 hidden units against 47 observation components), and
+since P is of the scaled noise a new sigma draws the block again.  The
+first-layer pre-activations are rounded in another order than
+``forward_batch(x + sigma E)``, so they can differ from it in the last
+bits; every action tally in the recorded benchmark goldens is unchanged.
 """
 
 from __future__ import annotations
@@ -155,38 +156,22 @@ def gaussian_noise_block(
     return noise
 
 
-# the float64 vector that noise draws and smoothed decisions write into,
-# and the sample count it was made for
-_scratch_buffer = np.empty(0)
-_scratch_samples = 0
+# rows a projection or a count handles at once: 1024 rows of 64 hidden
+# units are 512 KiB, well inside a 2 MiB L2
+_CHUNK_ROWS = 1024
+# the chunk scratch of every projection and count, made again for wider nets
+_chunk = np.empty(0)
 
 
-def _scratch(net: nn.Mlp, dim: int, samples: int) -> np.ndarray:
-    """A vector with room for ``samples`` rows of a noise draw of width
-    ``dim`` or of ``net``'s first-layer pre-activations.
-
-    One vector serves every draw and decision in turn.  It is made the
-    first time one needs it and made again when the sample count changes
-    or a wider row is needed.  Raises ConfigError when it cannot be
-    allocated.
-    """
-    global _scratch_buffer, _scratch_samples
-    size = samples * max(_blocks_per_sample(dim) * 4, net.layer_dims[1])
-    if _scratch_samples != samples or _scratch_buffer.size < size:
-        _scratch_buffer, _scratch_samples = np.empty(0), 0  # release the old one
-        try:
-            _scratch_buffer = np.empty(size)
-        except (MemoryError, ValueError) as exc:
-            raise ConfigError(
-                f"samples: {samples} needs {8 * size / 2**30:.3g} GiB for one "
-                "block of smoothing noise, more than can be allocated"
-            ) from exc
-        _scratch_samples = samples
-    return _scratch_buffer
+def _row_ranges(start, stop):
+    """[start, stop) in the fewest near-equal ranges of `_CHUNK_ROWS` rows at most."""
+    n = max(1, -(-(stop - start) // _CHUNK_ROWS))
+    bounds = [start + (stop - start) * i // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 # agent -> ((dim, seed, step_index, samples, sigma), copy of the first-layer
-# weights, noise block projected through them)
+# weights, the vector whose front holds the projected noise block)
 _projected_noise: dict = {}
 
 
@@ -198,26 +183,39 @@ def _counter(net, dim, cfg, step_index, agent):
     lowest-index argmax is the full tally's.  The agent's block is drawn
     and projected unless its slot holds this address and, by value, these
     first-layer weights.  A count set up before the slot moved on raises.
+    Raises ConfigError when the slot cannot be allocated.
     """
+    global _chunk
     key = (dim, cfg.seed, step_index, cfg.samples, cfg.sigma)
     weights = net.weights[0]
+    hidden = weights.shape[0]
+    if _chunk.size < _CHUNK_ROWS * hidden:
+        _chunk = np.empty(_CHUNK_ROWS * hidden)
+    chunk = _chunk
     slot = _projected_noise.pop(agent, None)  # a failed set-up leaves no slot
     if slot is None or slot[0] != key or not np.array_equal(slot[1], weights):
-        shape = (cfg.samples, weights.shape[0])
-        block = slot[2] if slot is not None and slot[2].shape == shape else None
-        slot = None  # a block of another shape is freed before the new one
+        size = cfg.samples * max(_blocks_per_sample(dim) * 4, hidden)
+        storage = slot[2] if slot is not None and slot[2].size == size else None
+        slot = None  # storage of another size is freed before the new one
+        if storage is None:
+            try:
+                storage = np.empty(size)
+            except (MemoryError, ValueError) as exc:
+                raise ConfigError(
+                    f"samples: {cfg.samples} needs {8 * size / 2**30:.3g} GiB for one "
+                    "block of smoothing noise, more than can be allocated"
+                ) from exc
         noise = gaussian_noise_block(
-            dim,
-            cfg.sigma,
-            cfg.seed,
-            step_index,
-            agent,
-            cfg.samples,
-            _scratch(net, dim, cfg.samples),
+            dim, cfg.sigma, cfg.seed, step_index, agent, cfg.samples, storage
         )
-        slot = (key, weights.copy(), np.matmul(noise, weights.T, out=block))
+        projected = storage[: cfg.samples * hidden].reshape(-1, hidden)
+        ranges = _row_ranges(0, cfg.samples)
+        for lo, hi in ranges[::-1] if hidden >= dim else ranges:
+            part = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
+            projected[lo:hi] = np.matmul(noise[lo:hi], weights.T, out=part)
+        slot = (key, weights.copy(), storage)
     _projected_noise[agent] = slot
-    scratch = _scratch(net, dim, cfg.samples)
+    projected = slot[2][: cfg.samples * hidden].reshape(-1, hidden)
 
     def count(x, cuts=(cfg.samples,)):
         if _projected_noise.get(agent) is not slot:
@@ -226,10 +224,11 @@ def _counter(net, dim, cfg, step_index, agent):
         shift = net.weights[0] @ x + net.biases[0]
         counts = np.zeros(N_ACTIONS, dtype=np.int64)
         for start, stop in zip([0, *cuts], cuts):
-            first = scratch[: (stop - start) * shift.size].reshape(-1, shift.size)
-            np.add(slot[2][start:stop], shift, out=first)
-            picks = np.argmax(nn.forward_rest(net, first), axis=1)  # lowest-index ties
-            counts = counts + np.bincount(picks, minlength=N_ACTIONS)
+            for lo, hi in _row_ranges(start, stop):
+                first = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
+                np.add(projected[lo:hi], shift, out=first)
+                picks = np.argmax(nn.forward_rest(net, first), axis=1)  # lowest-index ties
+                counts += np.bincount(picks, minlength=N_ACTIONS)
             *_, runner, top = np.sort(counts)
             if top - runner > cfg.samples - stop:
                 break

@@ -673,6 +673,14 @@ class TestValidateCertificates:
         with pytest.raises(ConfigError):
             validate_certificates(policy, spec, certs, bound, cfg, 9, trials=0)
 
+    @pytest.mark.parametrize("trials, rollout_trials", [(2**52, 1), (1, 2**52)])
+    def test_trials_that_cannot_fit_are_a_config_error(self, trials, rollout_trials):
+        spec, policy, certs, bound, cfg = self._setup()
+        with pytest.raises(ConfigError, match=" GiB for one batch of PGD rows"):
+            validate_certificates(
+                policy, spec, certs, bound, cfg, 9, trials=trials, rollout_trials=rollout_trials
+            )
+
     def test_rejects_foreign_certificates(self):
         spec, policy, certs, bound, cfg = self._setup()
         other = _policy([_const_net(47, [1.0, 0.0, 0.0, 0.0, 0.0])])

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -922,6 +923,35 @@ class TestModes:
         assert main(["attack", "--config", path]) == 2
         err = capsys.readouterr().err
         assert f"restarts: {2**52} needs " in err and " GiB " in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    @pytest.mark.parametrize(
+        "field, name", [("attack_trials", "trials"), ("rollout_trials", "rollout_trials")]
+    )
+    def test_unallocatable_trials_exit_2_before_out_exists(
+        self, tmp_path, capsys, field, name, restarts
+    ):
+        # at 1 restart a PGD batch holds one row per budget, so the seeds'
+        # results alone must refuse the count
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env="checkers",
+            checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "o"),
+            sigma=0.06,
+            samples=1000,
+            alpha=0.01,
+            attack_restarts=restarts,
+            **{field: 2**52},
+        )
+        started = time.perf_counter()
+        assert main(["attack", "--config", path]) == 2
+        assert time.perf_counter() - started < 5.0
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert f"{name}: {2**52} at restarts: {restarts} needs " in err and " GiB " in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from marlcert import nn, smoothing
+from marlcert import attack, nn, smoothing
 from marlcert.envs import N_ACTIONS, observation_length, observe, parse_grid_config, reset
 from marlcert.errors import ConfigError
 from marlcert.policy import AGENT_HIDDEN, JointPolicy, new_policy
@@ -132,6 +132,11 @@ def _counting_draws(monkeypatch):
     return drawn
 
 
+def _projected(storage, samples, hidden):
+    """The projected block P at the front of a slot's storage."""
+    return storage[: samples * hidden].reshape(samples, hidden)
+
+
 class TestNoiseBlockSlot:
     # (agent, step, sigma, seed, M, dim): agents interleave, addresses
     # repeat, sigma changes on one address, and steps, seeds, M and dim
@@ -165,15 +170,16 @@ class TestNoiseBlockSlot:
             smoothing._counter(nets[dim], dim, cfg, step_index, agent)
             noise = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
             assert set(smoothing._projected_noise) <= {0, 1, 2}
-            key, kept, block = smoothing._projected_noise[agent]
-            assert np.array_equal(block, noise @ weights.T)
+            key, kept, storage = smoothing._projected_noise[agent]
+            assert np.array_equal(_projected(storage, m, 16), noise @ weights.T)
             assert key == (dim, seed, step_index, m, sigma)
             assert np.array_equal(kept, weights) and kept is not weights
-            assert block.shape == (m, 16)
-            # the agent's block is projected into in place unless M changed
+            size = m * max(4 * -(-dim // 4), 16)
+            assert storage.shape == (size,)
+            # the agent's storage is drawn into again unless its size changed
             old = blocks.get(agent)
-            assert (block is old) == (old is not None and old.shape == (m, 16))
-            blocks[agent] = block
+            assert (storage is old) == (old is not None and old.size == size)
+            blocks[agent] = storage
         # a block is drawn only when the agent's address, M, sigma or dim
         # changes
         assert len(drawn) == 10
@@ -282,8 +288,7 @@ class TestScratch:
         assert peak < self.BLOCK
 
     def test_tally_at_a_new_address_allocates_less_than_a_block(self, monkeypatch):
-        # the noise is drawn into the scratch and projected into the
-        # agent's kept block
+        # the noise is drawn into the agent's slot and projected there
         spec, policy, state = self._setup(monkeypatch, "1.a")
         sample_tally(policy, spec, state, self._cfg(1))
         got = []
@@ -293,6 +298,54 @@ class TestScratch:
         want = _oracle_counts(policy, spec, state, 0, self._cfg(2))
         assert np.array_equal(got[0].per_agent[0], want)
         assert peak < self.BLOCK
+
+    def test_tally_holds_one_block_per_agent(self, monkeypatch):
+        # the agents' slots and one chunk scratch, no M-row scratch beside
+        # them; the chunk scratch, the inverse CDF's working pair and a
+        # chunk's values fit the 2 MiB allowance
+        monkeypatch.setattr(smoothing, "_chunk", np.empty(0))
+        spec, policy, state = self._setup(monkeypatch, "1.a\n  2.l")
+        m = 20000
+        width = max(4 * -(-observation_length(spec) // 4), AGENT_HIDDEN)
+        cfg = NoiseConfig(sigma=0.1, samples=m, alpha=0.05, seed=1)
+        peak = _peak_bytes(lambda: sample_tally(policy, spec, state, cfg))
+        assert peak < policy.n_agents * m * width * 8 + 2 * 2**20
+
+
+class TestChunkedProjection:
+    @pytest.mark.parametrize("hidden", [64, 16])  # above and below dim 47
+    def test_projected_block_is_the_product(self, monkeypatch, hidden):
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
+        net = nn.mlp_init((47, hidden, N_ACTIONS), "relu", np.random.default_rng(5))
+        m = 3 * smoothing._CHUNK_ROWS + 5  # four chunks
+        cfg = NoiseConfig(sigma=0.2, samples=m, alpha=0.05, seed=8)
+        smoothing._counter(net, 47, cfg, 2, 1)
+        storage = smoothing._projected_noise[1][2]
+        noise = gaussian_noise_block(47, 0.2, 8, 2, 1, m)
+        assert np.array_equal(_projected(storage, m, hidden), noise @ net.weights[0].T)
+
+    @pytest.mark.parametrize("rows", [1, 7, smoothing._CHUNK_ROWS, 4096])
+    def test_tallies_and_votes_do_not_depend_on_chunk_rows(self, monkeypatch, rows):
+        monkeypatch.setattr(smoothing, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(smoothing, "_chunk", np.empty(0))
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
+        spec = _spec()
+        policy = new_policy(spec, "vdn", np.random.default_rng(6))
+        cfg = NoiseConfig(sigma=0.5, samples=2500, alpha=0.05, seed=2)
+        state = reset(spec)
+        tally = sample_tally(policy, spec, state, cfg)
+        rng = np.random.default_rng(1)
+        spread = 0
+        for agent in range(2):
+            want = _oracle_counts(policy, spec, state, agent, cfg)
+            assert np.array_equal(tally.per_agent[agent], want)
+            x = observe(spec, state, agent)
+            vote = attack._voter(policy, state, agent, cfg, x)
+            for delta in (None, *rng.normal(0.0, 0.3, (3, x.size))):
+                want = _oracle_counts(policy, spec, state, agent, cfg, delta)
+                assert vote(delta) == np.argmax(want)
+                spread += int(np.count_nonzero(want) > 1)
+        assert spread  # the noise moves some decision: the counts can differ
 
 
 class TestSampleTally:
