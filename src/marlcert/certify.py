@@ -4,16 +4,15 @@ Certification works on the smoothed policy: each agent's action is the
 modal greedy choice under ``M`` Gaussian observation perturbations.  Both
 recipes start from one ``StateDecision`` per state, built by ``decide``:
 the action tally at the state's noise address, the modal joint action,
-and each agent's importance factor at that action.  Two artifacts come
-out of this module:
+and each agent's importance factor at that action and p-values: a
+one-sided binomial test of "my modal action wins more than half the
+time", and that p-value reweighted by how much the agent's choice matters
+to the team value.  Two artifacts come out of this module:
 
-* ``crsc`` turns a decision into a certificate for that state.  Every
-  agent gets a one-sided binomial p-value for "my modal action wins more
-  than half the time", the p-values are reweighted by how much each
-  agent's choice matters to the team value, and a Benjamini-Hochberg
-  pass controls the false discovery rate across agents.  Surviving
-  agents receive an l2 radius from simultaneous confidence bounds over
-  their action counts.
+* ``crsc`` turns a decision into a certificate for that state.  A
+  Benjamini-Hochberg pass over the corrected p-values controls the false
+  discovery rate across agents.  Surviving agents receive an l2 radius
+  from simultaneous confidence bounds over their action counts.
 
 * ``tcrgr`` lower-bounds the team reward under any perturbation smaller
   than the weakest per-state radius along the way.  ``get_node`` decides
@@ -33,7 +32,7 @@ out of this module:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +75,26 @@ class StateDecision:
 
     ``modal[n]`` is agent n's most frequent action in ``tally``, the
     lowest index on ties; ``factors`` are the importance factors at
-    ``modal``.
+    ``modal``.  Construction adds ``pvalues[n]``, agent n's one-sided
+    binomial p-value of its modal count against one half, and
+    ``corrected_pvalues[n]``, that times its normalized factor, capped at 1.
     """
 
     state: EnvState
     tally: ActionTally
     modal: tuple
     factors: ImportanceFactors
+    pvalues: tuple = field(init=False)
+    corrected_pvalues: tuple = field(init=False)
+
+    def __post_init__(self):
+        pvalues = tuple(
+            binom_pvalue_one_sided(int(counts[action]), self.tally.samples, 0.5)
+            for counts, action in zip(self.tally.per_agent, self.modal)
+        )
+        corrected = (min(1.0, pv * w) for pv, w in zip(pvalues, self.factors.normalized))
+        object.__setattr__(self, "pvalues", pvalues)
+        object.__setattr__(self, "corrected_pvalues", tuple(corrected))
 
 
 @dataclass(frozen=True)
@@ -172,33 +184,20 @@ def decide(
     return StateDecision(state=state, tally=tally, modal=modal, factors=factors)
 
 
-def _corrected_pvalue(count: int, norm: float, cfg: NoiseConfig):
-    pv = binom_pvalue_one_sided(count, cfg.samples, 0.5)
-    return pv, min(1.0, pv * norm)
-
-
 def crsc(decision: StateDecision, cfg: NoiseConfig) -> StateCertificate:
     """Certify one decided state with importance-reweighted FDR control."""
-    tally = decision.tally
-    pvalues = []
-    corrected = []
-    for agent, action in enumerate(decision.modal):
-        ct1 = int(tally.per_agent[agent][action])
-        pv, cpv = _corrected_pvalue(ct1, decision.factors.normalized[agent], cfg)
-        pvalues.append(pv)
-        corrected.append(cpv)
-    outcome = bh_procedure(corrected, cfg.alpha)
+    outcome = bh_procedure(decision.corrected_pvalues, cfg.alpha)
     radii = tuple(
         radius if reject else 0.0
-        for radius, reject in zip(per_agent_radii(tally, cfg), outcome.reject)
+        for radius, reject in zip(per_agent_radii(decision.tally, cfg), outcome.reject)
     )
     certified = frozenset(agent for agent, d in enumerate(radii) if d != 0.0)
     return StateCertificate(
         state=decision.state,
         step_index=decision.state.step_count,
         actions=decision.modal,
-        pvalues=tuple(pvalues),
-        corrected_pvalues=tuple(corrected),
+        pvalues=decision.pvalues,
+        corrected_pvalues=decision.corrected_pvalues,
         per_agent_radius=radii,
         certified_set=certified,
         min_radius=min((radii[agent] for agent in certified), default=0.0),
@@ -226,11 +225,10 @@ def node_decision(decision: StateDecision, cfg: NoiseConfig) -> SearchNode:
     """
     sets = []
     radii = []
-    for agent, counts in enumerate(decision.tally.per_agent):
+    for counts, cpv in zip(decision.tally.per_agent, decision.corrected_pvalues):
         modal, runner = _agent_top_two(counts)
         ct1 = int(counts[modal])
         ct2 = int(counts[runner])
-        _, cpv = _corrected_pvalue(ct1, decision.factors.normalized[agent], cfg)
         if cpv > cfg.alpha:
             keep = (modal, runner)
             p_lower = binom_lower_bound(ct1 + ct2, cfg.samples, cfg.alpha)
@@ -251,6 +249,19 @@ def node_decision(decision: StateDecision, cfg: NoiseConfig) -> SearchNode:
         per_agent_radius=tuple(radii),
         radius=min(radii),
     )
+
+
+def _clean_episode(spec: GridSpec, decision_at) -> tuple:
+    """The smoothed policy's own episode from ``reset``, following the
+    modal action of ``decision_at(state)`` at each state: its decisions in
+    rollout order and its team reward, summed in that order."""
+    state, path, reward = reset(spec), [], 0.0
+    while not state.done:
+        path.append(decision_at(state))
+        outcome = step(spec, state, path[-1].modal)
+        reward += outcome.team_reward
+        state = outcome.next_state
+    return path, reward
 
 
 def get_node(
@@ -298,14 +309,7 @@ def tcrgr(policy: JointPolicy, spec: GridSpec, cfg: NoiseConfig) -> RewardCertif
                     successors[outcome.next_state] = total
         expanded += len(frontier)
         frontier = successors
-    state = reset(spec)
-    clean = 0.0
-    path = []
-    while not state.done:
-        path.append(decisions[state])
-        outcome = step(spec, state, decisions[state].modal)
-        clean += outcome.team_reward
-        state = outcome.next_state
+    path, clean = _clean_episode(spec, decisions.__getitem__)
     return RewardCertificate(
         epsilon_cert=float(epsilon),
         r_min=float(r_min),
@@ -324,10 +328,5 @@ def certify_trajectory(
     trajectory the certificates actually speak about, and makes no
     branching search.
     """
-    certificates = []
-    state = reset(spec)
-    while not state.done:
-        decision = decide(policy, spec, state, cfg)
-        certificates.append(crsc(decision, cfg))
-        state = step(spec, state, decision.modal).next_state
-    return certificates
+    path, _ = _clean_episode(spec, lambda state: decide(policy, spec, state, cfg))
+    return [crsc(decision, cfg) for decision in path]

@@ -5,10 +5,11 @@ parameters (training) and the input vector (observation attacks). Everything
 is float64; reproducibility outranks speed at this scale.
 
 A gradient is two passes: ``forward_trace`` runs the batch forward and
-keeps every layer's input, and ``reverse_sweep`` carries the output
-gradient back through them.  ``backward_batch`` is the two in a row, with
-the parameter gradient; an attack takes the action values from the
-trace and asks the sweep for the input gradient alone.
+keeps every layer's input (``forward_batch`` is its outputs alone), and
+``reverse_sweep`` carries the output gradient back through them.
+``backward_batch`` is the two in a row, with the parameter gradient; an
+attack takes the action values from the trace and asks the sweep for the
+input gradient alone.
 
 A net keeps every parameter in one vector, ``Mlp.params``, in the
 checkpoint's payload order below, and a parameter gradient and Adam's
@@ -166,32 +167,20 @@ def _act_grad(net, h):
     return 1.0 - h * h
 
 
-def _check_batch(net, X):
-    # (batch, in), or (n, batch, in) for a stacked view of n nets
-    X = np.asarray(X, dtype=np.float64)
-    lead = net.params.shape[:-1]
-    if X.ndim != len(lead) + 2 or X.shape[:-2] + X.shape[-1:] != lead + net.layer_dims[:1]:
-        raise ValueError(
-            f"input shape {X.shape} incompatible with in_dim {net.layer_dims[0]}"
-        )
-    return X
-
-
 def forward_batch(net, X):
-    """Forward map for a (batch, in_dim) matrix; returns (batch, out_dim)."""
-    X = _check_batch(net, X)
-    return forward_rest(net, X @ net.weights[0].T + net.biases[0])
+    """Forward map for a (batch, in_dim) matrix, or an (n, batch, in_dim)
+    stack for a block of n nets: the outputs of ``forward_trace``."""
+    return forward_trace(net, X)[0]
 
 
 def forward_rest(net, Z):
-    """Forward map from the first layer's pre-activations.
+    """Forward map of one net from the first layer's pre-activations.
 
     Z is (batch, layer_dims[1]), what the first layer computes before its
     activation; returns (batch, out_dim).  The activations are computed in
-    place, so Z is overwritten.  ``forward_batch`` is this applied to
-    ``X @ W_0.T + b_0``, so a caller that forms Z another way (smoothing
-    adds a projected noise block in a reused buffer) shares every later
-    layer with it.
+    place, so Z is overwritten.  Every later layer rounds as in
+    ``forward_trace``, so a caller that forms Z another way (smoothing
+    adds a projected noise block in a reused buffer) shares them with it.
     """
     h = Z
     for W, b in zip(net.weights[1:], net.biases[1:]):
@@ -206,14 +195,19 @@ def forward(net, x):
 
 
 def forward_trace(net, X):
-    """``forward_batch`` that keeps what the reverse sweep needs.
+    """The forward pass, keeping what the reverse sweep needs.
 
     Returns (outputs, inputs): the (batch, out_dim) outputs and the list of
     every layer's input, X and then each hidden layer's activations.  The
     outputs are a new array the caller may overwrite.  For a block of n nets
     X is (n, batch, in_dim) and every array gains the leading agent axis.
     """
-    X = _check_batch(net, X)
+    X = np.asarray(X, dtype=np.float64)
+    lead = net.params.shape[:-1]  # (n,) for a block of n nets
+    if X.ndim != len(lead) + 2 or X.shape[:-2] + X.shape[-1:] != lead + net.layer_dims[:1]:
+        raise ValueError(
+            f"input shape {X.shape} incompatible with in_dim {net.layer_dims[0]}"
+        )
     inputs = [X]
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         inputs.append(_act(net, inputs[-1] @ W.swapaxes(-1, -2) + b[..., None, :]))

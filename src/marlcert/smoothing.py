@@ -16,9 +16,10 @@ inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
 factor.  A draw makes one block-sized array at most, its uniforms: the
 first dim of each row are clamped and packed to the front, mapped
 through the inverse CDF (`stats.std_normal_quantile_vec`) and scaled, all
-in place, one 256 KiB chunk of rows at a time, for which the inverse
-CDF allocates its two working vectors; noise bits follow numpy's SIMD log.
-A caller that passes a buffer gets them drawn into it, so the draw makes
+in place, one range of at most `_CHUNK_ROWS` rows at a time, the ranges
+the projection and the counts use, for each of which the inverse CDF
+allocates its two working vectors; noise bits follow numpy's SIMD log.  A
+caller that passes a buffer gets them drawn into it, so the draw makes
 none.
 
 `_counter` sets up a smoothed decision at its (seed, step, agent) address
@@ -86,6 +87,11 @@ class NoiseConfig:
             raise ConfigError("need at least two smoothing samples")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
+        if 1.0 - self.alpha / N_ACTIONS == 1.0:  # the confidence box's level
+            raise ConfigError(
+                f"alpha must exceed {N_ACTIONS} * 2**-54 (about 2.8e-16), or the "
+                f"confidence level 1 - alpha / {N_ACTIONS} rounds to 1"
+            )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
 
@@ -109,10 +115,17 @@ class ActionTally:
         return self.per_agent.shape[0]
 
 
-# lanes a draw maps at once: 256 KiB of float64, few enough numpy calls
-# per block that dispatch is a small share, and the chunk with the inverse
-# CDF's two working vectors still fits a 2 MiB L2
-_CHUNK_LANES = 32768
+# rows a draw, a projection or a count handles at once: 1024 rows of 64
+# hidden units are 512 KiB, and 1024 rows of 47 noise components with the
+# inverse CDF's two working vectors of their size 1.1 MiB, inside a 2 MiB L2
+_CHUNK_ROWS = 1024
+
+
+def _row_ranges(start, stop):
+    """[start, stop) in the fewest near-equal ranges of `_CHUNK_ROWS` rows at most."""
+    n = max(1, -(-(stop - start) // _CHUNK_ROWS))
+    bounds = [start + (stop - start) * i // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _blocks_per_sample(dim: int) -> int:
@@ -147,27 +160,16 @@ def gaussian_noise_block(
     # chunk by chunk, each row's first dim uniforms move to the front,
     # clamped, since Generator.random() can emit exactly 0, outside the
     # quantile's domain; a chunk overwrites only rows already read
-    rows = max(1, _CHUNK_LANES // width)
-    for start in range(0, count, rows):
-        chunk = noise[start : start + rows]
-        np.maximum(uniforms[start : start + rows, :dim], 2.0**-54, out=chunk)
+    for lo, hi in _row_ranges(0, count):
+        chunk = noise[lo:hi]
+        np.maximum(uniforms[lo:hi, :dim], 2.0**-54, out=chunk)
         std_normal_quantile_vec(chunk, out=chunk)
         chunk *= sigma
     return noise
 
 
-# rows a projection or a count handles at once: 1024 rows of 64 hidden
-# units are 512 KiB, well inside a 2 MiB L2
-_CHUNK_ROWS = 1024
 # the chunk scratch of every projection and count, made again for wider nets
 _chunk = np.empty(0)
-
-
-def _row_ranges(start, stop):
-    """[start, stop) in the fewest near-equal ranges of `_CHUNK_ROWS` rows at most."""
-    n = max(1, -(-(stop - start) // _CHUNK_ROWS))
-    bounds = [start + (stop - start) * i // n for i in range(n + 1)]
-    return list(zip(bounds, bounds[1:]))
 
 
 # agent -> ((dim, seed, step_index, samples, sigma), copy of the first-layer

@@ -19,9 +19,9 @@ Conventions
   lane's own branch alone, however a caller chunks its input.  It can
   write into a caller's array, the input itself included, and works in
   one fresh pair of input-sized vectors per call, so a noise draw passes
-  256 KiB chunks.  Its tail lanes take numpy's log, so their bits, and
-  those of the polished scalar `std_normal_quantile`, follow numpy's SIMD
-  dispatch.
+  chunks of at most ``smoothing._CHUNK_ROWS`` rows.  Its tail lanes take
+  numpy's log, so their bits, and those of the polished scalar
+  `std_normal_quantile`, follow numpy's SIMD dispatch.
 """
 
 import math
@@ -187,8 +187,8 @@ def std_normal_quantile_vec(p, out=None):
     input itself. The tail lanes take numpy's log, so their bits follow its
     SIMD path. Besides the output, which accumulates ``q * A(r)``, the
     kernel works in one pair of input-sized vectors, q then ``B(r)``, and
-    r, allocated together per call: a noise draw's 256 KiB chunk allocates
-    that 512 KiB pair and its tail lanes, nothing else.
+    r, allocated together per call: a noise draw's chunk, at most 1024 rows
+    of 47 lanes, allocates a pair of 752 KiB at most and its tail lanes.
 
     Parameters
     ----------

@@ -16,6 +16,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import time
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import oracles
 import reference_grids
 from marlcert.attack import AttackConfig, attacked_rollout, validate_certificates
 from marlcert.certify import crsc, decide, get_node, tcrgr
-from marlcert.cli import main
+from marlcert.cli import RunConfig, main
 from marlcert.envs import (
     N_ACTIONS,
     builtin_spec,
@@ -437,6 +438,17 @@ def test_checkers_vdn_recipe_writes_the_stored_checkpoint(trained_models):
     assert sorted(path.name for path in got.iterdir()) == names
     for name in names:
         assert (got / name).read_bytes() == (stored / name).read_bytes(), name
+
+
+def test_readme_train_config_is_the_checkers_vdn_recipe():
+    # the README's `marlcert train` config trains the recipe whose
+    # networks the test above compares with the stored checkpoint
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S) if "mode: train" in b]
+    assert len(blocks) == 1
+    cfg = RunConfig(**yaml.safe_load(blocks[0]))
+    assert (cfg.env, cfg.mixer) == ("checkers", "vdn")
+    assert cfg.training == _RECIPES[("checkers", "vdn")]
 
 
 def test_criterion_7_reward_bound_trend(trained_models, tmp_path):

@@ -196,6 +196,34 @@ class TestCrsc:
         assert cert.pvalues[0] == binom_pvalue_one_sided(ct1, 100, 0.5)
 
 
+class TestDecisionPvalues:
+    def test_each_agent_reads_its_modal_count(self):
+        rows = [[60, 30, 10, 0, 0], [0, 0, 45, 55, 0], [20, 20, 20, 20, 20]]
+        factors = ImportanceFactors(raw=(2.0, 0.0, 1.0), normalized=(1.0, 0.05, 0.525))
+        decision = _decision(rows, factors)
+        assert decision.modal == (0, 3, 0)
+        want = tuple(binom_pvalue_one_sided(k, 100, 0.5) for k in (60, 55, 20))
+        assert decision.pvalues == want
+        assert decision.corrected_pvalues == tuple(
+            min(1.0, p * w) for p, w in zip(want, factors.normalized)
+        )
+
+    def test_the_certificate_and_the_node_read_the_decision(self):
+        factors = ImportanceFactors(raw=(1.0, 0.0), normalized=(1.0, 0.05))
+        tally = _tally([[90, 10, 0, 0, 0], [58, 42, 0, 0, 0]])
+        decision = StateDecision(reset(_spec2()), tally, (0, 0), factors)
+        cert = crsc(decision, _cfg())
+        assert cert.pvalues == decision.pvalues
+        assert cert.corrected_pvalues == decision.corrected_pvalues
+        # agent 1's raw p-value fails alpha and its corrected one clears it,
+        # so the node tries the singleton, whose bound on 58 of 100 is below
+        # one half: radius 0, where the pair of 100 of 100 would certify
+        assert decision.pvalues[1] > 0.05 >= decision.corrected_pvalues[1]
+        node = node_decision(decision, _cfg())
+        assert node.action_sets[1] == (0, 1)
+        assert node.per_agent_radius[1] == 0.0
+
+
 class TestNodeDecision:
     def test_certified_singleton(self):
         factors = ImportanceFactors(raw=(0.0,), normalized=(1.0,))

@@ -3,7 +3,6 @@
 import csv
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -107,7 +106,8 @@ def _exit_code(root, mode, field, value):
 _NAN, _INF = float("nan"), float("inf")
 
 # every value that RunConfig rejected before the library configs owned
-# their bounds, then the wrongly typed text and list fields
+# their bounds, alphas at which the confidence box's level 1 - alpha / 5
+# rounds to 1, then the wrongly typed text and list fields
 _REJECTED = [
     ("sigma", 0),
     ("sigma", -1.0),
@@ -119,6 +119,9 @@ _REJECTED = [
     ("alpha", 0),
     ("alpha", 1),
     ("alpha", _NAN),
+    ("alpha", 1e-17),
+    ("alpha", 2e-16),
+    ("alpha", 5 * 2.0**-54),
     ("seed", -1),
     ("seed", 2**64),
     ("seed", True),
@@ -213,6 +216,20 @@ class TestRunConfig:
             assert not (tmp_path / "out").exists(), mode
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_alpha_just_above_the_limit_certifies(self, tmp_path):
+        # 3e-16 / 5 exceeds 2**-54, so 1 - alpha / 5 is the float below 1
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env="checkers",
+            mixer="vdn",
+            checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "out"),
+            samples=100,
+            alpha=3e-16,
+        )
+        assert main(["certify-state", "--config", path]) == 0
 
     @pytest.mark.parametrize("mode", [m for m in MODES if m != "report"])
     def test_empty_env_exits_2(self, tmp_path, mode):
@@ -387,25 +404,6 @@ class TestModes:
         assert main(["certify-state", "--config", config]) == 3
         err = capsys.readouterr().err
         assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
-
-    def test_readme_train_config_writes_the_stored_checkpoint(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-            encoding="utf-8"
-        )
-        blocks = [
-            b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S) if "mode: train" in b
-        ]
-        assert len(blocks) == 1
-        config = tmp_path / "train.yaml"
-        config.write_text(blocks[0], encoding="utf-8")
-        out = tmp_path / "t"
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-        got = load_policy(out / "checkpoint")
-        want = load_policy(_CHECKERS_VDN)
-        assert got.mixer == want.mixer
-        for a, b in zip(got.agent_nets, want.agent_nets, strict=True):
-            for x, y in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
-                assert np.array_equal(x, y)
 
     def test_training_divergence_exit_code(self, tmp_path, corridor_env):
         path = _write_config(

@@ -198,6 +198,7 @@ def test_stacked_pass_matches_per_net_passes(rows, activation, hidden):
     X = rng.normal(size=(rows, 3, 47))  # laid out as the replay's (b, n, obs)
     G = rng.normal(size=(3, rows, 5))
     outputs, inputs = forward_trace(view, X.swapaxes(0, 1))
+    assert np.array_equal(forward_batch(view, X.swapaxes(0, 1)), outputs)
     grad = np.full_like(flat, np.nan)
     grad_in = reverse_sweep(view, inputs, G, grad.reshape(3, -1))
     assert np.array_equal(reverse_sweep(view, inputs, G), grad_in)

@@ -109,7 +109,11 @@ class TestStdNormalQuantile:
         )
 
 
-W = smoothing._CHUNK_LANES  # lanes of a noise draw's quantile chunk
+# lanes of a noise draw's longest quantile chunk at the built-in
+# observation length, 47
+D = smoothing._CHUNK_ROWS * 47
+# a split length fixed because the test ids below embed it
+W = 32768
 # p on both sides of each central/tail boundary, and far-tail p (p or
 # 1 - p below 1.4e-11), 1e-300, subnormals and the smallest clamped draw
 ZONE_EDGES = [
@@ -122,18 +126,18 @@ FAR_TAILS = [
 
 
 class TestQuantileIdentity:
-    """The vector kernel around a noise draw's chunk length.  CI also runs
-    this class with numpy's dispatch targets above its baseline disabled,
-    where the tail lanes' log gives other bits."""
+    """The vector kernel split around a noise draw's chunk length.  CI also
+    runs this class with numpy's dispatch targets above its baseline
+    disabled, where the tail lanes' log gives other bits."""
 
-    @pytest.mark.parametrize("n", [W - 1, W, W + 1, 2 * W + 3])
+    @pytest.mark.parametrize("n", [W - 1, W, W + 1, 2 * W + 3, D - 1, D, D + 1, 2 * D + 3])
     def test_whole_array_equals_any_split(self, n):
         rng = np.random.default_rng(n)
         p = np.maximum(rng.random(n), 2.0**-54)
         p[rng.integers(n)] = 1e-13  # one far-tail lane
         p[rng.integers(n, size=len(ZONE_EDGES))] = ZONE_EDGES
         whole = std_normal_quantile_vec(p)
-        for cuts in ([n // 2], [1, W - 1, W + 1], sorted(rng.integers(0, n, 6))):
+        for cuts in ([n // 2], [1, W - 1, W + 1, D - 1, D + 1], sorted(rng.integers(0, n, 6))):
             parts = [std_normal_quantile_vec(part) for part in np.split(p, cuts)]
             assert np.array_equal(np.concatenate(parts), whole)
 
@@ -158,7 +162,7 @@ class TestQuantileIdentity:
 
 
 # the split length of the tests below, fixed because their ids embed it;
-# TestQuantileIdentity splits around a draw's chunk length W
+# TestQuantileIdentity splits around a draw's chunk length D
 C = 8192
 QUANTILE_EDGES = (
     2.0**-54, 1e-310, 0.075, 0.5, 0.925, 1.0 - 2.0**-53, 1e-20,
@@ -223,13 +227,13 @@ def _all_lanes_draw(dim, sigma, key, count):
 
 class TestQuantileChunks:
     """A noise draw passes `std_normal_quantile_vec` one chunk of rows at
-    a time, at most ``_CHUNK_LANES`` lanes; none of that may show in the
+    a time, at most ``_CHUNK_ROWS`` rows; none of that may show in the
     quantile's output or in the draw."""
 
     @pytest.mark.parametrize("dim", [4, 5, 47])
     @pytest.mark.parametrize("extra", [-1, 0, 1, None])
     def test_draws_straddling_a_row_chunk(self, dim, extra):
-        rows = W // (4 * ((dim + 3) // 4))  # rows per chunk of the draw
+        rows = smoothing._CHUNK_ROWS
         count = 2 * rows + 3 if extra is None else rows + extra
         key = philox_key(13, "noise", 2, 1)
         want = _all_lanes_draw(dim, 0.3, key, count)
