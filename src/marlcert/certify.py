@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import EnvState, GridSpec, reset, step
+from .envs import EnvState, GridSpec, episode_reward, reset, step
 from .policy import JointPolicy, counterfactual_values, q_total, state_values
 from .smoothing import (
     ActionTally,
@@ -255,13 +255,13 @@ def _clean_episode(spec: GridSpec, decision_at) -> tuple:
     """The smoothed policy's own episode from ``reset``, following the
     modal action of ``decision_at(state)`` at each state: its decisions in
     rollout order and its team reward, summed in that order."""
-    state, path, reward = reset(spec), [], 0.0
-    while not state.done:
+    path = []
+
+    def modal(spec, state):
         path.append(decision_at(state))
-        outcome = step(spec, state, path[-1].modal)
-        reward += outcome.team_reward
-        state = outcome.next_state
-    return path, reward
+        return path[-1].modal
+
+    return path, episode_reward(spec, modal)
 
 
 def get_node(

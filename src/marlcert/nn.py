@@ -13,12 +13,13 @@ input gradient alone.
 
 A net keeps every parameter in one vector, ``Mlp.params``, in the
 checkpoint's payload order below, and a parameter gradient and Adam's
-moments are vectors in that same layout.  ``mlp_view`` makes a net of a
-given vector without a copy: of a slice, or of an (n, P) block that holds
-n nets of one shape with a leading agent axis, ``params`` (n, P), weight
-l (n, out, in), bias l (n, out).  Given such a block, ``forward_trace``
-and ``reverse_sweep`` make one product per layer for all n nets, each
-net's slice bit for bit what it makes alone.
+moments are vectors in that same layout.  ``Mlp(layer_dims, activation,
+params)`` adopts the given float64 array without a copy, after checking
+it: a vector of one net's parameters (a slice of a larger vector too), or
+an (n, P) block that holds n nets of one shape with a leading agent axis,
+weight l (n, out, in), bias l (n, out).  Given such a block,
+``forward_trace`` and ``reverse_sweep`` make one product per layer for
+all n nets, each net's slice bit for bit what it makes alone.
 
 Checkpoint byte layout (version 1, all integers little-endian):
 
@@ -57,20 +58,21 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class Mlp:
     """A dense net: linear layers with relu/tanh on hidden, linear output.
 
-    ``params`` holds every parameter in checkpoint payload order, and
-    ``weights`` and ``biases`` are tuples of views into it.  The constructor
-    copies the given arrays into a fresh ``params``.
+    ``params`` holds every parameter in checkpoint payload order, and is
+    the array given, not a copy; ``weights`` and ``biases`` are tuples of
+    views into it.  Raises ValueError for bad dims, an unknown activation,
+    or parameters of the wrong dtype, shape or with a non-finite value.
     """
 
     layer_dims: tuple
-    weights: tuple  # weights[l]: (layer_dims[l+1], layer_dims[l])
-    biases: tuple  # biases[l]: (layer_dims[l+1],)
     activation: str
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(repr=False)
+    weights: tuple = field(init=False, repr=False)  # weights[l]: (out, in)
+    biases: tuple = field(init=False, repr=False)  # biases[l]: (out,)
 
     def __post_init__(self):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
@@ -78,25 +80,20 @@ class Mlp:
             raise ValueError(f"bad layer_dims {self.layer_dims!r}")
         if self.activation not in _ACT_CODES:
             raise ValueError(f"unknown activation {self.activation!r}")
-        n_layers = len(self.layer_dims) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
-            raise ValueError("weights/biases do not match layer_dims")
-        given = self.weights, self.biases
-        self._adopt(np.empty(_n_params(self.layer_dims)))
-        for l, (W, b, W_to, b_to) in enumerate(zip(*given, self.weights, self.biases)):
-            if np.shape(W) != W_to.shape or np.shape(b) != b_to.shape:
-                raise ValueError(
-                    f"layer {l}: weight shape {np.shape(W)} / bias {np.shape(b)} "
-                    f"inconsistent with dims {W_to.shape}"
-                )
-            W_to[...] = W
-            b_to[...] = b
-        if not np.isfinite(self.params).all():
+        size, params = _n_params(self.layer_dims), self.params
+        if not (
+            isinstance(params, np.ndarray)
+            and params.dtype == np.float64
+            and params.ndim in (1, 2)
+            and params.shape[-1] == size
+        ):
+            raise ValueError(
+                f"layer_dims {self.layer_dims} take a float64 vector of {size} "
+                f"parameters or an (n, {size}) block, not {np.shape(params)}"
+            )
+        if not np.isfinite(params).all():
             raise ValueError("non-finite parameters")
-
-    def _adopt(self, flat):
-        self.params = flat
-        self.weights, self.biases = _layers(self.layer_dims, flat)
+        self.weights, self.biases = _layers(self.layer_dims, params)
 
 
 def _n_params(dims):
@@ -121,15 +118,6 @@ def _layers(dims, flat):
     return tuple(weights), tuple(biases)
 
 
-def mlp_view(layer_dims, activation, flat):
-    """An ``Mlp`` whose ``params`` is ``flat`` itself, no copy: a vector of
-    one net's parameters, or an (n, P) block of n nets of one shape."""
-    net = Mlp.__new__(Mlp)
-    net.layer_dims, net.activation = tuple(layer_dims), activation
-    net._adopt(flat)
-    return net
-
-
 @dataclass
 class AdamState:
     """Adam's learning rate, moments, step count and two scratch vectors."""
@@ -142,15 +130,13 @@ class AdamState:
 
 
 def mlp_init(layer_dims, activation, rng):
-    """Random He-scaled initialization from a numpy Generator."""
-    weights = []
-    biases = []
+    """Random He-scaled initialization from a numpy Generator: each layer's
+    weights drawn in turn, every bias zero."""
     dims = tuple(int(d) for d in layer_dims)
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        scale = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, scale, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(dims, weights, biases, activation)
+    net = Mlp(dims, activation, np.zeros(_n_params(dims)))
+    for W in net.weights:  # (fan_out, fan_in)
+        W[...] = rng.normal(0.0, np.sqrt(2.0 / W.shape[1]), size=W.shape)
+    return net
 
 
 def _act(net, z, out=None):
@@ -336,7 +322,7 @@ def checkpoint_load(path):
             f"{path}: parameter block size does not match layer_dims header"
         )
     params = np.frombuffer(payload, dtype="<f8", count=expected, offset=off)
-    try:
-        return Mlp(dims, *_layers(dims, params), _ACT_NAMES[act_code])
+    try:  # a native, writable copy of the read-only payload
+        return Mlp(dims, _ACT_NAMES[act_code], params.astype(np.float64))
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -116,11 +116,11 @@ class JointPolicy:
         self.params = np.concatenate([net.params for net in self.nets])
         n = len(self.agent_nets)
         split = n * self.agent_nets[0].params.size
-        self.agents = nn.mlp_view(*shape, self.params[:split].reshape(n, -1))
-        self.agent_nets = tuple(nn.mlp_view(*shape, row) for row in self.agents.params)
+        self.agents = nn.Mlp(*shape, self.params[:split].reshape(n, -1))
+        self.agent_nets = tuple(nn.Mlp(*shape, row) for row in self.agents.params)
         if self.hypernet is not None:
             dims, activation = self.hypernet.layer_dims, self.hypernet.activation
-            self.hypernet = nn.mlp_view(dims, activation, self.params[split:])
+            self.hypernet = nn.Mlp(dims, activation, self.params[split:])
 
     @property
     def n_agents(self) -> int:

@@ -421,15 +421,11 @@ def binom_pvalue_one_sided(k, M, p0):
     return binom_tail(k, M, p0)
 
 
-def binom_pvalue_two_sided(k, M, p0=0.5):
-    """Two-sided binomial p-value at p0 = 0.5 (symmetric doubling rule).
-
-    Only the symmetric case is defined: min(1, 2*min(P(X>=k), P(X<=k))),
-    using P(X<=k; 0.5) = P(X>=M-k; 0.5).
+def binom_pvalue_two_sided(k, M):
+    """Two-sided binomial p-value at p = 0.5 (symmetric doubling rule):
+    min(1, 2*min(P(X>=k), P(X<=k))), using P(X<=k; 0.5) = P(X>=M-k; 0.5).
     """
     k, M = _validate_k_M(k, M)
-    if float(p0) != 0.5:
-        raise ValueError("two-sided test is defined only for p0 = 0.5")
     upper = binom_tail(k, M, 0.5)
     lower = binom_tail(M - k, M, 0.5)
     return min(1.0, 2.0 * min(upper, lower))

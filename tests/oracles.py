@@ -136,6 +136,20 @@ def central_difference(f, x, h=1e-5):
     return grad
 
 
+def mlp_params(layer_dims, weights, biases):
+    """One dense net's parameters as a new float64 vector in the checkpoint's
+    payload order: per layer l, W_l row-major with shape (dims[l+1],
+    dims[l]), then b_l.  Raises ValueError when a shape does not fit."""
+    parts = []
+    for fan_in, fan_out, W, b in zip(
+        layer_dims[:-1], layer_dims[1:], weights, biases, strict=True
+    ):
+        if np.shape(W) != (fan_out, fan_in) or np.shape(b) != (fan_out,):
+            raise ValueError(f"layer {fan_in}->{fan_out}: {np.shape(W)}, {np.shape(b)}")
+        parts += [np.ravel(W), np.ravel(b)]
+    return np.concatenate(parts).astype(np.float64)
+
+
 def _values_and_input_grad(weights, biases, activation, x, output_grad):
     """One input vector through a dense net: (outputs, d<output_grad, out>/dx)."""
     act = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh

@@ -37,7 +37,7 @@ from marlcert.envs import (
     reset,
     step,
 )
-from marlcert.nn import Mlp, forward_trace, mlp_init, mlp_view, reverse_sweep
+from marlcert.nn import Mlp, forward_trace, mlp_init, reverse_sweep
 from marlcert.policy import (
     TrainConfig,
     greedy_joint_action,
@@ -170,9 +170,7 @@ def test_criterion_3_bh_equivalence():
 
 
 def _net_with_params(template, theta):
-    net = Mlp(template.layer_dims, template.weights, template.biases, template.activation)
-    net.params[:] = theta
-    return net
+    return Mlp(template.layer_dims, template.activation, np.array(theta, dtype=np.float64))
 
 
 def _hidden_margin(net, x):
@@ -251,7 +249,7 @@ def test_criterion_4_gradient_checks():
             # the net between two siblings of its shape, one stacked pass
             side = np.random.default_rng([41, index])
             nets = [_random_net(dims, activation, side), net, _random_net(dims, activation, side)]
-            block = mlp_view(dims, activation, np.stack([n.params for n in nets]))
+            block = Mlp(dims, activation, np.stack([n.params for n in nets]))
             xs = np.stack([x if n is net else _input_off_the_kink(n, side) for n in nets])
             side_grads = side.normal(0.0, 1.0, (2, dims[-1]))
             out_grads = np.stack([side_grads[0], out_grad, side_grads[1]])

@@ -43,14 +43,14 @@ def _cfg(**kw):
 
 def _const_net(obs_len, values):
     w = np.zeros((5, obs_len))
-    return nn.Mlp((obs_len, 5), [w], [np.asarray(values, dtype=np.float64)], "relu")
+    return nn.Mlp((obs_len, 5), "relu", oracles.mlp_params((obs_len, 5), [w], [values]))
 
 
 def _const_like(net, values):
     """A net of ``net``'s shape that outputs ``values`` at every input."""
-    weights = [np.zeros_like(W) for W in net.weights]
-    biases = [np.zeros_like(b) for b in net.biases[:-1]] + [np.asarray(values, float)]
-    return nn.Mlp(net.layer_dims, weights, biases, net.activation)
+    const = nn.Mlp(net.layer_dims, net.activation, np.zeros_like(net.params))
+    const.biases[-1][...] = values
+    return const
 
 
 def _flip_net(obs_len):
@@ -60,7 +60,7 @@ def _flip_net(obs_len):
     b = np.full(5, -10.0)
     b[0] = 0.0
     b[1] = 0.0
-    return nn.Mlp((obs_len, 5), [w], [b], "relu")
+    return nn.Mlp((obs_len, 5), "relu", oracles.mlp_params((obs_len, 5), [w], [b]))
 
 
 def _policy(nets):
@@ -83,7 +83,7 @@ def _random_net(seed, hidden, activation, scale=1.0):
 def _linear_net(seed, bias):
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 0.01, size=(5, 47))
-    return nn.Mlp((47, 5), [w], [np.asarray(bias, dtype=np.float64)], "relu")
+    return nn.Mlp((47, 5), "relu", oracles.mlp_params((47, 5), [w], [bias]))
 
 
 def _gated_net(seed):
@@ -99,7 +99,8 @@ def _gated_net(seed):
     w2 = np.zeros((5, 2))
     w2[0] = 3.0
     b2 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    return nn.Mlp((47, 2, 5), [w1, w2], [np.full(2, -0.3), b2], "relu")
+    params = oracles.mlp_params((47, 2, 5), [w1, w2], [np.full(2, -0.3), b2])
+    return nn.Mlp((47, 2, 5), "relu", params)
 
 
 def _assert_matches_reference(policy, spec, state, agent, cfg, epsilon, seeds):
@@ -185,7 +186,7 @@ class TestPgdAttackState:
         w[0, 5] = 0.2
         w[1, 7] = -0.4
         b = np.array([1.0, 0.9, -5.0, -5.0, -5.0])
-        net = nn.Mlp((47, 5), [w], [b], "relu")
+        net = nn.Mlp((47, 5), "relu", oracles.mlp_params((47, 5), [w], [b]))
         policy = _policy([net])
         cfg = AttackConfig(noise=_noise(sigma=0.01), steps=1, restarts=1)
         result = pgd_attack_state(policy, spec, reset(spec), 0, cfg, 0.1, 3)

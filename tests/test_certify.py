@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from marlcert import nn
 from marlcert.attack import AttackConfig, attacked_rollout
 from marlcert.certify import (
@@ -58,7 +59,7 @@ def _spec2():
 
 def _const_net(obs_len, values):
     w = np.zeros((5, obs_len))
-    return nn.Mlp((obs_len, 5), [w], [np.asarray(values, dtype=np.float64)], "relu")
+    return nn.Mlp((obs_len, 5), "relu", oracles.mlp_params((obs_len, 5), [w], [values]))
 
 
 def _flip_net(obs_len, action_pos, action_neg):
@@ -70,7 +71,7 @@ def _flip_net(obs_len, action_pos, action_neg):
     b = np.full(5, -10.0)
     b[action_pos] = 0.0
     b[action_neg] = 0.0
-    return nn.Mlp((obs_len, 5), [w], [b], "relu")
+    return nn.Mlp((obs_len, 5), "relu", oracles.mlp_params((obs_len, 5), [w], [b]))
 
 
 def _policy(nets):

@@ -4,10 +4,12 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +399,25 @@ class TestModes:
         nn.checkpoint_save(narrow, checkpoint / "agent_1.mlp")
         with pytest.raises(CheckpointError, match="share one architecture"):
             load_policy(checkpoint)
+        config = _write_config(
+            tmp_path, "c.yaml", env="checkers", checkpoint=str(checkpoint),
+            out=str(tmp_path / "o"),
+        )
+        assert main(["certify-state", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_exit_code(self, tmp_path, capsys, value):
+        # agent 1's last parameter overwritten under a recomputed checksum:
+        # the file reads whole, and the net it holds is refused
+        checkpoint = tmp_path / "ckpt"
+        shutil.copytree(_CHECKERS_VDN, checkpoint)
+        net = checkpoint / "agent_1.mlp"
+        payload = net.read_bytes()[:-12] + struct.pack("<d", value)
+        net.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CheckpointError, match="non-finite parameters"):
+            nn.checkpoint_load(net)
         config = _write_config(
             tmp_path, "c.yaml", env="checkers", checkpoint=str(checkpoint),
             out=str(tmp_path / "o"),

@@ -21,41 +21,26 @@ from marlcert.nn import (
     forward_batch,
     forward_trace,
     mlp_init,
-    mlp_view,
     reverse_sweep,
 )
 
 
 def _fixed_232_tanh():
-    net = Mlp(
-        layer_dims=(2, 3, 2),
-        weights=[
-            np.array([[0.5, -0.25], [1.0, 0.75], [-0.5, 0.1]]),
-            np.array([[1.0, -1.0, 0.5], [0.25, 0.5, -0.75]]),
-        ],
-        biases=[np.array([0.1, -0.2, 0.0]), np.array([0.05, -0.05])],
-        activation="tanh",
-    )
-    return net
+    weights = [
+        np.array([[0.5, -0.25], [1.0, 0.75], [-0.5, 0.1]]),
+        np.array([[1.0, -1.0, 0.5], [0.25, 0.5, -0.75]]),
+    ]
+    biases = [np.array([0.1, -0.2, 0.0]), np.array([0.05, -0.05])]
+    return Mlp((2, 3, 2), "tanh", oracles.mlp_params((2, 3, 2), weights, biases))
 
 
 def test_zero_net_zero_output():
-    net = Mlp(
-        layer_dims=(3, 4, 2),
-        weights=[np.zeros((4, 3)), np.zeros((2, 4))],
-        biases=[np.zeros(4), np.zeros(2)],
-        activation="relu",
-    )
+    net = Mlp((3, 4, 2), "relu", np.zeros(26))
     assert np.array_equal(forward(net, np.array([1.0, -2.0, 3.0])), np.zeros(2))
 
 
 def test_single_linear_layer_identity():
-    net = Mlp(
-        layer_dims=(3, 3),
-        weights=[np.eye(3)],
-        biases=[np.zeros(3)],
-        activation="relu",
-    )
+    net = Mlp((3, 3), "relu", oracles.mlp_params((3, 3), [np.eye(3)], [np.zeros(3)]))
     x = np.array([0.5, -1.5, 2.0])
     assert np.array_equal(forward(net, x), x)
 
@@ -102,7 +87,7 @@ def test_backward_zero_output_grad():
 def test_linear_net_input_gradient_is_wt_g():
     rng = np.random.default_rng(3)
     W = rng.normal(size=(4, 6))
-    net = Mlp((6, 4), [W.copy()], [rng.normal(size=4)], "relu")
+    net = Mlp((6, 4), "relu", oracles.mlp_params((6, 4), [W], [rng.normal(size=4)]))
     g = rng.normal(size=4)
     _, gin = backward(net, rng.normal(size=6), g)
     assert np.allclose(gin, W.T @ g, rtol=1e-13, atol=0)
@@ -120,7 +105,7 @@ def test_gradients_match_finite_differences(activation):
             while np.min(np.abs(net.weights[0] @ x + net.biases[0])) < 1e-2:
                 x = rng.normal(size=3)
         gout = rng.normal(size=2)
-        probe = Mlp(net.layer_dims, net.weights, net.biases, net.activation)
+        probe = Mlp(net.layer_dims, net.activation, net.params.copy())
 
         def loss_at_params(flat):
             probe.params[:] = flat
@@ -160,9 +145,9 @@ def test_weights_and_biases_are_views_of_params():
     net.biases[0][...] = -1.0
     assert net.params.size == 26
     assert net.params[16] == 5.0 and (net.params[12:16] == -1.0).all()
-    again = Mlp(net.layer_dims, net.weights, net.biases, net.activation)
-    assert np.array_equal(again.params, net.params)
-    assert not np.shares_memory(again.params, net.params)  # the constructor copies
+    again = Mlp(net.layer_dims, net.activation, net.params)
+    assert again.params is net.params  # the constructor adopts, no copy
+    assert np.array_equal(again.params, oracles.mlp_params((3, 4, 2), net.weights, net.biases))
     with pytest.raises(TypeError):
         net.weights[0] = np.zeros((4, 3))  # a tuple: no element can be swapped out
 
@@ -173,8 +158,8 @@ def test_view_of_a_slice_shares_the_vector():
     x = rng.normal(size=(2, 3))
     flat = np.concatenate([net.params for net in nets])
     views = [
-        mlp_view(nets[0].layer_dims, "relu", flat[:26]),
-        mlp_view(nets[1].layer_dims, "tanh", flat[26:]),
+        Mlp(nets[0].layer_dims, "relu", flat[:26]),
+        Mlp(nets[1].layer_dims, "tanh", flat[26:]),
     ]
     assert views[1].params.base is flat
     assert np.array_equal(forward_batch(views[0], x), forward_batch(nets[0], x))
@@ -192,8 +177,8 @@ def test_stacked_pass_matches_per_net_passes(rows, activation, hidden):
     dims = (47,) + hidden + (5,)
     size = mlp_init(dims, activation, rng).params.size
     flat = rng.normal(size=3 * size) * 0.3  # nonzero biases too
-    view = mlp_view(dims, activation, flat.reshape(3, -1))
-    nets = [mlp_view(dims, activation, row) for row in view.params]
+    view = Mlp(dims, activation, flat.reshape(3, -1))
+    nets = [Mlp(dims, activation, row) for row in view.params]
     assert all(np.shares_memory(W, flat) for W in view.weights + view.biases)
     X = rng.normal(size=(rows, 3, 47))  # laid out as the replay's (b, n, obs)
     G = rng.normal(size=(3, rows, 5))
@@ -223,7 +208,7 @@ class TestAdam:
     def test_descends_quadratic(self):
         # one-parameter net, loss f(w) = w^2 starting at w = 1; Adam
         # oscillates near the optimum, so the assertion is on the trend
-        net = Mlp((1, 1), [np.array([[1.0]])], [np.zeros(1)], "relu")
+        net = Mlp((1, 1), "relu", np.array([1.0, 0.0]))
         state = adam_init(net.params, lr=0.1)
         losses = []
         for _ in range(200):
@@ -260,10 +245,10 @@ class TestAdam:
         arrays = [a for n in nets for a in n.weights + n.biases]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
         params = np.concatenate([n.params for n in nets])
-        grad = np.empty_like(params)
+        grad = np.zeros_like(params)
         grad_nets = [
-            mlp_view(nets[0].layer_dims, "relu", grad[:51]),
-            mlp_view(nets[1].layer_dims, "tanh", grad[51:]),
+            Mlp(nets[0].layer_dims, "relu", grad[:51]),
+            Mlp(nets[1].layer_dims, "tanh", grad[51:]),
         ]
         grad_arrays = [g for n in grad_nets for g in n.weights + n.biases]
         state = adam_init(params, lr=3e-3)
@@ -346,7 +331,33 @@ def test_init_determinism():
 
 
 def test_mlp_rejects_inconsistent_shapes():
+    # lengths, values and activations: test_mlp_rejects_bad_params
+    Mlp((2, 3), "relu", np.zeros(9))
     with pytest.raises(ValueError):
-        Mlp((2, 3), [np.zeros((4, 2))], [np.zeros(4)], "relu")
+        Mlp((2, 0), "relu", np.zeros(0))
     with pytest.raises(ValueError):
-        Mlp((2, 3), [np.zeros((3, 2))], [np.zeros(3)], "sigmoid")
+        Mlp((2, 3), "relu", np.zeros((2, 2, 9)))
+    with pytest.raises(ValueError):
+        Mlp((2, 3), "relu", np.zeros(9, dtype=np.float32))
+    with pytest.raises(ValueError):
+        oracles.mlp_params((2, 3), [np.zeros((2, 3))], [np.zeros(3)])  # transposed
+
+
+@pytest.mark.parametrize("fault", [None, "long", np.nan, np.inf, -np.inf, "sigmoid"])
+@pytest.mark.parametrize("nets", [1, 3])  # a slice of a larger vector, an (n, P) block
+def test_mlp_rejects_bad_params(nets, fault):
+    # dims (3, 4, 2) take 26 parameters a net; the last net's last value is the bad one
+    flat = np.random.default_rng(18).normal(size=100)
+    size = 27 if fault == "long" else 26
+    params = flat[4 : 4 + nets * size]
+    if nets > 1:
+        params = params.reshape(nets, size)
+    if isinstance(fault, float):
+        params[(-1,) * params.ndim] = fault
+    activation = fault if fault == "sigmoid" else "relu"
+    if fault is None:
+        net = Mlp((3, 4, 2), activation, params)
+        assert net.params is params and np.shares_memory(net.weights[1], flat)
+        return
+    with pytest.raises(ValueError):
+        Mlp((3, 4, 2), activation, params)

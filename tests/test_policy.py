@@ -52,17 +52,11 @@ def _random_policy(spec, mixer, seed):
 
 def _zero_policy(spec, mixer="vdn"):
     policy = new_policy(spec, mixer, rng=np.random.default_rng(0))
-    nets = []
-    for net in policy.agent_nets:
-        nets.append(
-            nn.Mlp(
-                net.layer_dims,
-                [np.zeros_like(w) for w in net.weights],
-                [np.zeros_like(b) for b in net.biases],
-                net.activation,
-            )
-        )
-    return JointPolicy(tuple(nets), policy.mixer, policy.hypernet)
+    nets = tuple(
+        nn.Mlp(net.layer_dims, net.activation, np.zeros_like(net.params))
+        for net in policy.agent_nets
+    )
+    return JointPolicy(nets, policy.mixer, policy.hypernet)
 
 
 def _values(policy, spec, state):

@@ -397,21 +397,17 @@ class TestBinomPValues:
         assert 0.0 <= pv <= 1.0
 
     def test_two_sided_tie_caps_at_one(self):
-        assert binom_pvalue_two_sided(50, 100, 0.5) == 1.0
+        assert binom_pvalue_two_sided(50, 100) == 1.0
 
     def test_two_sided_boundary(self):
-        assert binom_pvalue_two_sided(100, 100, 0.5) == pytest.approx(
+        assert binom_pvalue_two_sided(100, 100) == pytest.approx(
             2.0 * 2.0**-100, rel=1e-10
         )
 
     def test_two_sided_doubles_one_sided(self):
-        assert binom_pvalue_two_sided(60, 100, 0.5) == pytest.approx(
+        assert binom_pvalue_two_sided(60, 100) == pytest.approx(
             2.0 * 0.028443966820490395, rel=1e-11
         )
-
-    def test_two_sided_rejects_other_p0(self):
-        with pytest.raises(ValueError):
-            binom_pvalue_two_sided(10, 20, 0.4)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
