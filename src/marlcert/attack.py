@@ -118,7 +118,7 @@ def _voter(policy, state, agent, noise, base):
     winner is settled, so it picks the full counts' lowest-index argmax."""
     samples = noise.samples
     cuts = sorted({max(samples // 2 + 1, samples * cut // 100) for cut in _VOTE_CUTS})
-    count = _counter(policy.agent_nets[agent], base.size, noise, state.step_count, agent)
+    count = _counter(policy.agent_nets[agent], noise, state.step_count, agent)
 
     def vote(delta=None) -> int:
         return int(np.argmax(count(base if delta is None else base + delta, cuts)))

@@ -4,8 +4,11 @@ Every run is driven by one RunConfig, the flat schema of the YAML config
 file; the flags ``--seed``, ``--sigma``, ``--samples``, ``--alpha`` and
 ``--out`` override the fields of the same name.  RunConfig builds the
 library configs (noise, training, attack) once, so every setting is
-checked by the config that owns it before the output directory exists.
-Each run writes into its output directory:
+checked by the config that owns it.  ``run`` then reads the grid, checks
+that the attack's trial counts fit in memory and loads the checkpoint and
+fits it to the grid, all before it makes the output directory; the mode's
+handler computes its results and names its artifacts, and ``run`` writes
+them into the output directory, ``result.json`` last:
 
 * ``result.json``: the full structured record, schema-versioned, with
   the run's config echoed verbatim.  Replaying that echo reproduces the
@@ -18,11 +21,14 @@ Each run writes into its output directory:
   certify-state mode, and one (env, mixer, sigma, epsilon_cert, r_min,
   attacked_reward) row for the reward and attack modes.  Report mode
   merges such rows from many result files into one sorted table.
+* the trained policy's ``checkpoint`` directory in train mode.
 
 Exit codes: 0 ok, 2 bad configuration, 3 missing, corrupt, unreadable
 or unwritable file or checkpoint (its manifest included), or a
 checkpoint that does not fit the grid, 4 numerical failure (e.g.
-diverged training).
+diverged training).  A refused config, grid, trial count or checkpoint
+leaves no output directory; a failure while the mode runs leaves it
+empty.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import yaml
 
@@ -56,6 +63,7 @@ from .policy import (
     global_encoding_length,
     greedy_joint_action,
     load_policy,
+    save_policy,
     train,
 )
 from .seeds import derive_seed
@@ -227,17 +235,17 @@ def _require_checkpoint(cfg: RunConfig, spec):
     return policy
 
 
-def _write_csv(path, header, rows):
+def _write_csv(rows, path):
+    """Write ``rows``, the header first, as a CSV file; None is blank."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _reward_bound(cfg: RunConfig, policy, bound, attacked_reward) -> dict:
-    """The result fields ``certify-reward`` and ``attack`` share; also
-    writes them as the run's ``reward_bound.csv`` row.
+def _reward_bound(cfg: RunConfig, policy, bound, attacked_reward):
+    """The result fields ``certify-reward`` and ``attack`` share, and
+    their ``reward_bound.csv`` row.
 
     ``confidence`` is the level at which ``epsilon_cert`` and ``r_min``
     hold jointly: a union bound over the one level-alpha test per agent
@@ -256,53 +264,49 @@ def _reward_bound(cfg: RunConfig, policy, bound, attacked_reward) -> dict:
         "clean_reward": bound.clean_reward,
     }
     row = [results[key] for key in _TABLE_HEADER]
-    _write_csv(os.path.join(cfg.out, "reward_bound.csv"), _TABLE_HEADER, [row])
-    return results
+    return results, {"reward_bound.csv": partial(_write_csv, [_TABLE_HEADER, row])}
 
 
-def _run_train(cfg: RunConfig, spec) -> dict:
-    checkpoint = os.path.join(cfg.out, "checkpoint")
-    policy = train(spec, cfg.training, cfg.mixer, checkpoint_path=checkpoint)
+def _run_train(cfg: RunConfig, spec, _):
+    policy = train(spec, cfg.training, cfg.mixer)
     clean = episode_reward(
         spec, lambda s, state: greedy_joint_action(policy, s, state)
     )
-    return {
-        "checkpoint": checkpoint,
+    results = {
+        "checkpoint": os.path.join(cfg.out, "checkpoint"),
         "env": _env_name(cfg.env),
         "mixer": cfg.mixer,
         "episodes": cfg.episodes,
         "clean_greedy_reward": clean,
     }
+    return results, {"checkpoint": partial(save_policy, policy)}
 
 
-def _run_certify_state(cfg: RunConfig, spec) -> dict:
-    policy = _require_checkpoint(cfg, spec)
+def _run_certify_state(cfg: RunConfig, spec, policy):
     certificates = certify_trajectory(policy, spec, cfg.noise)
     n = policy.n_agents
-    header = ["step", "min_radius"] + [f"d_{i}" for i in range(n)]
-    rows = [
+    rows = [["step", "min_radius"] + [f"d_{i}" for i in range(n)]]
+    rows += [
         [c.step_index, c.min_radius] + [c.per_agent_radius[i] for i in range(n)]
         for c in certificates
     ]
-    _write_csv(os.path.join(cfg.out, "state_series.csv"), header, rows)
-    return {
+    results = {
         "env": _env_name(cfg.env),
         "mixer": policy.mixer,
         "sigma": cfg.sigma,
         "certificates": [dataclasses.asdict(c) for c in certificates],
     }
+    return results, {"state_series.csv": partial(_write_csv, rows)}
 
 
-def _run_certify_reward(cfg: RunConfig, spec) -> dict:
-    policy = _require_checkpoint(cfg, spec)
+def _run_certify_reward(cfg: RunConfig, spec, policy):
     bound = tcrgr(policy, spec, cfg.noise)
-    results = _reward_bound(cfg, policy, bound, None)
+    results, files = _reward_bound(cfg, policy, bound, None)
     results["nodes_expanded"] = bound.nodes_expanded
-    return results
+    return results, files
 
 
-def _run_attack(cfg: RunConfig, spec) -> dict:
-    policy = _require_checkpoint(cfg, spec)
+def _run_attack(cfg: RunConfig, spec, policy):
     bound = tcrgr(policy, spec, cfg.noise)
     certificates = [crsc(decision, cfg.noise) for decision in bound.clean_path]
     report = validate_certificates(
@@ -316,13 +320,13 @@ def _run_attack(cfg: RunConfig, spec) -> dict:
         rollout_trials=cfg.rollout_trials,
     )
     rewards = report.rollout_rewards
-    results = _reward_bound(cfg, policy, bound, sum(rewards) / len(rewards))
+    results, files = _reward_bound(cfg, policy, bound, sum(rewards) / len(rewards))
     results["validation"] = dataclasses.asdict(report)
     results["certificates"] = [dataclasses.asdict(c) for c in certificates]
-    return results
+    return results, files
 
 
-def _run_report(cfg: RunConfig) -> dict:
+def _run_report(cfg: RunConfig, *_):
     rows = []
     for path in cfg.inputs:
         try:
@@ -351,12 +355,8 @@ def _run_report(cfg: RunConfig) -> dict:
             raise ConfigError(f"result file {path}: sigma is not a number")
         rows.append({key: results[key] for key in _TABLE_HEADER})
     rows.sort(key=lambda r: (r["env"], r["mixer"], r["sigma"]))
-    _write_csv(
-        os.path.join(cfg.out, "report.csv"),
-        _TABLE_HEADER,
-        [[row[k] for k in _TABLE_HEADER] for row in rows],
-    )
-    return {"rows": rows}
+    table = [_TABLE_HEADER] + [[row[k] for k in _TABLE_HEADER] for row in rows]
+    return {"rows": rows}, {"report.csv": partial(_write_csv, table)}
 
 
 def _sorted_list(value):
@@ -367,22 +367,30 @@ def _sorted_list(value):
 
 
 def run(cfg: RunConfig) -> ResultRecord:
-    """Execute one configured run and write its artifacts."""
+    """Execute one configured run and write its artifacts.
+
+    A handler returns the mode's results and its artifacts: a one-argument
+    writer per file name under ``out``.
+    """
     started = time.perf_counter()
-    # a grid that exits 2 or 3 leaves no output directory behind
+    # a grid, trial counts or a checkpoint that exits 2 or 3 leaves no
+    # output directory behind
     spec = None if cfg.mode == "report" else _load_spec(cfg.env)
-    if cfg.mode == "attack":  # nor do trial counts that cannot fit
+    if cfg.mode == "attack":
         dim = observation_length(spec)
         check_trials(cfg.attack, dim, cfg.attack_trials, cfg.rollout_trials)
+    policy = None if cfg.mode in ("train", "report") else _require_checkpoint(cfg, spec)
     os.makedirs(cfg.out, exist_ok=True)
     handler = {
-        "report": lambda cfg, _: _run_report(cfg),
+        "report": _run_report,
         "train": _run_train,
         "certify-state": _run_certify_state,
         "certify-reward": _run_certify_reward,
         "attack": _run_attack,
     }[cfg.mode]
-    results = handler(cfg, spec)
+    results, files = handler(cfg, spec, policy)
+    for name, write in files.items():
+        write(os.path.join(cfg.out, name))
     record = ResultRecord(
         schema_version=1,
         mode=cfg.mode,

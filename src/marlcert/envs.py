@@ -55,7 +55,9 @@ N_ACTIONS = 5
 
 _DELTAS = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))
 
-ITEM_KINDS = ("apple", "lemon", "goal")
+# map character -> item kind, in the order of observe's item channels
+_MAP_ITEMS = {"a": "apple", "l": "lemon", "g": "goal"}
+ITEM_KINDS = tuple(_MAP_ITEMS.values())
 
 _DEFAULT_REWARDS = {"apple": 10.0, "lemon": 0.0, "goal": 5.0}
 
@@ -165,13 +167,13 @@ def parse_grid_config(text: str) -> GridSpec:
         raise ConfigError("config needs a 'map' string")
     step_cap = as_number("step_cap", doc.get("step_cap"), int)
 
-    rewards = dict(_DEFAULT_REWARDS)
-    table = doc.get("rewards") or {}
+    table = doc.get("rewards")
+    if table is None:
+        table = {}
     if not isinstance(table, dict):
         raise ConfigError("'rewards' must map item kinds to rewards")
+    rewards = dict(_DEFAULT_REWARDS)
     for kind, value in table.items():
-        if kind not in ITEM_KINDS:
-            raise ConfigError(f"unknown reward kind {kind!r}")
         rewards[kind] = as_number(f"reward for {kind!r}", value, float)
 
     rows = [line for line in doc["map"].splitlines() if line.strip()]
@@ -189,23 +191,15 @@ def parse_grid_config(text: str) -> GridSpec:
             cell = (x, y)
             if ch == "#":
                 walls.add(cell)
-            elif ch in ". ":
-                pass
-            elif ch == "a":
-                items[cell] = "apple"
-            elif ch == "l":
-                items[cell] = "lemon"
-            elif ch == "g":
-                items[cell] = "goal"
-            elif ch.isdigit() and ch != "0":
+            elif ch in _MAP_ITEMS:
+                items[cell] = _MAP_ITEMS[ch]
+            elif ch in "123456789":
                 idx = int(ch) - 1
                 if idx in starts:
                     raise ConfigError(f"agent {ch} appears twice in map")
                 starts[idx] = cell
-            else:
+            elif ch not in ". ":
                 raise ConfigError(f"unknown map character {ch!r}")
-    if not starts:
-        raise ConfigError("map defines no agents")
     if sorted(starts) != list(range(len(starts))):
         raise ConfigError("agent numbers must be contiguous from 1")
     agent_starts = tuple(starts[i] for i in range(len(starts)))

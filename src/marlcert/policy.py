@@ -187,7 +187,7 @@ def new_policy(spec: GridSpec, mixer: str, rng) -> JointPolicy:
 def agent_values(policy: JointPolicy, observations: np.ndarray) -> np.ndarray:
     """Every agent's action values, (n, N_ACTIONS), from the (n, obs_len)
     observations, agent n's row from its own net: one stacked pass."""
-    return nn.forward_trace(policy.agents, np.asarray(observations)[:, None])[0][:, 0]
+    return nn.forward_batch(policy.agents, np.asarray(observations)[:, None])[:, 0]
 
 
 def _observations(policy: JointPolicy, spec: GridSpec, state: EnvState) -> np.ndarray:
@@ -219,7 +219,7 @@ def state_values(policy: JointPolicy, spec: GridSpec, state: EnvState) -> StateV
     mixer_out = None
     if policy.mixer == "qmix_mono":
         enc = encode_global_state(spec, state)
-        mixer_out = nn.forward_trace(policy.hypernet, enc[None])[0][0]
+        mixer_out = nn.forward_batch(policy.hypernet, enc[None])[0]
     return StateValues(per_agent, mixer_out)
 
 
@@ -262,13 +262,8 @@ def _epsilon(cfg: TrainConfig, episode: int) -> float:
 
 # the finiteness checks report divergence; the overflow before it is not warned
 @np.errstate(over="ignore", invalid="ignore")
-def train(
-    spec: GridSpec,
-    cfg: TrainConfig,
-    mixer: str,
-    checkpoint_path=None,
-) -> JointPolicy:
-    """TD-train a policy on `spec`; optionally write its checkpoint."""
+def train(spec: GridSpec, cfg: TrainConfig, mixer: str) -> JointPolicy:
+    """TD-train a policy on `spec`."""
     # two draws from the init seed: the target starts as an exact copy
     policy, target = (
         new_policy(spec, mixer, np.random.default_rng(cfg.init_seed())) for _ in range(2)
@@ -335,9 +330,6 @@ def train(
             updates += 1
             if updates % TARGET_SYNC == 0:
                 target.params[:] = policy.params
-
-    if checkpoint_path is not None:
-        save_policy(policy, checkpoint_path)
     return policy
 
 
@@ -356,12 +348,12 @@ def _td_update(policy, target, grad, adam, batch, cfg, episode):
 
     # bootstrapped target: each agent's greedy value under the target nets;
     # the (b, n) tables stay C-ordered, so their row sums add in agent order
-    vals = nn.forward_trace(target.agents, next_obs)[0]
+    vals = nn.forward_batch(target.agents, next_obs)
     next_chosen = vals.max(axis=-1).T.copy()
     if hypernet is None:
         next_q = next_chosen.sum(axis=1)
     else:
-        hyper_out = nn.forward_trace(target.hypernet, encs[:, 1])[0]
+        hyper_out = nn.forward_batch(target.hypernet, encs[:, 1])
         next_q = (np.abs(hyper_out[:, :-1]) * next_chosen).sum(axis=1) + hyper_out[:, -1]
     y = rewards + cfg.gamma_train * next_q * (~done)
 

@@ -177,7 +177,7 @@ _chunk = np.empty(0)
 _projected_noise: dict = {}
 
 
-def _counter(net, dim, cfg, step_index, agent):
+def _counter(net, cfg, step_index, agent):
     """The smoothed decision of ``net`` at one (step_index, agent) address,
     set up once: ``count(x, cuts=(M,))``, the greedy-action counts of the
     noisy copies of x up to the first of the increasing ``cuts`` after
@@ -188,9 +188,9 @@ def _counter(net, dim, cfg, step_index, agent):
     Raises ConfigError when the slot cannot be allocated.
     """
     global _chunk
-    key = (dim, cfg.seed, step_index, cfg.samples, cfg.sigma)
     weights = net.weights[0]
-    hidden = weights.shape[0]
+    hidden, dim = weights.shape
+    key = (dim, cfg.seed, step_index, cfg.samples, cfg.sigma)
     if _chunk.size < _CHUNK_ROWS * hidden:
         _chunk = np.empty(_CHUNK_ROWS * hidden)
     chunk = _chunk
@@ -248,7 +248,7 @@ def sample_tally(
     per_agent = []
     for agent, net in enumerate(policy.agent_nets):
         x = observe(spec, state, agent)
-        per_agent.append(_counter(net, x.size, cfg, state.step_count, agent)(x))
+        per_agent.append(_counter(net, cfg, state.step_count, agent)(x))
     return ActionTally(np.array(per_agent), cfg.samples)
 
 

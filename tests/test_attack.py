@@ -721,7 +721,7 @@ def _counter(policy, spec, state, agent, noise):
     its address."""
     x = observe(spec, state, agent)
     net = policy.agent_nets[agent]
-    return x, smoothing._counter(net, x.size, noise, state.step_count, agent)
+    return x, smoothing._counter(net, noise, state.step_count, agent)
 
 
 def _full_counts(policy, spec, state, agent, noise, delta=None):

@@ -288,14 +288,18 @@ class TestModes:
         assert builds[0].startswith(f"marlcert-{marlcert.__version__}")
 
     def test_missing_checkpoint_exit_code(self, tmp_path, corridor_env):
-        path = _write_config(
-            tmp_path,
-            "c.yaml",
-            env=corridor_env,
-            checkpoint=str(tmp_path / "nope"),
-            out=str(tmp_path / "o"),
-        )
-        assert main(["certify-state", "--config", path]) == 3
+        # an unset and a missing checkpoint are refused before out is made
+        for checkpoint, code in ((None, 2), (str(tmp_path / "nope"), 3)):
+            path = _write_config(
+                tmp_path,
+                "c.yaml",
+                env=corridor_env,
+                checkpoint=checkpoint,
+                out=str(tmp_path / "o"),
+            )
+            for mode in ("certify-state", "certify-reward", "attack"):
+                assert main([mode, "--config", path]) == code
+                assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("module", ["marlcert", "marlcert.cli"])
     def test_python_dash_m_runs_the_cli(self, tmp_path, module):
@@ -387,6 +391,7 @@ class TestModes:
             out=str(tmp_path / "o"),
         )
         assert main(["certify-state", "--config", config]) == 3
+        assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
 
@@ -702,6 +707,7 @@ class TestModes:
             tmp_path, "c.yaml", env=env, checkpoint=checkpoint, out=str(tmp_path / "o")
         )
         assert main([mode, "--config", path]) == 3
+        assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert "incompatible checkpoint data" in err
         assert err.count("\n") == 1 and "Traceback" not in err

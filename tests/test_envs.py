@@ -352,6 +352,9 @@ class TestConfigGrammar:
     def test_unknown_char_rejected(self):
         with pytest.raises(ConfigError):
             _toy("map: |\n  1x\nstep_cap: 5\n")
+        # "²" is a digit to str.isdigit, but no agent number
+        with pytest.raises(ConfigError, match="unknown map character"):
+            _toy("map: |\n  1²\nstep_cap: 5\n")
 
     def test_duplicate_agent_rejected(self):
         with pytest.raises(ConfigError):
@@ -391,11 +394,22 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError):
             _toy("map: |\n  1a\nstep_cap: 5\ngoals:\n  - [1, 0]\n")
 
+    @pytest.mark.parametrize("rewards", ["", "rewards:\n", "rewards: null\n"])
+    def test_absent_or_null_rewards_are_the_defaults(self, rewards):
+        spec = _toy("map: |\n  1.aa\nstep_cap: 5\n" + rewards)
+        assert spec.reward_table == {"apple": 10.0, "lemon": 0.0, "goal": 5.0}
+
     @pytest.mark.parametrize(
         "extra",
         [
             "rewards:\n  apple: abc\n",
             "rewards: [1, 2]\n",
+            # only an absent or null 'rewards' means the default rewards
+            "rewards: false\n",
+            "rewards: 0\n",
+            "rewards: []\n",
+            "rewards: ''\n",
+            "rewards:\n  cherry: 1.0\n",
             "rewards:\n  apple: true\n",
             "rewards:\n  apple: .inf\n",
             # YAML 1.1 reads 1.0e308 as a string; the two apples sum to inf
@@ -407,6 +421,11 @@ class TestConfigGrammar:
         ids=[
             "reward-text",
             "rewards-list",
+            "rewards-false",
+            "rewards-zero",
+            "rewards-empty-list",
+            "rewards-empty-text",
+            "reward-unknown-kind",
             "reward-bool",
             "reward-inf",
             "reward-sum-inf",

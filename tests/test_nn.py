@@ -187,7 +187,7 @@ def test_stacked_pass_matches_per_net_passes(rows, activation, hidden):
     grad = np.full_like(flat, np.nan)
     grad_in = reverse_sweep(view, inputs, G, grad.reshape(3, -1))
     assert np.array_equal(reverse_sweep(view, inputs, G), grad_in)
-    single = forward_trace(view, X[0][:, None, :])[0]  # as exploration calls it
+    single = forward_batch(view, X[0][:, None, :])  # as agent_values calls it
     for i, net in enumerate(nets):
         assert np.array_equal(outputs[i], forward_batch(net, X[:, i, :]))
         want_grad, want_in = backward_batch(net, X[:, i, :], G[i])

@@ -295,8 +295,8 @@ def test_train_zero_episodes_returns_init():
 def test_train_deterministic(tmp_path):
     spec = _corridor()
     cfg = TrainConfig(episodes=30, seed=4)
-    train(spec, cfg, "vdn", checkpoint_path=tmp_path / "a")
-    train(spec, cfg, "vdn", checkpoint_path=tmp_path / "b")
+    save_policy(train(spec, cfg, "vdn"), tmp_path / "a")
+    save_policy(train(spec, cfg, "vdn"), tmp_path / "b")
     for name in ("manifest.json", "agent_0.mlp"):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name

@@ -115,7 +115,7 @@ def _oracle_counts(policy, spec, state, agent, cfg, delta=None):
 def _counts(policy, spec, state, agent, cfg, delta=None):
     """The agent's full tally through the smoothing module's one count."""
     x = observe(spec, state, agent)
-    count = smoothing._counter(policy.agent_nets[agent], x.size, cfg, state.step_count, agent)
+    count = smoothing._counter(policy.agent_nets[agent], cfg, state.step_count, agent)
     return count(x if delta is None else x + delta)
 
 
@@ -167,7 +167,7 @@ class TestNoiseBlockSlot:
         for agent, step_index, sigma, seed, m, dim in self.CALLS:
             cfg = NoiseConfig(sigma=sigma, samples=m, alpha=0.05, seed=seed)
             weights = nets[dim].weights[0]
-            smoothing._counter(nets[dim], dim, cfg, step_index, agent)
+            smoothing._counter(nets[dim], cfg, step_index, agent)
             noise = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
             assert set(smoothing._projected_noise) <= {0, 1, 2}
             key, kept, storage = smoothing._projected_noise[agent]
@@ -192,15 +192,15 @@ class TestNoiseBlockSlot:
         x = observe(spec, state, 0)
         net = policy.agent_nets[0]
         cfg = NoiseConfig(sigma=0.4, samples=200, alpha=0.05, seed=2)
-        count = smoothing._counter(net, x.size, cfg, 0, 0)
-        again = smoothing._counter(net, x.size, cfg, 0, 0)  # same address
+        count = smoothing._counter(net, cfg, 0, 0)
+        again = smoothing._counter(net, cfg, 0, 0)  # same address
         assert np.array_equal(count(x), again(x))
-        later = smoothing._counter(net, x.size, cfg, 1, 0)  # same shape
+        later = smoothing._counter(net, cfg, 1, 0)  # same shape
         for stale in (count, again):
             with pytest.raises(RuntimeError):
                 stale(x)
         assert later(x).sum() == 200
-        smoothing._counter(net, x.size, dataclasses.replace(cfg, samples=100), 1, 0)
+        smoothing._counter(net, dataclasses.replace(cfg, samples=100), 1, 0)
         with pytest.raises(RuntimeError):
             later(x)
 
@@ -319,7 +319,7 @@ class TestChunkedProjection:
         net = nn.mlp_init((47, hidden, N_ACTIONS), "relu", np.random.default_rng(5))
         m = 3 * smoothing._CHUNK_ROWS + 5  # four chunks
         cfg = NoiseConfig(sigma=0.2, samples=m, alpha=0.05, seed=8)
-        smoothing._counter(net, 47, cfg, 2, 1)
+        smoothing._counter(net, cfg, 2, 1)
         storage = smoothing._projected_noise[1][2]
         noise = gaussian_noise_block(47, 0.2, 8, 2, 1, m)
         assert np.array_equal(_projected(storage, m, hidden), noise @ net.weights[0].T)
