@@ -8,12 +8,13 @@ the perturbation alone.  An unattacked agent therefore keeps its
 certified action by construction, never by luck, and no result carries
 anything for it.
 
-One ``AttackConfig`` is a run's attack schedule: the noise that judges
-flips, the number of PGD steps and the number of restarts.  The budgets
-(epsilon and seeds) are arguments of each call.  ``pgd_attack_batch``
-runs projected gradient ascent on the margin between the best non-modal
-action value and the modal action value of one agent's network, one
-result per seed of each budget.  Each step moves 2.5 * epsilon / steps,
+One ``AttackConfig`` is a run's attack schedule, every count checked
+once when it is built: the noise that judges flips, the numbers of PGD
+steps and restarts, and validation's seeds per budget and attacked
+rollouts.  The budgets (epsilon and seeds) are arguments of each call.
+``pgd_attack_batch`` runs projected gradient ascent on the margin
+between the best non-modal action value and the modal action value of
+one agent's network, one result per seed of each budget.  Each step moves 2.5 * epsilon / steps,
 so a straight climb reaches the edge of the ball within the first half
 of its steps.  Every restart of every seed of every budget is one row of
 a single array, and the rows step together, each in its own ball: each
@@ -49,11 +50,16 @@ import numpy as np
 
 from . import nn
 from .certify import RewardCertificate
-from .envs import EnvState, GridSpec, observation_length, observe, reset, step
+from .envs import OBS_LENGTH, EnvState, GridSpec, observe, reset, step
 from .errors import ConfigError
 from .policy import JointPolicy
 from .seeds import derive_seed
 from .smoothing import NoiseConfig, _counter
+
+
+# bytes a seed's list entries and result hold besides its float64 rows,
+# rounded up
+_SEED_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -62,18 +68,39 @@ class AttackConfig:
 
     ``noise`` is the certification noise configuration; flips are judged
     against the smoothed decision it defines.  ``steps`` also fixes the
-    step length, 2.5 * epsilon / steps.
+    step length, 2.5 * epsilon / steps.  ``validate_certificates`` gives
+    each certified (state, agent) ``trials`` seeds at each of its two
+    budgets and runs ``rollout_trials`` attacked episodes.
+
+    Raises ConfigError (exit code 2) unless every count is at least 1
+    and one PGD batch of two budgets of ``trials`` seeds, and one of a
+    budget of ``rollout_trials`` seeds, fit in memory with their per-seed
+    results: a budget holds a restart-0 row and ``restarts - 1`` rows of
+    ``OBS_LENGTH`` float64s per seed, and each result keeps one more.
     """
 
     noise: NoiseConfig
     steps: int = 40
     restarts: int = 5
+    trials: int = 20
+    rollout_trials: int = 5
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps must be at least 1")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be at least 1")
+        for name in ("steps", "restarts", "trials", "rollout_trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        for name, budgets in ("trials", 2), ("rollout_trials", 1):
+            seeds = getattr(self, name)
+            rows = 1 + self.restarts * seeds
+            size = budgets * (8 * OBS_LENGTH * rows + _SEED_BYTES * seeds)
+            try:
+                np.empty(size, dtype=np.uint8)  # untouched pages cost no memory
+            except (MemoryError, ValueError) as exc:
+                raise ConfigError(
+                    f"{name}: {seeds} at restarts: {self.restarts} needs "
+                    f"{size / 2**30:.3g} GiB for one batch of PGD rows and its "
+                    "per-seed results, more than can be allocated"
+                ) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,30 +332,6 @@ def attacked_rollout(
     return [(), *_rollout_steps(policy, spec, cfg, epsilon, seeds)][-1]
 
 
-# bytes a seed's list entries and result hold besides its float64 rows,
-# rounded up
-_SEED_BYTES = 512
-
-
-def check_trials(cfg: AttackConfig, dim: int, trials: int, rollout_trials: int) -> None:
-    """Raises ConfigError (exit code 2) unless one PGD batch of two
-    budgets of ``trials`` seeds, and one of a budget of ``rollout_trials``
-    seeds, can be allocated with their per-seed results, before any seed
-    is derived.  A budget holds a restart-0 row and ``restarts - 1`` rows
-    of ``dim`` float64s per seed, and each seed's result keeps one more.
-    """
-    for name, seeds, budgets in ("trials", trials, 2), ("rollout_trials", rollout_trials, 1):
-        size = budgets * (8 * dim * (1 + cfg.restarts * seeds) + _SEED_BYTES * seeds)
-        try:
-            np.empty(size, dtype=np.uint8)  # untouched pages cost no memory
-        except (MemoryError, ValueError) as exc:
-            raise ConfigError(
-                f"{name}: {seeds} at restarts: {cfg.restarts} needs {size / 2**30:.3g} "
-                "GiB for one batch of PGD rows and its per-seed results, more than "
-                "can be allocated"
-            ) from exc
-
-
 def validate_certificates(
     policy: JointPolicy,
     spec: GridSpec,
@@ -336,38 +339,34 @@ def validate_certificates(
     reward_certificate: RewardCertificate,
     cfg: AttackConfig,
     seed: int,
-    trials: int,
-    rollout_trials: int = 5,
 ) -> ValidationReport:
     """Stress-test certificates with repeated attacks.
 
     Every certified (state, agent) pair gets one PGD batch with two
-    budgets of ``trials`` seeds each, derived from ``seed``: its certified
-    radius (flips here would falsify the certificate) and twice the
-    radius as a contrast.  Rollout attacks at the reward certificate's
-    epsilon check that no episode scores below its bound; they advance
-    by step t once the certificates of step t are attacked.  Raises
-    ConfigError (exit code 2) when ``trials`` is below 1, when either
-    trial count cannot fit (`check_trials`) or a certificate's step index
-    disagrees with its state (both checked before any attack), or when
+    budgets of ``cfg.trials`` seeds each, derived from ``seed``: its
+    certified radius (flips here would falsify the certificate) and twice
+    the radius as a contrast.  ``cfg.rollout_trials`` rollout attacks at
+    the reward certificate's epsilon check that no episode scores below
+    its bound; they advance by step t once the certificates of step t are
+    attacked.  Raises ConfigError (exit code 2) when a certificate's step
+    index disagrees with its state (checked before any attack), or when
     its recorded actions disagree with this policy and noise
     configuration.
     """
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    check_trials(cfg, observation_length(spec), trials, rollout_trials)
 
     def budget(cert, agent, scale):
         seeds = [
             derive_seed(seed, "validate", cert.step_index, agent, trial, scale)
-            for trial in range(trials)
+            for trial in range(cfg.trials)
         ]
         return scale * cert.per_agent_radius[agent], seeds
 
     for cert in state_certificates:
         if cert.step_index != cert.state.step_count:
             raise ConfigError("certificate state/step mismatch")
-    rollout_seeds = [derive_seed(seed, "validate-rollout", t) for t in range(rollout_trials)]
+    rollout_seeds = [
+        derive_seed(seed, "validate-rollout", t) for t in range(cfg.rollout_trials)
+    ]
     epsilon = reward_certificate.epsilon_cert
     rollouts = _rollout_steps(policy, spec, cfg, epsilon, rollout_seeds)
     checked = in_flips = contrast_flips = taken = 0
@@ -394,9 +393,9 @@ def validate_certificates(
     return ValidationReport(
         states_checked=len(state_certificates),
         agents_checked=checked,
-        in_ball_trials=trials * checked,
+        in_ball_trials=cfg.trials * checked,
         in_ball_flips=in_flips,
-        contrast_trials=trials * checked,
+        contrast_trials=cfg.trials * checked,
         contrast_flips=contrast_flips,
         rollout_rewards=rewards,
         rmin_violated=any(reward < reward_certificate.r_min for reward in rewards),

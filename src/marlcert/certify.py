@@ -89,7 +89,7 @@ class StateDecision:
 
     def __post_init__(self):
         pvalues = tuple(
-            binom_pvalue_one_sided(int(counts[action]), self.tally.samples, 0.5)
+            binom_pvalue_one_sided(int(counts[action]), self.tally.samples)
             for counts, action in zip(self.tally.per_agent, self.modal)
         )
         corrected = (min(1.0, pv * w) for pv, w in zip(pvalues, self.factors.normalized))

@@ -4,11 +4,12 @@ Every run is driven by one RunConfig, the flat schema of the YAML config
 file; the flags ``--seed``, ``--sigma``, ``--samples``, ``--alpha`` and
 ``--out`` override the fields of the same name.  RunConfig builds the
 library configs (noise, training, attack) once, so every setting is
-checked by the config that owns it.  ``run`` then reads the grid, checks
-that the attack's trial counts fit in memory and loads the checkpoint and
-fits it to the grid, all before it makes the output directory; the mode's
-handler computes its results and names its artifacts, and ``run`` writes
-them into the output directory, ``result.json`` last:
+checked by the config that owns it, in every mode: the attack schedule
+checks its counts and that their PGD batches fit in memory.  ``run``
+then reads the grid and loads the checkpoint and fits it to the grid,
+both before it makes the output directory; the mode's handler computes
+its results and names its artifacts, and ``run`` writes them into the
+output directory, ``result.json`` last:
 
 * ``result.json``: the full structured record, schema-versioned, with
   the run's config echoed verbatim.  Replaying that echo reproduces the
@@ -26,9 +27,9 @@ them into the output directory, ``result.json`` last:
 Exit codes: 0 ok, 2 bad configuration, 3 missing, corrupt, unreadable
 or unwritable file or checkpoint (its manifest included), or a
 checkpoint that does not fit the grid, 4 numerical failure (e.g.
-diverged training).  A refused config, grid, trial count or checkpoint
-leaves no output directory; a failure while the mode runs leaves it
-empty.
+diverged training).  A refused config, grid or checkpoint leaves no
+output directory, and a failure while the mode runs removes the empty
+output directory that the run made; one that existed before stays.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from functools import partial
 import yaml
 
 from . import __version__
-from .attack import AttackConfig, check_trials, validate_certificates
+from .attack import AttackConfig, validate_certificates
 from .certify import certify_trajectory, crsc, tcrgr
-from .envs import builtin_spec, episode_reward, load_grid_config, observation_length
+from .envs import OBS_LENGTH, builtin_spec, episode_reward, load_grid_config
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -87,10 +88,11 @@ class RunConfig:
     uses it directly, smoothing and attacks use sub-streams derived from
     it by name.
 
-    Construction builds the run's library configs, and each checks the
-    fields it receives: ``noise`` (``NoiseConfig``), ``training``
-    (``TrainConfig``) and ``attack`` (``AttackConfig``, the attack
-    schedule).  This class checks only the fields none of them receives.
+    Construction builds the run's library configs in every mode, and each
+    checks the fields it receives: ``noise`` (``NoiseConfig``),
+    ``training`` (``TrainConfig``) and ``attack`` (``AttackConfig``, the
+    attack schedule, whose errors drop the ``attack_`` prefix).  This
+    class checks only the fields none of them receives.
     """
 
     mode: str
@@ -108,8 +110,8 @@ class RunConfig:
     obs_noise: float = TrainConfig.obs_noise
     attack_steps: int = AttackConfig.steps
     attack_restarts: int = AttackConfig.restarts
-    attack_trials: int = 20
-    rollout_trials: int = 5
+    attack_trials: int = AttackConfig.trials
+    rollout_trials: int = AttackConfig.rollout_trials
     inputs: tuple = ()
 
     def __post_init__(self):
@@ -139,9 +141,6 @@ class RunConfig:
             raise ConfigError("out is required")
         if self.mixer not in MIXERS:
             raise ConfigError(f"mixer must be one of {MIXERS}")
-        for name in ("attack_trials", "rollout_trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be an integer of at least 1")
         noise = NoiseConfig(
             sigma=self.sigma,
             samples=self.samples,
@@ -156,7 +155,11 @@ class RunConfig:
             obs_noise=self.obs_noise,
         )
         attack = AttackConfig(
-            noise=noise, steps=self.attack_steps, restarts=self.attack_restarts
+            noise=noise,
+            steps=self.attack_steps,
+            restarts=self.attack_restarts,
+            trials=self.attack_trials,
+            rollout_trials=self.rollout_trials,
         )
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "training", training)
@@ -220,11 +223,10 @@ def _require_checkpoint(cfg: RunConfig, spec):
             f"incompatible checkpoint data: {policy.n_agents} agents, "
             f"the grid has {spec.n_agents}"
         )
-    width = observation_length(spec)
-    if policy.agents.layer_dims[0] != width:
+    if policy.agents.layer_dims[0] != OBS_LENGTH:
         raise CheckpointError(
             f"incompatible checkpoint data: an agent network does not read "
-            f"{width} observation features"
+            f"{OBS_LENGTH} observation features"
         )
     width = global_encoding_length(spec)
     if policy.hypernet is not None and policy.hypernet.layer_dims[0] != width:
@@ -316,8 +318,6 @@ def _run_attack(cfg: RunConfig, spec, policy):
         bound,
         cfg.attack,
         derive_seed(cfg.seed, "attack"),
-        trials=cfg.attack_trials,
-        rollout_trials=cfg.rollout_trials,
     )
     rewards = report.rollout_rewards
     results, files = _reward_bound(cfg, policy, bound, sum(rewards) / len(rewards))
@@ -370,16 +370,15 @@ def run(cfg: RunConfig) -> ResultRecord:
     """Execute one configured run and write its artifacts.
 
     A handler returns the mode's results and its artifacts: a one-argument
-    writer per file name under ``out``.
+    writer per file name under ``out``.  Nothing is written before the
+    handler returns, so a handler that raises leaves ``out`` empty, and
+    it is removed if this run made it.
     """
     started = time.perf_counter()
-    # a grid, trial counts or a checkpoint that exits 2 or 3 leaves no
-    # output directory behind
+    # a refused grid or checkpoint leaves no output directory behind
     spec = None if cfg.mode == "report" else _load_spec(cfg.env)
-    if cfg.mode == "attack":
-        dim = observation_length(spec)
-        check_trials(cfg.attack, dim, cfg.attack_trials, cfg.rollout_trials)
     policy = None if cfg.mode in ("train", "report") else _require_checkpoint(cfg, spec)
+    made = not os.path.isdir(cfg.out)
     os.makedirs(cfg.out, exist_ok=True)
     handler = {
         "report": _run_report,
@@ -388,7 +387,12 @@ def run(cfg: RunConfig) -> ResultRecord:
         "certify-reward": _run_certify_reward,
         "attack": _run_attack,
     }[cfg.mode]
-    results, files = handler(cfg, spec, policy)
+    try:
+        results, files = handler(cfg, spec, policy)
+    except BaseException:
+        if made:
+            os.rmdir(cfg.out)
+        raise
     for name, write in files.items():
         write(os.path.join(cfg.out, name))
     record = ResultRecord(

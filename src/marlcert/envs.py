@@ -52,6 +52,9 @@ ACTION_LEFT = 2
 ACTION_RIGHT = 3
 ACTION_STAY = 4
 N_ACTIONS = 5
+# an observation: a 3x3 window of 5 channels per cell, then the agent's
+# normalized position
+OBS_LENGTH = 9 * 5 + 2
 
 _DELTAS = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))
 
@@ -314,11 +317,6 @@ def step(spec: GridSpec, state: EnvState, actions: JointAction) -> StepOutcome:
     return StepOutcome(next_state=next_state, team_reward=reward, done=done)
 
 
-def observation_length(spec: GridSpec) -> int:
-    # 3x3 window, 5 channels per cell, plus the agent's normalized position
-    return 9 * 5 + 2
-
-
 def observe(spec: GridSpec, state: EnvState, agent: int) -> np.ndarray:
     """Egocentric 3x3 view of agent `agent`, flattened to a float vector.
 
@@ -330,7 +328,7 @@ def observe(spec: GridSpec, state: EnvState, agent: int) -> np.ndarray:
     if not 0 <= agent < spec.n_agents:
         raise ValueError(f"no agent {agent}")
     ax, ay = state.agent_positions[agent]
-    out = np.zeros(observation_length(spec), dtype=np.float64)
+    out = np.zeros(OBS_LENGTH, dtype=np.float64)
     k = 0
     for y in (ay - 1, ay, ay + 1):
         for x in (ax - 1, ax, ax + 1):

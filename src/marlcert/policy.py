@@ -27,7 +27,7 @@ batch size, replay capacity, target sync period and exploration schedule
 are the module constants beside ``TRAIN_EVERY``.
 
 The replay buffer is a set of preallocated ring arrays indexed by slot:
-observation pairs ``(capacity, 2, n, obs_len)``, ``[:, 0]`` the
+observation pairs ``(capacity, 2, n, OBS_LENGTH)``, ``[:, 0]`` the
 observations and ``[:, 1]`` the next observations, actions ``(capacity,
 n)`` int64, rewards, done flags, and for qmix_mono the global encoding
 pairs in the same order (vdn never encodes the global state).
@@ -59,10 +59,10 @@ import numpy as np
 from . import nn
 from .envs import (
     N_ACTIONS,
+    OBS_LENGTH,
     EnvState,
     GridSpec,
     JointAction,
-    observation_length,
     observe,
     reset,
     step,
@@ -169,9 +169,8 @@ def encode_global_state(spec: GridSpec, state: EnvState) -> np.ndarray:
 
 def new_policy(spec: GridSpec, mixer: str, rng) -> JointPolicy:
     """Randomly initialized policy for `spec`. Nets differ per agent."""
-    obs_len = observation_length(spec)
     nets = tuple(
-        nn.mlp_init((obs_len, AGENT_HIDDEN, N_ACTIONS), "relu", rng)
+        nn.mlp_init((OBS_LENGTH, AGENT_HIDDEN, N_ACTIONS), "relu", rng)
         for _ in range(spec.n_agents)
     )
     hyper = None
@@ -185,7 +184,7 @@ def new_policy(spec: GridSpec, mixer: str, rng) -> JointPolicy:
 
 
 def agent_values(policy: JointPolicy, observations: np.ndarray) -> np.ndarray:
-    """Every agent's action values, (n, N_ACTIONS), from the (n, obs_len)
+    """Every agent's action values, (n, N_ACTIONS), from the (n, OBS_LENGTH)
     observations, agent n's row from its own net: one stacked pass."""
     return nn.forward_batch(policy.agents, np.asarray(observations)[:, None])[:, 0]
 
@@ -273,10 +272,9 @@ def train(spec: GridSpec, cfg: TrainConfig, mixer: str) -> JointPolicy:
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
 
     n = policy.n_agents
-    obs_len = observation_length(spec)
     # a ring larger than the whole run would never wrap: allocate only that
     capacity = min(REPLAY_CAPACITY, cfg.episodes * spec.step_cap)
-    replay_obs = np.empty((capacity, 2, n, obs_len))
+    replay_obs = np.empty((capacity, 2, n, OBS_LENGTH))
     replay_acts = np.empty((capacity, n), dtype=np.int64)
     replay_rewards = np.empty(capacity)
     replay_done = np.empty(capacity, dtype=bool)

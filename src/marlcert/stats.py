@@ -412,13 +412,13 @@ def _tail_sum(log_coeffs, idx, rest, p0):
     return math.exp(log_sum)
 
 
-def binom_pvalue_one_sided(k, M, p0):
-    """One-sided binomial p-value P(X >= k) under X ~ Binomial(M, p0).
+def binom_pvalue_one_sided(k, M):
+    """One-sided binomial p-value P(X >= k) under X ~ Binomial(M, 0.5).
 
-    This is the evidence against "success probability < p0" given k observed
-    successes in M trials.
+    This is the evidence against "success probability < 0.5" given k
+    observed successes in M trials.
     """
-    return binom_tail(k, M, p0)
+    return binom_tail(k, M, 0.5)
 
 
 def binom_pvalue_two_sided(k, M):

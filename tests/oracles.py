@@ -287,8 +287,7 @@ def observe(spec, state, agent):
 
 
 def validate_two_phase(
-    attack, policy, spec, state_certificates, reward_certificate, cfg, seed,
-    trials, rollout_trials=5,
+    attack, policy, spec, state_certificates, reward_certificate, cfg, seed
 ):
     """Certificate validation in two phases: every certificate in list
     order (its step index, its recorded actions, then PGD batches at one
@@ -297,15 +296,14 @@ def validate_two_phase(
 
     ``attack`` is the ``marlcert.attack`` module; the walk uses its
     ``pgd_attack_batch``, ``_smoothed_modal``, ``attacked_rollout``,
-    ``derive_seed``, ``ConfigError`` and ``ValidationReport``.
+    ``derive_seed``, ``ConfigError`` and ``ValidationReport``.  ``cfg``
+    gives the trial counts.
     """
-    if trials < 1:
-        raise attack.ConfigError("trials must be at least 1")
 
     def flips(cert, agent, scale):
         seeds = [
             attack.derive_seed(seed, "validate", cert.step_index, agent, trial, scale)
-            for trial in range(trials)
+            for trial in range(cfg.trials)
         ]
         epsilon = scale * cert.per_agent_radius[agent]
         (results,) = attack.pgd_attack_batch(
@@ -334,16 +332,16 @@ def validate_two_phase(
         reward_certificate.epsilon_cert,
         [
             attack.derive_seed(seed, "validate-rollout", trial)
-            for trial in range(rollout_trials)
+            for trial in range(cfg.rollout_trials)
         ],
     )
     rewards = tuple(rollout.attacked_reward for rollout in rollouts)
     return attack.ValidationReport(
         states_checked=len(state_certificates),
         agents_checked=checked,
-        in_ball_trials=trials * checked,
+        in_ball_trials=cfg.trials * checked,
         in_ball_flips=in_flips,
-        contrast_trials=trials * checked,
+        contrast_trials=cfg.trials * checked,
         contrast_flips=contrast_flips,
         rollout_rewards=rewards,
         rmin_violated=any(reward < reward_certificate.r_min for reward in rewards),

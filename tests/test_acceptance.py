@@ -91,7 +91,7 @@ def test_criterion_1_stat_kernel():
         grid = reference_grids.BINOM_ONE_SIDED
         assert len(grid) >= 200
         for k, M, want in grid:
-            got = binom_pvalue_one_sided(k, M, 0.5)
+            got = binom_pvalue_one_sided(k, M)
             assert abs(got - want) <= 1e-8
             assert want == 0.0 or abs(got - want) <= 1e-8 * want
 
@@ -106,7 +106,7 @@ def test_criterion_1_stat_kernel():
             assert abs(binom_lower_bound(k, M, alpha) - want) <= 1e-8
 
         # closed-form anchors, at the solvers' documented precision
-        assert binom_pvalue_one_sided(10, 10, 0.5) == pytest.approx(
+        assert binom_pvalue_one_sided(10, 10) == pytest.approx(
             2.0**-10, rel=1e-12
         )
         for M, alpha in ((10, 0.05), (100, 0.01), (1000, 0.05)):
@@ -493,17 +493,8 @@ def test_criterion_8_attack_soundness(trained_models):
         bound = tcrgr(policy, spec, noise)
         certificates = [crsc(decision, noise) for decision in bound.clean_path]
         assert any(c.certified_set for c in certificates)
-        attack = AttackConfig(noise=noise, steps=30, restarts=2)
-        report = validate_certificates(
-            policy,
-            spec,
-            certificates,
-            bound,
-            attack,
-            23,
-            trials=200,
-            rollout_trials=5,
-        )
+        attack = AttackConfig(noise=noise, steps=30, restarts=2, trials=200, rollout_trials=5)
+        report = validate_certificates(policy, spec, certificates, bound, attack, 23)
         assert report.in_ball_trials >= 200
         assert report.in_ball_flips == 0
         assert not report.rmin_violated
@@ -522,7 +513,7 @@ def _direct_single_agent(policy, spec, state, cfg):
     counts = tally.per_agent[0]
     order = sorted(range(N_ACTIONS), key=lambda a: (-int(counts[a]), a))
     modal, runner = order[0], order[1]
-    pvalue = binom_pvalue_one_sided(int(counts[modal]), cfg.samples, 0.5)
+    pvalue = binom_pvalue_one_sided(int(counts[modal]), cfg.samples)
     if pvalue > cfg.alpha:  # single test: reject iff p <= alpha
         return (modal,), pvalue, 0.0
     box = goodman_bounds(counts.tolist(), cfg.alpha)

@@ -586,9 +586,8 @@ class TestValidateCertificates:
 
     def test_no_in_ball_flips_and_totals(self):
         spec, policy, certs, bound, cfg = self._setup()
-        report = validate_certificates(
-            policy, spec, certs, bound, cfg, 9, trials=3, rollout_trials=2
-        )
+        cfg = dataclasses.replace(cfg, trials=3, rollout_trials=2)
+        report = validate_certificates(policy, spec, certs, bound, cfg, 9)
         assert report.states_checked == 3
         assert report.agents_checked == 3
         assert report.in_ball_trials == 3 * 3
@@ -622,13 +621,15 @@ class TestValidateCertificates:
             batches.append((state.step_count, agent, [eps for eps, _ in budgets]))
             return inner_batch(policy, spec, state, agent, cfg, budgets)
 
+        def no_rollouts(*args):  # so only the certificates' batches are counted
+            return iter(())
+
         monkeypatch.setattr(nn, "reverse_sweep", counting_backward)
         monkeypatch.setattr(attack, "pgd_attack_batch", recording)
+        monkeypatch.setattr(attack, "_rollout_steps", no_rollouts)
         setups, clean, rows = _counting_votes(monkeypatch)
-        cfg = AttackConfig(noise=noise, steps=15, restarts=2)
-        report = validate_certificates(
-            policy, spec, certs, bound, cfg, 9, trials=4, rollout_trials=0
-        )
+        cfg = AttackConfig(noise=noise, steps=15, restarts=2, trials=4)
+        report = validate_certificates(policy, spec, certs, bound, cfg, 9)
         assert report.in_ball_flips == report.contrast_flips == 0
         assert report.in_ball_trials == report.contrast_trials == 4 * 3
         # one batch per certified (state, agent) holds both budgets
@@ -646,7 +647,7 @@ class TestValidateCertificates:
         policy, spec, noise = _checkers_vdn(100)
         bound = tcrgr(policy, spec, noise)
         certs = [crsc(decision, noise) for decision in bound.clean_path]
-        cfg = AttackConfig(noise=noise, steps=2, restarts=2)
+        cfg = AttackConfig(noise=noise, steps=2, restarts=2, trials=2, rollout_trials=3)
         monkeypatch.setattr(smoothing, "_projected_noise", {})
         drawn = []
         inner_block = smoothing.gaussian_noise_block
@@ -656,9 +657,7 @@ class TestValidateCertificates:
             return inner_block(dim, sigma, seed, step_index, agent, count, out)
 
         monkeypatch.setattr(smoothing, "gaussian_noise_block", counting_block)
-        report = validate_certificates(
-            policy, spec, certs, bound, cfg, 9, trials=2, rollout_trials=3
-        )
+        report = validate_certificates(policy, spec, certs, bound, cfg, 9)
         assert report.agents_checked > 0
         assert len(report.rollout_rewards) == 3
         assert len(certs) >= 2
@@ -671,33 +670,45 @@ class TestValidateCertificates:
 
     def test_trials_below_one_is_a_config_error(self):
         spec, policy, certs, bound, cfg = self._setup()
-        with pytest.raises(ConfigError):
-            validate_certificates(policy, spec, certs, bound, cfg, 9, trials=0)
+        # the trial counts ride on the run's AttackConfig, which checks
+        # them when it is made, before any certificate is touched
+        for name in ("trials", "rollout_trials"):
+            with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+                validate_certificates(
+                    policy, spec, certs, bound, dataclasses.replace(cfg, **{name: 0}), 9
+                )
 
     @pytest.mark.parametrize("trials, rollout_trials", [(2**52, 1), (1, 2**52)])
     def test_trials_that_cannot_fit_are_a_config_error(self, trials, rollout_trials):
         spec, policy, certs, bound, cfg = self._setup()
+        # sized before any seed is derived: 2**52 seeds' rows are more
+        # than any address space holds
         with pytest.raises(ConfigError, match=" GiB for one batch of PGD rows"):
             validate_certificates(
-                policy, spec, certs, bound, cfg, 9, trials=trials, rollout_trials=rollout_trials
+                policy,
+                spec,
+                certs,
+                bound,
+                dataclasses.replace(cfg, trials=trials, rollout_trials=rollout_trials),
+                9,
             )
 
     def test_rejects_foreign_certificates(self):
         spec, policy, certs, bound, cfg = self._setup()
         other = _policy([_const_net(47, [1.0, 0.0, 0.0, 0.0, 0.0])])
+        cfg = dataclasses.replace(cfg, trials=1, rollout_trials=1)
         with pytest.raises(ValueError):
-            validate_certificates(
-                other, spec, certs, bound, cfg, 9, trials=1, rollout_trials=1
-            )
+            validate_certificates(other, spec, certs, bound, cfg, 9)
 
     def test_certificate_errors_are_config_errors(self):
         spec, policy, certs, bound, cfg = self._setup()
         other = _policy([_const_net(47, [1.0, 0.0, 0.0, 0.0, 0.0])])
+        cfg = dataclasses.replace(cfg, trials=1)
         with pytest.raises(ConfigError, match="policy/noise"):
-            validate_certificates(other, spec, certs, bound, cfg, 9, trials=1)
+            validate_certificates(other, spec, certs, bound, cfg, 9)
         shifted = [dataclasses.replace(certs[0], step_index=1), *certs[1:]]
         with pytest.raises(ConfigError, match="step mismatch"):
-            validate_certificates(policy, spec, shifted, bound, cfg, 9, trials=1)
+            validate_certificates(policy, spec, shifted, bound, cfg, 9)
 
 
 def _counted_rows(monkeypatch):
@@ -870,11 +881,10 @@ class TestValidationWalk:
         return policy, spec, certs, bound, cfg
 
     @staticmethod
-    def _both(policy, spec, certs, bound, cfg, **kw):
-        got = validate_certificates(policy, spec, certs, bound, cfg, 9, trials=2, **kw)
-        want = oracles.validate_two_phase(
-            attack, policy, spec, certs, bound, cfg, 9, trials=2, **kw
-        )
+    def _both(policy, spec, certs, bound, cfg, rollout_trials):
+        cfg = dataclasses.replace(cfg, trials=2, rollout_trials=rollout_trials)
+        got = validate_certificates(policy, spec, certs, bound, cfg, 9)
+        want = oracles.validate_two_phase(attack, policy, spec, certs, bound, cfg, 9)
         assert got == want
         return got
 
@@ -924,12 +934,13 @@ class TestValidationWalk:
         else:
             certs = [*certs[:2], dataclasses.replace(certs[2], step_index=0), *certs[3:]]
             policy_used = policy
+        cfg = dataclasses.replace(cfg, trials=1, rollout_trials=2)
         errors = []
         for validate in (validate_certificates, oracles.validate_two_phase):
             args = (policy_used, spec, certs, bound, cfg, 9)
             if validate is oracles.validate_two_phase:
                 args = (attack, *args)
             with pytest.raises(ConfigError) as info:
-                validate(*args, trials=1, rollout_trials=2)
+                validate(*args)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]

@@ -194,7 +194,7 @@ class TestCrsc:
         tally = sample_tally(policy, spec, reset(spec), cfg)
         cert = _crsc(policy, spec, reset(spec), cfg)
         ct1 = int(tally.per_agent[0].max())
-        assert cert.pvalues[0] == binom_pvalue_one_sided(ct1, 100, 0.5)
+        assert cert.pvalues[0] == binom_pvalue_one_sided(ct1, 100)
 
 
 class TestDecisionPvalues:
@@ -203,7 +203,7 @@ class TestDecisionPvalues:
         factors = ImportanceFactors(raw=(2.0, 0.0, 1.0), normalized=(1.0, 0.05, 0.525))
         decision = _decision(rows, factors)
         assert decision.modal == (0, 3, 0)
-        want = tuple(binom_pvalue_one_sided(k, 100, 0.5) for k in (60, 55, 20))
+        want = tuple(binom_pvalue_one_sided(k, 100) for k in (60, 55, 20))
         assert decision.pvalues == want
         assert decision.corrected_pvalues == tuple(
             min(1.0, p * w) for p, w in zip(want, factors.normalized)

@@ -348,6 +348,7 @@ class TestModes:
             samples=samples,
         )
         assert main(["certify-state", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()  # found after out was made
         err = capsys.readouterr().err
         assert f"samples: {samples} needs " in err and " GiB " in err
 
@@ -441,6 +442,7 @@ class TestModes:
             learning_rate=1e280,
         )
         assert main(["train", "--config", path]) == 4
+        assert not (tmp_path / "o").exists()
 
     def test_diverging_qmix_training_exits_4_without_warnings(self, tmp_path, capsys):
         # pytest turns a numpy overflow warning into an error, so this also
@@ -455,6 +457,7 @@ class TestModes:
             learning_rate="1.0e+280",
         )
         assert main(["train", "--config", path]) == 4
+        assert not (tmp_path / "o").exists()
         assert capsys.readouterr().err.startswith("numerical failure: training diverged")
 
     def test_train_honours_gamma_and_obs_noise(self, tmp_path, corridor_env):
@@ -654,7 +657,23 @@ class TestModes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
-        assert not (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_report_input_exits_3_without_out(self, tmp_path, capsys):
+        argv = ["report", str(tmp_path / "nothere.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
+
+    def test_failed_run_keeps_an_out_that_existed(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept", encoding="utf-8")
+        argv = ["report", str(tmp_path / "nothere.json"), "--out", str(out)]
+        assert main(argv) == 3
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text(encoding="utf-8") == "kept"
 
     @pytest.mark.parametrize("master_seed", [1, 2])
     def test_attack_validation_counts_at_benchmark_settings(self, tmp_path, master_seed):
@@ -977,6 +996,23 @@ class TestModes:
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert f"{name}: {2**52} at restarts: {restarts} needs " in err and " GiB " in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("env", ["corridor", "missing"])
+    def test_unallocatable_trials_exit_2_in_every_mode(self, tmp_path, capsys, corridor_env, env):
+        # the attack schedule is checked with the config, before the grid
+        # is read: a missing grid does not turn the refusal into exit 3
+        path = _write_config(
+            tmp_path,
+            "c.yaml",
+            env=corridor_env if env == "corridor" else str(tmp_path / "nothere.yaml"),
+            out=str(tmp_path / "o"),
+            attack_trials=2**52,
+        )
+        assert main(["train", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert f"trials: {2**52} at restarts: 5 needs " in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
 

@@ -9,10 +9,10 @@ from marlcert.envs import (
     ACTION_RIGHT,
     ACTION_STAY,
     ACTION_UP,
+    OBS_LENGTH,
     EnvState,
     builtin_spec,
     episode_reward,
-    observation_length,
     observe,
     parse_grid_config,
     reset,
@@ -218,7 +218,7 @@ rewards:
          1.0 / 3.0, 0.5],
         dtype=np.float64,
     )
-    assert obs.shape == (observation_length(spec),)
+    assert obs.shape == (OBS_LENGTH,)
     assert np.allclose(obs, expected, atol=0, rtol=0)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from marlcert import attack, nn, smoothing
-from marlcert.envs import N_ACTIONS, observation_length, observe, parse_grid_config, reset
+from marlcert.envs import N_ACTIONS, OBS_LENGTH, observe, parse_grid_config, reset
 from marlcert.errors import ConfigError
 from marlcert.policy import AGENT_HIDDEN, JointPolicy, new_policy
 from marlcert.seeds import philox_key
@@ -213,9 +213,8 @@ class TestActionCountsProjection:
     def test_counts_match_forward_batch_oracle(self, hidden, activation):
         spec = _spec()
         rng = np.random.default_rng(4)
-        obs_len = observation_length(spec)
         nets = tuple(
-            nn.mlp_init((obs_len, *hidden, N_ACTIONS), activation, rng)
+            nn.mlp_init((OBS_LENGTH, *hidden, N_ACTIONS), activation, rng)
             for _ in range(2)
         )
         policy = JointPolicy(nets, "vdn", None)
@@ -223,7 +222,7 @@ class TestActionCountsProjection:
         state = reset(spec)
         spread = 0
         for agent in range(2):
-            for delta in (None, rng.normal(0.0, 0.2, obs_len)):
+            for delta in (None, rng.normal(0.0, 0.2, OBS_LENGTH)):
                 got = _counts(policy, spec, state, agent, cfg, delta)
                 want = _oracle_counts(policy, spec, state, agent, cfg, delta)
                 assert np.array_equal(got, want)
@@ -306,7 +305,7 @@ class TestScratch:
         monkeypatch.setattr(smoothing, "_chunk", np.empty(0))
         spec, policy, state = self._setup(monkeypatch, "1.a\n  2.l")
         m = 20000
-        width = max(4 * -(-observation_length(spec) // 4), AGENT_HIDDEN)
+        width = max(4 * -(-OBS_LENGTH // 4), AGENT_HIDDEN)
         cfg = NoiseConfig(sigma=0.1, samples=m, alpha=0.05, seed=1)
         peak = _peak_bytes(lambda: sample_tally(policy, spec, state, cfg))
         assert peak < policy.n_agents * m * width * 8 + 2 * 2**20

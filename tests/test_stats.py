@@ -21,6 +21,7 @@ from marlcert.stats import (
     binom_lower_bound,
     binom_pvalue_one_sided,
     binom_pvalue_two_sided,
+    binom_tail,
     chi2_quantile,
     goodman_bounds,
     std_normal_cdf,
@@ -364,16 +365,16 @@ class TestChi2Quantile:
 
 class TestBinomPValues:
     def test_k_zero_is_one(self):
-        assert binom_pvalue_one_sided(0, 50, 0.5) == 1.0
+        assert binom_pvalue_one_sided(0, 50) == 1.0
 
     def test_all_heads_closed_form(self):
-        assert binom_pvalue_one_sided(10, 10, 0.5) == pytest.approx(
+        assert binom_pvalue_one_sided(10, 10) == pytest.approx(
             2.0**-10, rel=1e-12
         )
 
     def test_60_of_100(self):
         # exact rational tail sum, frozen: 4507126451608311512292345325 / 2^97
-        assert binom_pvalue_one_sided(60, 100, 0.5) == pytest.approx(
+        assert binom_pvalue_one_sided(60, 100) == pytest.approx(
             0.028443966820490395, rel=1e-12
         )
 
@@ -381,19 +382,19 @@ class TestBinomPValues:
         for M in (7, 24, 61):
             for k in range(0, M + 1, max(1, M // 6)):
                 exact = float(oracles.binom_tail_exact(k, M))
-                assert binom_pvalue_one_sided(k, M, 0.5) == pytest.approx(
+                assert binom_pvalue_one_sided(k, M) == pytest.approx(
                     exact, rel=1e-11, abs=1e-300
                 )
 
     def test_nonhalf_p0_against_oracle(self):
         for p0 in (0.1, 0.37, 0.93):
             for k in (0, 3, 11, 20):
-                assert binom_pvalue_one_sided(k, 20, p0) == pytest.approx(
+                assert binom_tail(k, 20, p0) == pytest.approx(
                     oracles.binom_tail_float(k, 20, p0), rel=1e-10, abs=1e-300
                 )
 
     def test_large_M_no_underflow(self):
-        pv = binom_pvalue_one_sided(9000, 10000, 0.5)
+        pv = binom_pvalue_one_sided(9000, 10000)
         assert 0.0 <= pv <= 1.0
 
     def test_two_sided_tie_caps_at_one(self):
@@ -411,9 +412,9 @@ class TestBinomPValues:
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            binom_pvalue_one_sided(11, 10, 0.5)
+            binom_pvalue_one_sided(11, 10)
         with pytest.raises(ValueError):
-            binom_pvalue_one_sided(-1, 10, 0.5)
+            binom_pvalue_one_sided(-1, 10)
 
 
 class TestBinomLowerBound:
