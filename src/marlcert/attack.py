@@ -30,14 +30,15 @@ always the full tally's.  ``pgd_attack_state`` is the one-seed batch.
 one episode per seed, all episodes stepping together.
 
 Every smoothed decision at one step and agent reads one noise address,
-and each agent's smoothing slot holds one block, so validation visits
-addresses in step order.  ``validate_certificates`` walks the
+and smoothing caches one block per agent, so a walk that comes back to
+an address draws its block again; validation visits addresses in step
+order to draw each once.  ``validate_certificates`` walks the
 certificates by step: at step t it checks every agent's recorded action
 against a fresh smoothed decision, attacks each certified agent in one
 batch of all its trials at its certified radius and at twice that
 radius as a contrast, and then advances every live attacked rollout by
 step t, the episodes that stand on the same state sharing one batch per
-agent.  Each (step, agent) block is thus drawn once in validation.
+agent.
 """
 
 from __future__ import annotations

@@ -26,10 +26,12 @@ output directory, ``result.json`` last:
 
 Exit codes: 0 ok, 2 bad configuration, 3 missing, corrupt, unreadable
 or unwritable file or checkpoint (its manifest included), or a
-checkpoint that does not fit the grid, 4 numerical failure (e.g.
-diverged training).  A refused config, grid or checkpoint leaves no
-output directory, and a failure while the mode runs removes the empty
-output directory that the run made; one that existed before stays.
+checkpoint that does not fit the grid, or an output directory whose
+parent does not exist, 4 numerical failure (e.g. diverged training, or
+non-finite smoothed action values).  A run makes only the output
+directory itself.  A refused config, grid or checkpoint leaves none,
+and a failure while the mode runs removes the empty output directory
+that the run made; one that existed before stays.
 """
 
 from __future__ import annotations
@@ -379,7 +381,8 @@ def run(cfg: RunConfig) -> ResultRecord:
     spec = None if cfg.mode == "report" else _load_spec(cfg.env)
     policy = None if cfg.mode in ("train", "report") else _require_checkpoint(cfg, spec)
     made = not os.path.isdir(cfg.out)
-    os.makedirs(cfg.out, exist_ok=True)
+    if made:
+        os.mkdir(cfg.out)  # never its parents: a missing one is an OSError
     handler = {
         "report": _run_report,
         "train": _run_train,

@@ -440,6 +440,21 @@ def load_policy(path) -> JointPolicy:
         nets.append(nn.checkpoint_load(net_path))
     hyper = nets.pop() if hyper_name else None
     try:
-        return JointPolicy(tuple(nets), manifest.get("mixer"), hyper)
+        policy = JointPolicy(tuple(nets), manifest.get("mixer"), hyper)
     except ConfigError as exc:
         raise CheckpointError(f"inconsistent policy checkpoint: {exc}") from exc
+    sizes = {
+        "n_agents": policy.n_agents,
+        "n_actions": N_ACTIONS,
+        "obs_length": policy.agent_nets[0].layer_dims[0],
+    }
+    for key, size in sizes.items():
+        value = manifest.get(key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CheckpointError(f"manifest needs {key} as an integer")
+        if value != size:
+            raise CheckpointError(
+                f"inconsistent policy checkpoint: manifest {key} is {value}, "
+                f"the networks have {size}"
+            )
+    return policy

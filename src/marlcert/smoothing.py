@@ -27,36 +27,37 @@ and returns the one count: a tally counts all M rows, an attack's vote
 stops at the first of its cuts after which the winner is settled.  At one
 address every smoothed decision, whatever the state or attack shift x,
 feeds the same noise block E through the agent's first layer, and
-W1 (x + E) = W1 x + W1 E.  So each agent has one slot that holds its block
-already projected, ``P = (sigma E) @ W1.T`` (M x hidden), keyed by dim,
-seed, step, M and sigma and checked against a stored copy of W1.  One
-block per agent bounds the memory kept, so a caller must visit addresses
-in order: finish every decision at one (step, agent) before moving on,
-and never come back to an earlier step within one walk.  The tree search
-expands one step level at a time; the attack validation attacks the
-certificates of step t, then advances all its attacked rollouts by it.
+W1 (x + E) = W1 x + W1 E.  So a count holds its block already projected,
+``P = (sigma E) @ W1.T`` (M x hidden), and `_projected_noise` caches each
+agent's last one, keyed by seed, step, M and sigma and checked against a
+stored copy of W1.  A count keeps the block it was set up with, so any
+call order gives the same counts; a new address drops the agent's cached
+block before drawing its own, so one block per agent is kept unless a
+live count still holds an older one.  Visiting addresses in order draws
+each block once: the tree search expands one step level at a time,
+`certify_trajectory` walks its episode by step, and the attack validation
+attacks the certificates of step t, then advances its rollouts by it.
 
-Each slot owns one float64 vector, room for M rows of max(4 ceil(dim /
-4), hidden) doubles, and no other array of M rows is kept.  A new address
-draws the noise into it and projects its front (M, hidden) view in place
-through one kept chunk scratch of `_CHUNK_ROWS` rows: from the last chunk
-back when hidden >= dim, from the first forward when hidden < dim, so
-each write covers only noise rows already projected.  A slot of another
-size is freed before the new one is made, and a count set up at an
-earlier address then raises.  A decision adds ``W1 x + b1`` to P a chunk
-of rows at a time in the scratch and runs the layers after the first
-there (`nn.forward_rest` applies the activations in place), so it
-allocates only each chunk's values and picks.  The chunks are of
-near-equal size, so none is a small remainder that BLAS rounds another
-way, and sit well inside L2.
+A block is one float64 vector: room for M rows of max(4 ceil(dim / 4),
+hidden) doubles, then a chunk scratch of `_CHUNK_ROWS` rows of hidden.
+The noise is drawn into its front and projected there in place through
+the scratch: from the last chunk back when hidden >= dim, from the first
+forward when hidden < dim, so each write covers only noise rows already
+projected.  A count adds ``W1 x + b1`` to P a chunk of rows at a time in
+the scratch and runs the layers after the first there (`nn.forward_rest`
+applies the activations in place), so it allocates only each chunk's
+values and picks, and raises `NumericalError` at a non-finite value.
+The chunks are of near-equal size, so none is a small remainder that
+BLAS rounds another way, and sit well inside L2.
 
-What the slot trades: a decision skips the M x dim x hidden product, but
-a block used once still pays it, the slot keeps M x 64 numbers for the
-built-in nets (64 hidden units against 47 observation components), and
-since P is of the scaled noise a new sigma draws the block again.  The
-first-layer pre-activations are rounded in another order than
-``forward_batch(x + sigma E)``, so they can differ from it in the last
-bits; every action tally in the recorded benchmark goldens is unchanged.
+What the projection trades: a decision skips the M x dim x hidden
+product, but a block used once still pays it, a block keeps M x 64
+numbers for the built-in nets (64 hidden units against 47 observation
+components), and since P is of the scaled noise a new sigma draws the
+block again.  The first-layer pre-activations are rounded in another
+order than ``forward_batch(x + sigma E)``, so they can differ from it in
+the last bits; every action tally in the recorded benchmark goldens is
+unchanged.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import numpy as np
 
 from . import nn
 from .envs import N_ACTIONS, EnvState, GridSpec, observe
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .policy import JointPolicy
 from .seeds import philox_key
 from .stats import goodman_bounds, std_normal_quantile, std_normal_quantile_vec
@@ -168,60 +169,52 @@ def gaussian_noise_block(
     return noise
 
 
-# the chunk scratch of every projection and count, made again for wider nets
-_chunk = np.empty(0)
-
-
-# agent -> ((dim, seed, step_index, samples, sigma), copy of the first-layer
-# weights, the vector whose front holds the projected noise block)
+# agent -> ((seed, step_index, samples, sigma), copy of the first-layer
+# weights, projected noise block, chunk scratch): the last block set up
 _projected_noise: dict = {}
 
 
+# the count's finiteness check reports an overflow; numpy does not warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def _counter(net, cfg, step_index, agent):
     """The smoothed decision of ``net`` at one (step_index, agent) address,
     set up once: ``count(x, cuts=(M,))``, the greedy-action counts of the
     noisy copies of x up to the first of the increasing ``cuts`` after
     which the leader's lead exceeds the rows not yet counted, so their
-    lowest-index argmax is the full tally's.  The agent's block is drawn
-    and projected unless its slot holds this address and, by value, these
-    first-layer weights.  A count set up before the slot moved on raises.
-    Raises ConfigError when the slot cannot be allocated.
+    lowest-index argmax is the full tally's.  The agent's cached block is
+    drawn again unless it has this address and, by value, these weights.
+    Raises ConfigError when a block cannot be allocated; the count raises
+    NumericalError at a non-finite action value.
     """
-    global _chunk
     weights = net.weights[0]
     hidden, dim = weights.shape
-    key = (dim, cfg.seed, step_index, cfg.samples, cfg.sigma)
-    if _chunk.size < _CHUNK_ROWS * hidden:
-        _chunk = np.empty(_CHUNK_ROWS * hidden)
-    chunk = _chunk
+    key = (cfg.seed, step_index, cfg.samples, cfg.sigma)
     slot = _projected_noise.pop(agent, None)  # a failed set-up leaves no slot
     if slot is None or slot[0] != key or not np.array_equal(slot[1], weights):
+        slot = None  # the old block is freed unless a count still holds it
         size = cfg.samples * max(_blocks_per_sample(dim) * 4, hidden)
-        storage = slot[2] if slot is not None and slot[2].size == size else None
-        slot = None  # storage of another size is freed before the new one
-        if storage is None:
-            try:
-                storage = np.empty(size)
-            except (MemoryError, ValueError) as exc:
-                raise ConfigError(
-                    f"samples: {cfg.samples} needs {8 * size / 2**30:.3g} GiB for one "
-                    "block of smoothing noise, more than can be allocated"
-                ) from exc
+        try:
+            storage = np.empty(size + _CHUNK_ROWS * hidden)  # the chunk scratch last
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(
+                f"samples: {cfg.samples} needs {8 * size / 2**30:.3g} GiB for one "
+                "block of smoothing noise, more than can be allocated"
+            ) from exc
         noise = gaussian_noise_block(
             dim, cfg.sigma, cfg.seed, step_index, agent, cfg.samples, storage
         )
         projected = storage[: cfg.samples * hidden].reshape(-1, hidden)
+        chunk = storage[size:]
         ranges = _row_ranges(0, cfg.samples)
         for lo, hi in ranges[::-1] if hidden >= dim else ranges:
             part = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
             projected[lo:hi] = np.matmul(noise[lo:hi], weights.T, out=part)
-        slot = (key, weights.copy(), storage)
+        slot = (key, weights.copy(), projected, chunk)
     _projected_noise[agent] = slot
-    projected = slot[2][: cfg.samples * hidden].reshape(-1, hidden)
+    _, _, projected, chunk = slot
 
+    @np.errstate(over="ignore", invalid="ignore")
     def count(x, cuts=(cfg.samples,)):
-        if _projected_noise.get(agent) is not slot:
-            raise RuntimeError("the agent's smoothing slot has moved to another address")
         # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
         shift = net.weights[0] @ x + net.biases[0]
         counts = np.zeros(N_ACTIONS, dtype=np.int64)
@@ -229,7 +222,12 @@ def _counter(net, cfg, step_index, agent):
             for lo, hi in _row_ranges(start, stop):
                 first = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
                 np.add(projected[lo:hi], shift, out=first)
-                picks = np.argmax(nn.forward_rest(net, first), axis=1)  # lowest-index ties
+                values = nn.forward_rest(net, first)
+                if not np.isfinite(values).all():
+                    raise NumericalError(
+                        f"non-finite smoothed action values at sigma {cfg.sigma:g}"
+                    )
+                picks = np.argmax(values, axis=1)  # lowest-index ties
                 counts += np.bincount(picks, minlength=N_ACTIONS)
             *_, runner, top = np.sort(counts)
             if top - runner > cfg.samples - stop:

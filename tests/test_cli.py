@@ -396,6 +396,34 @@ class TestModes:
         err = capsys.readouterr().err
         assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key, other", [("n_agents", 3), ("n_actions", 9), ("obs_length", 30)]
+    )
+    @pytest.mark.parametrize("case", ["missing", "bool", "float", "other"])
+    def test_manifest_size_exit_code(self, tmp_path, capsys, key, other, case):
+        # each size the manifest records must be the integer the networks
+        # and the action set give
+        checkpoint = tmp_path / "ckpt"
+        shutil.copytree(_CHECKERS_VDN, checkpoint)
+        path = checkpoint / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if case == "missing":
+            del manifest[key]
+        else:
+            value = {"bool": True, "float": float(manifest[key]), "other": other}[case]
+            manifest[key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CheckpointError, match=key):
+            load_policy(checkpoint)
+        config = _write_config(
+            tmp_path, "c.yaml", env="checkers", checkpoint=str(checkpoint),
+            out=str(tmp_path / "o"),
+        )
+        assert main(["certify-reward", "--config", config]) == 3
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
+
     def test_agent_nets_of_two_widths_exit_code(self, tmp_path, capsys):
         # agent 1 gets 32 hidden units where agent 0 has 64: one stacked
         # pass cannot hold both, so the checkpoint counts as corrupt
@@ -665,6 +693,37 @@ class TestModes:
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["report", "certify-state"])
+    def test_out_with_a_missing_parent_exits_3_and_makes_nothing(
+        self, tmp_path, capsys, mode
+    ):
+        root = tmp_path / "root"
+        root.mkdir()
+        argv = [mode, "--out", str(root / "a" / "b" / "c")]
+        if mode == "report":
+            argv.append(str(tmp_path / "nothere.json"))
+        else:
+            config = _write_config(
+                tmp_path, "c.yaml", env="checkers", checkpoint=str(_CHECKERS_VDN)
+            )
+            argv += ["--config", config]
+        assert main(argv) == 3
+        assert list(root.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("file or checkpoint error:") and err.count("\n") == 1
+
+    def test_non_finite_smoothed_values_exit_4(self, tmp_path, capsys):
+        # at sigma 1e308 every noise row overflows, and a NaN row would
+        # vote action 0 and certify an infinite radius
+        config = _write_config(
+            tmp_path, "c.yaml", env="checkers", checkpoint=str(_CHECKERS_VDN),
+            out=str(tmp_path / "o"), sigma=1e308, samples=200,
+        )
+        assert main(["certify-state", "--config", config]) == 4
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite") and err.count("\n") == 1
 
     def test_failed_run_keeps_an_out_that_existed(self, tmp_path):
         out = tmp_path / "out"

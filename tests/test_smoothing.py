@@ -2,15 +2,24 @@
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from marlcert import attack, nn, smoothing
-from marlcert.envs import N_ACTIONS, OBS_LENGTH, observe, parse_grid_config, reset
-from marlcert.errors import ConfigError
-from marlcert.policy import AGENT_HIDDEN, JointPolicy, new_policy
+from marlcert.envs import (
+    N_ACTIONS,
+    OBS_LENGTH,
+    builtin_spec,
+    observe,
+    parse_grid_config,
+    reset,
+    step,
+)
+from marlcert.errors import ConfigError, NumericalError
+from marlcert.policy import AGENT_HIDDEN, JointPolicy, load_policy, new_policy
 from marlcert.seeds import philox_key
 from marlcert.smoothing import (
     ActionTally,
@@ -21,6 +30,9 @@ from marlcert.smoothing import (
     sample_tally,
 )
 from marlcert.stats import std_normal_quantile_vec
+
+# the stored checkers/vdn acceptance checkpoint the benchmark certifies
+_CHECKERS_VDN = Path(__file__).resolve().parents[1] / "bench" / "data" / "checkers-vdn"
 
 
 def _spec():
@@ -132,11 +144,6 @@ def _counting_draws(monkeypatch):
     return drawn
 
 
-def _projected(storage, samples, hidden):
-    """The projected block P at the front of a slot's storage."""
-    return storage[: samples * hidden].reshape(samples, hidden)
-
-
 class TestNoiseBlockSlot:
     # (agent, step, sigma, seed, M, dim): agents interleave, addresses
     # repeat, sigma changes on one address, and steps, seeds, M and dim
@@ -167,42 +174,54 @@ class TestNoiseBlockSlot:
         for agent, step_index, sigma, seed, m, dim in self.CALLS:
             cfg = NoiseConfig(sigma=sigma, samples=m, alpha=0.05, seed=seed)
             weights = nets[dim].weights[0]
+            before = len(drawn)
             smoothing._counter(nets[dim], cfg, step_index, agent)
             noise = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
             assert set(smoothing._projected_noise) <= {0, 1, 2}
-            key, kept, storage = smoothing._projected_noise[agent]
-            assert np.array_equal(_projected(storage, m, 16), noise @ weights.T)
-            assert key == (dim, seed, step_index, m, sigma)
+            key, kept, projected, chunk = smoothing._projected_noise[agent]
+            assert np.array_equal(projected, noise @ weights.T)
+            assert key == (seed, step_index, m, sigma)
             assert np.array_equal(kept, weights) and kept is not weights
+            # one vector holds the noise rows and, after them, the scratch
             size = m * max(4 * -(-dim // 4), 16)
-            assert storage.shape == (size,)
-            # the agent's storage is drawn into again unless its size changed
+            storage = projected.base
+            assert storage.shape == (size + smoothing._CHUNK_ROWS * 16,)
+            assert chunk.base is storage and np.shares_memory(chunk, storage[size:])
+            # a draw goes into new storage; a cache hit keeps the old
             old = blocks.get(agent)
-            assert (storage is old) == (old is not None and old.size == size)
+            assert (storage is old) == (len(drawn) == before)
             blocks[agent] = storage
         # a block is drawn only when the agent's address, M, sigma or dim
         # changes
         assert len(drawn) == 10
 
-    def test_count_set_up_at_an_earlier_address_raises(self, monkeypatch):
-        _counting_draws(monkeypatch)
+    def test_count_set_up_at_an_earlier_address_keeps_its_block(self, monkeypatch):
+        drawn = _counting_draws(monkeypatch)
         spec = _spec()
-        policy = new_policy(spec, "vdn", np.random.default_rng(6))
-        state = reset(spec)
-        x = observe(spec, state, 0)
-        net = policy.agent_nets[0]
-        cfg = NoiseConfig(sigma=0.4, samples=200, alpha=0.05, seed=2)
-        count = smoothing._counter(net, cfg, 0, 0)
-        again = smoothing._counter(net, cfg, 0, 0)  # same address
-        assert np.array_equal(count(x), again(x))
-        later = smoothing._counter(net, cfg, 1, 0)  # same shape
-        for stale in (count, again):
-            with pytest.raises(RuntimeError):
-                stale(x)
-        assert later(x).sum() == 200
-        smoothing._counter(net, dataclasses.replace(cfg, samples=100), 1, 0)
-        with pytest.raises(RuntimeError):
-            later(x)
+        policies = [new_policy(spec, "vdn", np.random.default_rng(s)) for s in (6, 7)]
+        states = [reset(spec)]
+        for _ in range(2):
+            states.append(step(spec, states[-1], (3, 0)).next_state)
+        delta = np.random.default_rng(1).normal(0.0, 0.3, OBS_LENGTH)
+        # policies innermost: every set-up moves the agent's cached block
+        counts = []
+        for state in states:
+            for sigma in (0.4, 0.9):
+                for agent in range(2):
+                    for policy in policies:
+                        cfg = NoiseConfig(sigma=sigma, samples=200, alpha=0.05, seed=2)
+                        net = policy.agent_nets[agent]
+                        count = smoothing._counter(net, cfg, state.step_count, agent)
+                        counts.append((policy, state, agent, cfg, count))
+        assert len(drawn) == len(counts)
+        seen = set()
+        for policy, state, agent, cfg, count in counts[::-1]:
+            x = observe(spec, state, agent)
+            for d in (None, delta):
+                want = _oracle_counts(policy, spec, state, agent, cfg, d)
+                assert np.array_equal(count(x if d is None else x + d), want)
+                seen.add(tuple(want))
+        assert len(seen) > 1  # the counts differ, so a wrong block would show
 
 
 class TestActionCountsProjection:
@@ -286,29 +305,35 @@ class TestScratch:
         assert np.array_equal(got[0].per_agent, want.per_agent)
         assert peak < self.BLOCK
 
-    def test_tally_at_a_new_address_allocates_less_than_a_block(self, monkeypatch):
-        # the noise is drawn into the agent's slot and projected there
-        spec, policy, state = self._setup(monkeypatch, "1.a")
-        sample_tally(policy, spec, state, self._cfg(1))
-        got = []
-        peak = _peak_bytes(
-            lambda: got.append(sample_tally(policy, spec, state, self._cfg(2)))
-        )
-        want = _oracle_counts(policy, spec, state, 0, self._cfg(2))
-        assert np.array_equal(got[0].per_agent[0], want)
-        assert peak < self.BLOCK
+    def test_walk_frees_each_agent_s_old_block(self, monkeypatch):
+        # a new address drops the agent's cached block before drawing its
+        # own, so six addresses hold no more than the first did
+        spec, policy, state = self._setup(monkeypatch, "1.a\n  2.l")
+        width = max(4 * -(-OBS_LENGTH // 4), AGENT_HIDDEN)
+        kept = policy.n_agents * (self.M * width + smoothing._CHUNK_ROWS * AGENT_HIDDEN) * 8
+        tracemalloc.start()
+        try:
+            for seed in range(1, 7):
+                tally = sample_tally(policy, spec, state, self._cfg(seed))
+                held, peak = tracemalloc.get_traced_memory()
+                assert held < kept + 2**17  # with the kept copies of W1
+            assert peak < kept + 1.5 * 2**20
+        finally:
+            tracemalloc.stop()
+        want = _oracle_counts(policy, spec, state, 1, self._cfg(6))
+        assert np.array_equal(tally.per_agent[1], want)
 
     def test_tally_holds_one_block_per_agent(self, monkeypatch):
-        # the agents' slots and one chunk scratch, no M-row scratch beside
-        # them; the chunk scratch, the inverse CDF's working pair and a
-        # chunk's values fit the 2 MiB allowance
-        monkeypatch.setattr(smoothing, "_chunk", np.empty(0))
+        # the agents' blocks, each with its chunk scratch, and no M-row
+        # scratch beside them; the inverse CDF's working pair and a
+        # chunk's values fit the 1.5 MiB allowance
         spec, policy, state = self._setup(monkeypatch, "1.a\n  2.l")
         m = 20000
         width = max(4 * -(-OBS_LENGTH // 4), AGENT_HIDDEN)
         cfg = NoiseConfig(sigma=0.1, samples=m, alpha=0.05, seed=1)
         peak = _peak_bytes(lambda: sample_tally(policy, spec, state, cfg))
-        assert peak < policy.n_agents * m * width * 8 + 2 * 2**20
+        scratch = smoothing._CHUNK_ROWS * AGENT_HIDDEN
+        assert peak < policy.n_agents * (m * width + scratch) * 8 + 1.5 * 2**20
 
 
 class TestChunkedProjection:
@@ -319,14 +344,13 @@ class TestChunkedProjection:
         m = 3 * smoothing._CHUNK_ROWS + 5  # four chunks
         cfg = NoiseConfig(sigma=0.2, samples=m, alpha=0.05, seed=8)
         smoothing._counter(net, cfg, 2, 1)
-        storage = smoothing._projected_noise[1][2]
+        projected = smoothing._projected_noise[1][2]
         noise = gaussian_noise_block(47, 0.2, 8, 2, 1, m)
-        assert np.array_equal(_projected(storage, m, hidden), noise @ net.weights[0].T)
+        assert np.array_equal(projected, noise @ net.weights[0].T)
 
     @pytest.mark.parametrize("rows", [1, 7, smoothing._CHUNK_ROWS, 4096])
     def test_tallies_and_votes_do_not_depend_on_chunk_rows(self, monkeypatch, rows):
         monkeypatch.setattr(smoothing, "_CHUNK_ROWS", rows)
-        monkeypatch.setattr(smoothing, "_chunk", np.empty(0))
         monkeypatch.setattr(smoothing, "_projected_noise", {})
         spec = _spec()
         policy = new_policy(spec, "vdn", np.random.default_rng(6))
@@ -378,12 +402,22 @@ class TestSampleTally:
         assert np.array_equal(t1.per_agent, t2.per_agent)
         assert t1.per_agent.sum(axis=1).tolist() == [200, 200]
 
+    def test_non_finite_action_values_raise(self):
+        # at sigma 1e307 the stored checkpoint's first layers overflow: 142
+        # of the 1000 rows would carry NaN values, and a NaN row votes 0
+        spec = builtin_spec("checkers")
+        policy = load_policy(_CHECKERS_VDN)
+        cfg = NoiseConfig(sigma=1e306, samples=500, alpha=0.05, seed=1)
+        tally = sample_tally(policy, spec, reset(spec), cfg)
+        assert tally.per_agent[0].tolist() == [205, 102, 33, 96, 64]
+        cfg = dataclasses.replace(cfg, sigma=1e307)
+        with pytest.raises(NumericalError, match="non-finite smoothed action values"):
+            sample_tally(policy, spec, reset(spec), cfg)
+
     def test_done_state_rejected(self):
         spec = parse_grid_config("map: |\n  1a\nstep_cap: 5\n")
         policy = new_policy(spec, "vdn", np.random.default_rng(1))
         cfg = NoiseConfig(sigma=0.1, samples=10, alpha=0.05, seed=1)
-        from marlcert.envs import step
-
         out = step(spec, reset(spec), (3,))
         with pytest.raises(ValueError):
             sample_tally(policy, spec, out.next_state, cfg)
