@@ -31,8 +31,11 @@ one episode per seed, all episodes stepping together.
 
 Every smoothed decision at one step and agent reads one noise address,
 and smoothing caches one block per agent, so a walk that comes back to
-an address draws its block again; validation visits addresses in step
-order to draw each once.  ``validate_certificates`` walks the
+an address draws its block again.  Validation visits addresses in step
+order, so its own walk draws each block once; but the search that made
+the certificates walked the same addresses before it, so an ``attack``
+run draws each of its (step, agent) blocks twice, once in the search and
+once in validation.  ``validate_certificates`` walks the
 certificates by step: at step t it checks every agent's recorded action
 against a fresh smoothed decision, attacks each certified agent in one
 batch of all its trials at its certified radius and at twice that

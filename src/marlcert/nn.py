@@ -6,10 +6,9 @@ is float64; reproducibility outranks speed at this scale.
 
 A gradient is two passes: ``forward_trace`` runs the batch forward and
 keeps every layer's input (``forward_batch`` is its outputs alone), and
-``reverse_sweep`` carries the output gradient back through them.
-``backward_batch`` is the two in a row, with the parameter gradient; an
-attack takes the action values from the trace and asks the sweep for the
-input gradient alone.
+``reverse_sweep`` carries the output gradient back through them, to the
+parameter gradient (training) or to the input gradient (an attack), not
+both.  ``backward_batch`` is the trace and both sweeps in a row.
 
 A net keeps every parameter in one vector, ``Mlp.params``, in the
 checkpoint's payload order below, and a parameter gradient and Adam's
@@ -204,11 +203,13 @@ def forward_trace(net, X):
 def reverse_sweep(net, inputs, G, grad=None):
     """Reverse-mode pass over a batch traced by ``forward_trace``.
 
-    G is (batch, out_dim), the loss gradient at the outputs.  Returns the
-    per-sample input gradients, (batch, in_dim).  When ``grad`` is given,
-    an array laid out like ``net.params``, the parameter gradient summed
-    over the batch is written into it; otherwise none is formed.  For a
-    block of n nets, G, the result and ``grad`` have the leading agent axis.
+    G is (batch, out_dim), the loss gradient at the outputs.  When
+    ``grad`` is given, an array laid out like ``net.params``, the parameter
+    gradient summed over the batch is written into it, and the sweep stops
+    after layer 0's, returning None.  Otherwise it returns the per-sample
+    input gradients, (batch, in_dim), and forms no parameter gradient.  For
+    a block of n nets, G, the result and ``grad`` have the leading agent
+    axis.
     """
     delta = G
     if grad is not None:
@@ -217,6 +218,8 @@ def reverse_sweep(net, inputs, G, grad=None):
         if grad is not None:
             dW[l][...] = delta.swapaxes(-1, -2) @ inputs[l]
             db[l][...] = delta.sum(axis=-2)
+            if l == 0:
+                return None
         delta = delta @ net.weights[l]
         if l > 0:
             delta = delta * _act_grad(net, inputs[l])
@@ -236,7 +239,8 @@ def backward_batch(net, X, G):
     if G.shape != outputs.shape:
         raise ValueError(f"bad output_grad shape {G.shape}")
     grad = np.empty_like(net.params)
-    return grad, reverse_sweep(net, inputs, G, grad)
+    reverse_sweep(net, inputs, G, grad)
+    return grad, reverse_sweep(net, inputs, G)
 
 
 def backward(net, x, output_grad):

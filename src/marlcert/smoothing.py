@@ -29,14 +29,21 @@ address every smoothed decision, whatever the state or attack shift x,
 feeds the same noise block E through the agent's first layer, and
 W1 (x + E) = W1 x + W1 E.  So a count holds its block already projected,
 ``P = (sigma E) @ W1.T`` (M x hidden), and `_projected_noise` caches each
-agent's last one, keyed by seed, step, M and sigma and checked against a
-stored copy of W1.  A count keeps the block it was set up with, so any
-call order gives the same counts; a new address drops the agent's cached
-block before drawing its own, so one block per agent is kept unless a
-live count still holds an older one.  Visiting addresses in order draws
-each block once: the tree search expands one step level at a time,
-`certify_trajectory` walks its episode by step, and the attack validation
-attacks the certificates of step t, then advances its rollouts by it.
+agent's last one, keyed by seed, step, M, sigma and the net's shape and
+checked against a stored copy of its parameters.  A count keeps the block
+it was set up with, so any call order gives the same counts; a new
+address or net drops the agent's cached block before drawing its own, so
+one block per agent is kept unless a live count still holds an older
+one.  Visiting addresses in order draws each block once: the tree search
+expands one step level at a time, `certify_trajectory` walks its episode
+by step, and the attack validation attacks the certificates of step t,
+then advances its rollouts by it.
+
+A slot also keeps the full tallies counted at its block, keyed by the
+observation's bytes: frontier states that differ only outside an agent's
+view give it the same observation, and its tally is counted once.  They
+go with the block, and each caller gets its own copy; an attack's vote,
+which stops at a cut, is always counted.
 
 A block is one float64 vector: room for M rows of max(4 ceil(dim / 4),
 hidden) doubles, then a chunk scratch of `_CHUNK_ROWS` rows of hidden.
@@ -169,8 +176,9 @@ def gaussian_noise_block(
     return noise
 
 
-# agent -> ((seed, step_index, samples, sigma), copy of the first-layer
-# weights, projected noise block, chunk scratch): the last block set up
+# agent -> ((seed, step_index, samples, sigma, layer_dims, activation),
+# copy of the parameters, projected noise block, chunk scratch, full
+# tallies by observation bytes): the last block set up
 _projected_noise: dict = {}
 
 
@@ -178,19 +186,22 @@ _projected_noise: dict = {}
 @np.errstate(over="ignore", invalid="ignore")
 def _counter(net, cfg, step_index, agent):
     """The smoothed decision of ``net`` at one (step_index, agent) address,
-    set up once: ``count(x, cuts=(M,))``, the greedy-action counts of the
-    noisy copies of x up to the first of the increasing ``cuts`` after
-    which the leader's lead exceeds the rows not yet counted, so their
-    lowest-index argmax is the full tally's.  The agent's cached block is
-    drawn again unless it has this address and, by value, these weights.
-    Raises ConfigError when a block cannot be allocated; the count raises
-    NumericalError at a non-finite action value.
+    set up once: ``count(x, cuts=None)``, the greedy-action counts of the
+    noisy copies of x.  Without cuts it is the full tally, counted once
+    per x at a block and kept in the slot, a copy to each caller.  A count
+    with cuts, an attack's vote, is always counted, up to the first of
+    the increasing ``cuts`` after which the leader's lead exceeds the rows
+    not yet counted, so their lowest-index argmax is the full tally's.
+    The agent's cached block is drawn again unless it has this address
+    and, by value, this net.  Raises ConfigError when a block cannot be
+    allocated; the count raises NumericalError at a non-finite action
+    value.
     """
     weights = net.weights[0]
     hidden, dim = weights.shape
-    key = (cfg.seed, step_index, cfg.samples, cfg.sigma)
+    key = (cfg.seed, step_index, cfg.samples, cfg.sigma, net.layer_dims, net.activation)
     slot = _projected_noise.pop(agent, None)  # a failed set-up leaves no slot
-    if slot is None or slot[0] != key or not np.array_equal(slot[1], weights):
+    if slot is None or slot[0] != key or not np.array_equal(slot[1], net.params):
         slot = None  # the old block is freed unless a count still holds it
         size = cfg.samples * max(_blocks_per_sample(dim) * 4, hidden)
         try:
@@ -209,12 +220,21 @@ def _counter(net, cfg, step_index, agent):
         for lo, hi in ranges[::-1] if hidden >= dim else ranges:
             part = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
             projected[lo:hi] = np.matmul(noise[lo:hi], weights.T, out=part)
-        slot = (key, weights.copy(), projected, chunk)
+        slot = (key, net.params.copy(), projected, chunk, {})
     _projected_noise[agent] = slot
-    _, _, projected, chunk = slot
+    _, _, projected, chunk, tallies = slot
+
+    def count(x, cuts=None):
+        x = np.asarray(x, dtype=np.float64)
+        if cuts is not None:
+            return counted(x, cuts)
+        raw = x.tobytes()
+        if raw not in tallies:
+            tallies[raw] = counted(x, (cfg.samples,))
+        return tallies[raw].copy()
 
     @np.errstate(over="ignore", invalid="ignore")
-    def count(x, cuts=(cfg.samples,)):
+    def counted(x, cuts):
         # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
         shift = net.weights[0] @ x + net.biases[0]
         counts = np.zeros(N_ACTIONS, dtype=np.int64)

@@ -20,8 +20,11 @@ Conventions
   write into a caller's array, the input itself included, and works in
   one fresh pair of input-sized vectors per call, so a noise draw passes
   chunks of at most ``smoothing._CHUNK_ROWS`` rows.  Its tail lanes take
-  numpy's log, so their bits, and those of the polished scalar
-  `std_normal_quantile`, follow numpy's SIMD dispatch.
+  numpy's log, so their bits follow numpy's SIMD dispatch.
+* `std_normal_quantile` evaluates the same three-zone rational on a
+  Python float, its tail through numpy's log as well, so before its
+  Newton step it has the one-lane kernel's bits without the kernel's
+  array calls.
 """
 
 import math
@@ -160,9 +163,16 @@ _PPND_F = (
 )
 
 
+# the tail pairs stacked (8, 2, 1), numerator then denominator, for one
+# Horner pass over a (2, lanes) accumulator
+_PPND_CD = np.array([_PPND_C, _PPND_D]).T[..., None]
+_PPND_EF = np.array([_PPND_E, _PPND_F]).T[..., None]
+
+
 def _poly(coeffs, r, out=None):
-    # Horner from the highest-order coefficient; in place into ``out``
-    acc = np.multiply(r, coeffs[-1], out=out)
+    # Horner from the highest-order coefficient: on a Python float, a new
+    # array, or in place into ``out``
+    acc = r * coeffs[-1] if out is None else np.multiply(r, coeffs[-1], out=out)
     acc += coeffs[-2]
     for c in reversed(coeffs[:-2]):
         acc *= r
@@ -239,13 +249,15 @@ def std_normal_quantile_vec(p, out=None):
     # 1e-300, subnormals included, it gets the quantile of 1e-300
     s = np.minimum(p_t, 1.0 - p_t)
     r_t = np.sqrt(-np.log(np.maximum(s, 1e-300, out=s)))
-    r_near = r_t - 1.6  # the near tail's formula stays finite on far lanes
-    x_t = _poly(_PPND_C, r_near) / _poly(_PPND_D, r_near)
+    # the near tail's formula stays finite on far lanes
+    num, den = _poly(_PPND_CD, r_t - 1.6)
+    x_t = np.divide(num, den, out=num)
     far = np.flatnonzero(r_t > 5.0)
     if far.size:
-        r_far = r_t[far] - 5.0
-        x_t[far] = _poly(_PPND_E, r_far) / _poly(_PPND_F, r_far)
-    x[tail] = np.negative(x_t, out=x_t, where=p_t < 0.5)
+        num, den = _poly(_PPND_EF, r_t[far] - 5.0)
+        x_t[far] = num / den
+    # both tail rationals are positive, so the sign is the side's
+    x[tail] = np.copysign(x_t, p_t - 0.5, out=x_t)
     return out
 
 
@@ -261,11 +273,27 @@ def std_normal_quantile(p):
     float
         x with |Phi(x) - p| <= 1e-12. One Newton polish step on top of the
         rational approximation pins the residual well below the budget.
+
+    The rational is `std_normal_quantile_vec`'s operation for operation,
+    on a Python float, and its tail takes numpy's log of a float64
+    scalar, so before the Newton step x has the one-lane kernel's bits,
+    on any SIMD dispatch.
     """
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
-    x = float(std_normal_quantile_vec(np.asarray([p]))[0])
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        x = _poly(_PPND_A, r) * q / _poly(_PPND_B, r)
+    else:
+        # numpy's log, as the kernel's tail lanes take it
+        r = math.sqrt(-float(np.log(np.float64(max(min(p, 1.0 - p), 1e-300)))))
+        if r <= 5.0:
+            x = _poly(_PPND_C, r - 1.6) / _poly(_PPND_D, r - 1.6)
+        else:
+            x = _poly(_PPND_E, r - 5.0) / _poly(_PPND_F, r - 5.0)
+        x = math.copysign(x, q)
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     if pdf > 1e-300:
         x -= (std_normal_cdf(x) - p) / pdf

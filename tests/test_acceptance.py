@@ -197,7 +197,8 @@ def _pipeline_gradients(net, x, out_grad):
     leading agent axis."""
     _, inputs = forward_trace(net, x[..., None, :])
     grad = np.empty_like(net.params)
-    input_grad = reverse_sweep(net, inputs, out_grad[..., None, :], grad=grad)
+    reverse_sweep(net, inputs, out_grad[..., None, :], grad=grad)
+    input_grad = reverse_sweep(net, inputs, out_grad[..., None, :])
     return grad, input_grad[..., 0, :]
 
 

@@ -173,15 +173,15 @@ class TestNoiseBlockSlot:
         blocks = {}
         for agent, step_index, sigma, seed, m, dim in self.CALLS:
             cfg = NoiseConfig(sigma=sigma, samples=m, alpha=0.05, seed=seed)
-            weights = nets[dim].weights[0]
+            net = nets[dim]
             before = len(drawn)
-            smoothing._counter(nets[dim], cfg, step_index, agent)
+            smoothing._counter(net, cfg, step_index, agent)
             noise = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
             assert set(smoothing._projected_noise) <= {0, 1, 2}
-            key, kept, projected, chunk = smoothing._projected_noise[agent]
-            assert np.array_equal(projected, noise @ weights.T)
-            assert key == (seed, step_index, m, sigma)
-            assert np.array_equal(kept, weights) and kept is not weights
+            key, kept, projected, chunk, _ = smoothing._projected_noise[agent]
+            assert np.array_equal(projected, noise @ net.weights[0].T)
+            assert key == (seed, step_index, m, sigma, net.layer_dims, net.activation)
+            assert np.array_equal(kept, net.params) and kept is not net.params
             # one vector holds the noise rows and, after them, the scratch
             size = m * max(4 * -(-dim // 4), 16)
             storage = projected.base
@@ -270,6 +270,93 @@ class TestActionCountsProjection:
             got = _counts(policy, spec, state, 0, cfg)
             assert np.array_equal(got, _oracle_counts(policy, spec, state, 0, cfg))
         assert [args[1] for args in drawn] == [0.4, 0.9]
+
+
+class TestTallyReuse:
+    """A full tally is counted once per observation at a block; votes with
+    cuts are always counted."""
+
+    M = 400
+
+    def _setup(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
+        passes = []
+        forward_rest = nn.forward_rest
+
+        def counting(net, Z):
+            passes.append(Z.shape[0])
+            return forward_rest(net, Z)
+
+        monkeypatch.setattr(nn, "forward_rest", counting)
+        spec = _spec()
+        policy = new_policy(spec, "vdn", np.random.default_rng(6))
+        return spec, policy, reset(spec), passes
+
+    def _cfg(self, sigma=0.5):
+        return NoiseConfig(sigma=sigma, samples=self.M, alpha=0.05, seed=2)
+
+    def test_served_tally_equals_a_fresh_count(self, monkeypatch):
+        spec, policy, state, passes = self._setup(monkeypatch)
+        cfg = self._cfg()
+        for agent in range(2):
+            first = _counts(policy, spec, state, agent, cfg)
+            counted = len(passes)
+            served = _counts(policy, spec, state, agent, cfg)
+            assert len(passes) == counted  # no row counted again
+            smoothing._projected_noise.clear()
+            fresh = _counts(policy, spec, state, agent, cfg)
+            assert len(passes) > counted
+            want = _oracle_counts(policy, spec, state, agent, cfg)
+            assert np.array_equal(first, want) and np.array_equal(served, want)
+            assert np.array_equal(fresh, want)
+
+    def test_vote_with_cuts_is_counted_not_served(self, monkeypatch):
+        spec, policy, state, passes = self._setup(monkeypatch)
+        cfg = self._cfg(sigma=1e-6)  # unanimous: a vote stops at its first cut
+        x = observe(spec, state, 0)
+        count = smoothing._counter(policy.agent_nets[0], cfg, state.step_count, 0)
+        full = count(x)
+        assert full.max() == self.M
+        del passes[:]
+        vote = count(x, (self.M // 2 + 1, self.M))
+        assert sum(passes) == self.M // 2 + 1  # counted up to its first cut
+        assert vote.sum() == self.M // 2 + 1 and np.argmax(vote) == np.argmax(full)
+        del passes[:]
+        assert np.array_equal(count(x), full)  # the vote was not stored
+        assert not passes
+
+    def test_changing_a_returned_array_leaves_the_next_result(self, monkeypatch):
+        spec, policy, state, _ = self._setup(monkeypatch)
+        cfg = self._cfg()
+        want = _oracle_counts(policy, spec, state, 1, cfg)
+        for _ in range(3):  # counted, then served twice
+            got = _counts(policy, spec, state, 1, cfg)
+            assert np.array_equal(got, want)
+            got[:] = -1
+
+    @pytest.mark.parametrize("change", ["step", "weights", "sigma"])
+    def test_new_address_or_net_drops_the_tallies(self, monkeypatch, change):
+        spec, policy, state, passes = self._setup(monkeypatch)
+        cfg = self._cfg()
+        net = policy.agent_nets[0]
+        before = _counts(policy, spec, state, 0, cfg)
+        assert len(smoothing._projected_noise[0][4]) == 1
+        if change == "step":
+            smoothing._counter(net, cfg, state.step_count + 1, 0)
+        elif change == "sigma":
+            smoothing._counter(net, self._cfg(sigma=0.9), state.step_count, 0)
+        else:
+            # a last-layer bias: the first layer, and so the projected
+            # block, stay the same, but every row now picks action 4
+            net.biases[-1][4] += 1e6
+        del passes[:]
+        got = _counts(policy, spec, state, 0, cfg)
+        assert passes  # counted again
+        assert np.array_equal(got, _oracle_counts(policy, spec, state, 0, cfg))
+        if change == "weights":
+            assert got[4] == self.M and not np.array_equal(got, before)
+        else:
+            assert np.array_equal(got, before)
 
 
 def _peak_bytes(call):

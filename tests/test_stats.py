@@ -126,6 +126,43 @@ FAR_TAILS = [
 ]
 
 
+def _polished_one_lane(p):
+    """The one-lane vector kernel, then the scalar quantile's Newton step."""
+    x = float(std_normal_quantile_vec(np.array([p]))[0])
+    pdf = stats._INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    if pdf > 1e-300:
+        x -= (std_normal_cdf(x) - p) / pdf
+    return x
+
+
+class TestScalarQuantileBits:
+    """`std_normal_quantile` evaluates the kernel's rational on a Python
+    float; CI also runs this class with numpy's dispatch targets above its
+    baseline disabled, where the tail's log gives other bits."""
+
+    # the central zone, the near tails, the far-tail edge e^-25 (about
+    # 1.39e-11) and its neighbours, the zone edges and far tails
+    @pytest.mark.parametrize(
+        "p",
+        [0.5, 0.3, 0.6, 2.0 / 3.0, 0.02, 0.98, 1e-5, 1e-9, 1.0 - 1e-9]
+        + [float(np.nextafter(math.exp(-25.0), t)) for t in (0.0, 1.0)]
+        + [math.exp(-25.0), 1.5e-11]
+        + ZONE_EDGES
+        + FAR_TAILS,
+    )
+    def test_equals_the_one_lane_kernel_polished(self, p):
+        assert std_normal_quantile(p) == _polished_one_lane(p)
+
+    def test_equals_the_one_lane_kernel_on_random_draws(self):
+        rng = np.random.default_rng(14)
+        ps = np.concatenate(
+            [rng.random(300), 10.0 ** rng.uniform(-320.0, -1.0, 200)]
+        )
+        ps = np.concatenate([ps, 1.0 - ps[300:]])
+        for p in ps[(ps > 0.0) & (ps < 1.0)].tolist():
+            assert std_normal_quantile(p) == _polished_one_lane(p)
+
+
 class TestQuantileIdentity:
     """The vector kernel split around a noise draw's chunk length.  CI also
     runs this class with numpy's dispatch targets above its baseline
