@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import EnvState, GridSpec, episode_reward, reset, step
-from .policy import JointPolicy, counterfactual_values, q_total, state_values
+from .policy import JointPolicy, state_values
 from .smoothing import (
     ActionTally,
     NoiseConfig,
@@ -147,31 +147,27 @@ def importance_factor(
 ) -> ImportanceFactors:
     """How much each agent's chosen action contributes to the team value.
 
-    The raw factor for agent n is q_total at ``action`` minus its
-    expectation when agent n instead plays a draw from its own smoothed
-    action distribution (the tally frequencies).  Factors are then
-    min-max rescaled to [IF_FLOOR, 1]; an all-equal vector maps to all
-    ones so the correction becomes a no-op.
+    The raw factor for agent n is the team value at ``action`` minus its
+    expectation when agent n alone plays a draw from its smoothed action
+    distribution (the tally frequencies).  This needs a mixer linear in
+    the agents' values, sum_n w_n * Q_n(a_n) + b: every other term
+    cancels, leaving ``w_n * (Q_n(a_n) - freqs_n @ Q_n)``, exactly 0 for
+    a unanimous agent.  Factors are then min-max rescaled to [IF_FLOOR,
+    1], the most important agent to exactly 1; an all-equal vector maps
+    to all ones so the correction becomes a no-op.
     """
     if len(action) != tally.n_agents:
         raise ValueError("action arity disagrees with tally")
     values = state_values(policy, spec, state)
-    total = q_total(values, action)
-    raw = []
-    for agent in range(tally.n_agents):
-        freqs = tally.per_agent[agent] / tally.samples
-        alternatives = counterfactual_values(values, action, agent)
-        raw.append(total - float(freqs @ alternatives))
-    lo = min(raw)
-    hi = max(raw)
+    q, freqs = values.per_agent, tally.per_agent / tally.samples
+    gaps = q[np.arange(tally.n_agents), action] - (freqs * q).sum(axis=1)
+    raw = values.weights * gaps
+    lo, hi = raw.min(), raw.max()
     if hi == lo:
-        normalized = (1.0,) * tally.n_agents
+        normalized = np.ones(tally.n_agents)
     else:
-        span = hi - lo
-        normalized = tuple(
-            IF_FLOOR + (1.0 - IF_FLOOR) * (r - lo) / span for r in raw
-        )
-    return ImportanceFactors(raw=tuple(raw), normalized=normalized)
+        normalized = IF_FLOOR + (1.0 - IF_FLOOR) * ((raw - lo) / (hi - lo))
+    return ImportanceFactors(tuple(raw.tolist()), tuple(normalized.tolist()))
 
 
 def decide(

@@ -1,6 +1,8 @@
-"""Shared exception types, mapped to CLI exit codes in marlcert.cli, and
-the number rule that both config readers (the run config and the grid
-config) apply."""
+"""Shared exception types, mapped to CLI exit codes in marlcert.cli, the
+number rule that both config readers (the run config and the grid
+config) apply, and the integer rule of the configs they build."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -34,3 +36,10 @@ def as_number(name: str, value, kind: type):
         return kind(value)
     except ValueError:
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
+def as_integer(name: str, value) -> int:
+    """A Python or NumPy integer ``value`` as an ``int``; else `ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

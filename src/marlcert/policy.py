@@ -8,13 +8,13 @@ agent nets, then the hypernet.  ``agents`` views the agent nets as one
 net with a leading agent axis, so ``agent_values`` computes every agent's
 values in one stacked pass.
 
-The team value q_total combines the per-agent chosen values either by
-summation ("vdn") or through a state-conditioned monotone mixer
-("qmix_mono"): a hypernetwork reads a global state encoding and emits one
-weight per agent plus a bias; weights pass through abs() so raising any
-agent's value can never lower the team value.
+The team value of a joint action a is linear in the agents' chosen
+values, sum_n w_n * Q_n(a_n) + b.  The "vdn" mixer sums them (each w_n
+is 1, b is 0); the monotone mixer "qmix_mono" reads one weight per agent
+and then b from a hypernetwork over a global state encoding, and takes
+each w_n through abs(), so no agent's higher value lowers the team's.
 
-The trainer is standard TD learning on q_total with a replay buffer, a
+The trainer is TD learning on the team value with a replay buffer, a
 periodically synced target network, and per-agent epsilon-greedy
 exploration.  A target sync is one copy of the policy's ``params``, and
 an update is one stacked pass (plus the hypernet's for qmix_mono) that
@@ -68,6 +68,7 @@ from .envs import (
     step,
 )
 from .errors import CheckpointError, ConfigError, MissingArtifactError, NumericalError
+from .errors import as_integer
 from .seeds import derive_seed
 
 AGENT_HIDDEN = 64
@@ -142,6 +143,8 @@ class TrainConfig:
     obs_noise: float = 0.0  # Gaussian augmentation applied to TD batches
 
     def __post_init__(self):
+        for name in ("episodes", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.episodes < 0:
             raise ConfigError("episodes must be non-negative")
         if not 0 < self.learning_rate < float("inf"):
@@ -202,14 +205,21 @@ def greedy_joint_action(policy: JointPolicy, spec: GridSpec, state: EnvState) ->
 class StateValues:
     """Every agent's action values at one state, and the mixer's output.
 
-    ``per_agent[n]`` is agent n's value vector; ``mixer_out`` is the
-    hypernetwork's output (one weight per agent, then the bias), None for
-    vdn.  One of these serves `q_total` and `counterfactual_values` for
-    any joint action at that state.
+    ``per_agent[n]`` is agent n's value vector Q_n; ``mixer_out`` is the
+    hypernetwork's output (one weight per agent, then the bias b), None
+    for vdn.  ``weights`` holds each agent's mixing weight w_n, so the
+    team value of a joint action a is ``weights @ Q(a) + b``.
     """
 
     per_agent: np.ndarray
     mixer_out: Optional[np.ndarray]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each agent's nonnegative mixing weight: 1 for vdn, |w_n| for qmix_mono."""
+        if self.mixer_out is None:
+            return np.ones(len(self.per_agent))
+        return np.abs(self.mixer_out[:-1])
 
 
 def state_values(policy: JointPolicy, spec: GridSpec, state: EnvState) -> StateValues:
@@ -222,34 +232,13 @@ def state_values(policy: JointPolicy, spec: GridSpec, state: EnvState) -> StateV
     return StateValues(per_agent, mixer_out)
 
 
-def _chosen_values(values: StateValues, action) -> np.ndarray:
-    return np.array([values.per_agent[n][a] for n, a in enumerate(action)])
-
-
-def q_total(values: StateValues, action: JointAction) -> float:
-    """Team value of ``action`` at the state ``values`` was computed for."""
-    if len(action) != len(values.per_agent):
-        raise ValueError("joint action length mismatch")
-    chosen = _chosen_values(values, action)
-    if values.mixer_out is None:
-        return float(np.sum(chosen))
-    out = values.mixer_out
-    w = np.abs(out[:-1])
-    return float(w @ chosen + out[-1])
-
-
-def counterfactual_values(
-    values: StateValues, action: JointAction, agent: int
-) -> np.ndarray:
-    """q_total with `agent`'s action replaced by each alternative in turn."""
-    chosen = _chosen_values(values, action)
-    own = values.per_agent[agent]
-    if values.mixer_out is None:
-        return (np.sum(chosen) - chosen[agent]) + own
-    out = values.mixer_out
-    w = np.abs(out[:-1])
-    rest = w @ chosen - w[agent] * chosen[agent] + out[-1]
-    return rest + w[agent] * own
+def counterfactual_values(values: StateValues, action: JointAction, agent: int):
+    """Team values of ``action`` with `agent`'s action replaced by each alternative."""
+    w = values.weights
+    chosen = values.per_agent[np.arange(len(w)), action]
+    bias = 0.0 if values.mixer_out is None else values.mixer_out[-1]
+    rest = w @ chosen - w[agent] * chosen[agent] + bias
+    return rest + w[agent] * values.per_agent[agent]
 
 
 def _epsilon(cfg: TrainConfig, episode: int) -> float:

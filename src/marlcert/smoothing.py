@@ -75,7 +75,7 @@ import numpy as np
 
 from . import nn
 from .envs import N_ACTIONS, EnvState, GridSpec, observe
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, as_integer
 from .policy import JointPolicy
 from .seeds import philox_key
 from .stats import goodman_bounds, std_normal_quantile, std_normal_quantile_vec
@@ -89,6 +89,8 @@ class NoiseConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if not 0.0 < self.sigma < float("inf"):
             raise ConfigError("sigma must be positive and finite")
         if self.samples < 2:
@@ -100,7 +102,7 @@ class NoiseConfig:
                 f"alpha must exceed {N_ACTIONS} * 2**-54 (about 2.8e-16), or the "
                 f"confidence level 1 - alpha / {N_ACTIONS} rounds to 1"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
 
 

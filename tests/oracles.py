@@ -71,6 +71,44 @@ def binom_tail_exact(k, M, p=Fraction(1, 2)):
     )
 
 
+def team_value(per_agent, mixer_out, action):
+    """A joint action's team value, exact in rationals from the float values.
+
+    ``per_agent[n]`` is agent n's action values.  ``mixer_out`` None is
+    the vdn sum of the chosen values; otherwise it holds one hypernet
+    weight per agent and then the bias b, and the team value is
+    sum_n |w_n| * Q_n(a_n) + b.
+    """
+    chosen = [Fraction(float(values[a])) for values, a in zip(per_agent, action)]
+    if mixer_out is None:
+        return sum(chosen, Fraction(0))
+    weights = [abs(Fraction(float(w))) for w in mixer_out[:-1]]
+    bias = Fraction(float(mixer_out[-1]))
+    return sum((w * q for w, q in zip(weights, chosen)), bias)
+
+
+def importance_exact(per_agent, mixer_out, action, counts):
+    """Each agent's raw importance by its counterfactual definition, exact.
+
+    Agent n's is the team value at ``action`` minus the team value's
+    expectation when agent n alone plays each action with its frequency
+    in ``counts[n]``, every other agent keeping its action.
+    """
+    total = team_value(per_agent, mixer_out, action)
+    factors = []
+    for agent, row in enumerate(counts):
+        samples = sum(int(c) for c in row)
+        expected = Fraction(0)
+        for alt, count in enumerate(row):
+            joint = list(action)
+            joint[agent] = alt
+            expected += Fraction(int(count), samples) * team_value(
+                per_agent, mixer_out, joint
+            )
+        factors.append(total - expected)
+    return factors
+
+
 def gaussian_noise(dim, sigma, key, sample, quantile):
     """One noise row drawn on its own: row ``sample`` of the Philox stream
     ``key``, which starts at counter block ``sample * ceil(dim / 4)``.

@@ -154,6 +154,19 @@ class TestAttackConfig:
     def test_errors_are_config_errors(self):
         with pytest.raises(ConfigError):
             _cfg(steps=0)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0])
+    @pytest.mark.parametrize("name", ["steps", "restarts", "trials", "rollout_trials"])
+    def test_counts_must_be_integers(self, name, value):
+        # a bool used to pass as a count of 1, a float to fail in range()
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            _cfg(**{name: value})
+
+    def test_numpy_integers_are_read_as_ints(self):
+        counts = dict(steps=3, restarts=2, trials=4, rollout_trials=1)
+        cfg = _cfg(**{name: np.int32(count) for name, count in counts.items()})
+        for name, count in counts.items():
+            assert getattr(cfg, name) == count and type(getattr(cfg, name)) is int
         for epsilon in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 _attack_fragile(epsilon)

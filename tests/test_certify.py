@@ -11,6 +11,7 @@ import oracles
 from marlcert import nn
 from marlcert.attack import AttackConfig, attacked_rollout
 from marlcert.certify import (
+    IF_FLOOR,
     ImportanceFactors,
     StateDecision,
     certify_trajectory,
@@ -22,7 +23,7 @@ from marlcert.certify import (
     tcrgr,
 )
 from marlcert.envs import ACTION_STAY, builtin_spec, parse_grid_config, reset, step
-from marlcert.policy import JointPolicy, load_policy, new_policy
+from marlcert.policy import JointPolicy, load_policy, new_policy, state_values
 from marlcert.seeds import derive_seed
 from marlcert.smoothing import ActionTally, NoiseConfig
 from marlcert.stats import (
@@ -143,6 +144,118 @@ class TestImportanceFactor:
                     if factors.raw[i] > factors.raw[j]:
                         assert factors.normalized[i] >= factors.normalized[j]
             assert all(0.05 <= v <= 1.0 for v in factors.normalized)
+
+
+def _states(spec, rng, count):
+    """``count`` states along random-action episodes from ``reset``."""
+    states = []
+    state = reset(spec)
+    while len(states) < count:
+        states.append(state)
+        out = step(spec, state, tuple(rng.integers(0, 5, spec.n_agents).tolist()))
+        state = reset(spec) if out.done else out.next_state
+    return states
+
+
+def _random_tally(rng, n_agents, samples=60):
+    """Counts from a random action distribution per agent, some nearly or
+    wholly unanimous."""
+    probs = rng.dirichlet(np.full(5, 0.5), size=n_agents)
+    return ActionTally(np.stack([rng.multinomial(samples, p) for p in probs]), samples)
+
+
+def _random_cases(spec, mixer, count, seed):
+    """(policy, state, modal action, tally) cases on random policies."""
+    rng = np.random.default_rng(seed)
+    for trial, state in enumerate(_states(spec, rng, count)):
+        policy = new_policy(spec, mixer, np.random.default_rng(seed + trial))
+        tally = _random_tally(rng, spec.n_agents)
+        modal = tuple(int(np.argmax(counts)) for counts in tally.per_agent)
+        yield policy, state, modal, tally
+
+
+_ORACLE_SPECS = {
+    1: "map: |\n  1..\nstep_cap: 4\n",
+    2: "map: |\n  1.a\n  2.l\nstep_cap: 6\n",
+    4: "map: |\n  12...\n  #####\n  ...43\nstep_cap: 8\n",
+}
+
+
+class TestImportanceFromOwnValueGap:
+    """The raw factor is w_n * (Q_n(a_n) - freqs_n @ Q_n), from agent n's
+    own values and mixing weight only."""
+
+    @pytest.mark.parametrize("mixer", ["vdn", "qmix_mono"])
+    @pytest.mark.parametrize("env", ["checkers", "switch"])
+    def test_unanimous_agents_weigh_exactly_zero(self, env, mixer):
+        # at sigma = 1e-3 a random policy's agents are nearly always
+        # unanimous, and a unanimous agent's importance is exactly 0
+        spec = builtin_spec(env)
+        cfg = _cfg(sigma=1e-3, samples=20)
+        rng = np.random.default_rng(41)
+        unanimous = everyone = 0
+        for trial in range(8):
+            policy = new_policy(spec, mixer, np.random.default_rng(700 + trial))
+            for state in _states(spec, rng, 8):
+                decision = decide(policy, spec, state, cfg)
+                tally = decision.tally
+                alone = [counts.max() == cfg.samples for counts in tally.per_agent]
+                for raw, full in zip(decision.factors.raw, alone):
+                    if full:
+                        assert raw == 0.0
+                        unanimous += 1
+                if all(alone):
+                    assert decision.factors.normalized == (1.0,) * spec.n_agents
+                    everyone += 1
+        assert unanimous > 0 and everyone > 0
+
+    @pytest.mark.parametrize("mixer", ["vdn", "qmix_mono"])
+    @pytest.mark.parametrize("env", ["checkers", "switch"])
+    def test_shifting_one_agent_leaves_the_others_bits(self, env, mixer):
+        spec = builtin_spec(env)
+        rng = np.random.default_rng(43)
+        for policy, state, modal, tally in _random_cases(spec, mixer, 60, 800):
+            before = importance_factor(policy, spec, state, modal, tally).raw
+            moved = int(rng.integers(0, spec.n_agents))
+            nets = [
+                nn.Mlp(net.layer_dims, net.activation, net.params.copy())
+                for net in policy.agent_nets
+            ]
+            nets[moved].biases[-1][:] += rng.normal(0.0, 1.0, 5)
+            shifted = JointPolicy(tuple(nets), mixer, policy.hypernet)
+            after = importance_factor(shifted, spec, state, modal, tally).raw
+            for agent in range(spec.n_agents):
+                if agent != moved:
+                    assert after[agent] == before[agent]
+
+    @pytest.mark.parametrize("mixer", ["vdn", "qmix_mono"])
+    @pytest.mark.parametrize("env", ["checkers", "switch"])
+    def test_rescaling_reaches_both_ends_exactly(self, env, mixer):
+        spec = builtin_spec(env)
+        for policy, state, modal, tally in _random_cases(spec, mixer, 60, 900):
+            factors = importance_factor(policy, spec, state, modal, tally)
+            assert max(factors.raw) > min(factors.raw)
+            assert max(factors.normalized) == 1.0
+            assert min(factors.normalized) == IF_FLOOR
+
+    @pytest.mark.parametrize("mixer", ["vdn", "qmix_mono"])
+    @pytest.mark.parametrize("n_agents", sorted(_ORACLE_SPECS))
+    def test_raw_matches_exact_counterfactual_definition(self, n_agents, mixer):
+        # the team value at `action` minus its expectation with one agent
+        # playing its frequencies, in exact rationals from the float values;
+        # the float result is within a few ulps of the agent's own scale
+        spec = parse_grid_config(_ORACLE_SPECS[n_agents])
+        for policy, state, modal, tally in _random_cases(spec, mixer, 30, 1000):
+            raw = importance_factor(policy, spec, state, modal, tally).raw
+            values = state_values(policy, spec, state)
+            exact = oracles.importance_exact(
+                values.per_agent, values.mixer_out, modal, tally.per_agent
+            )
+            mixer_out = values.mixer_out
+            for agent in range(n_agents):
+                weight = 1.0 if mixer_out is None else abs(mixer_out[agent])
+                scale = weight * np.abs(values.per_agent[agent]).max()
+                assert abs(raw[agent] - float(exact[agent])) <= 4 * math.ulp(scale)
 
 
 class TestCrsc:

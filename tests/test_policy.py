@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import marlcert.policy as policy_module
+import oracles
 from marlcert import nn
 from marlcert.envs import (
     N_ACTIONS,
@@ -16,7 +17,7 @@ from marlcert.envs import (
     reset,
     step,
 )
-from marlcert.errors import MissingArtifactError, NumericalError
+from marlcert.errors import ConfigError, MissingArtifactError, NumericalError
 from marlcert.policy import (
     TRAIN_EVERY,
     JointPolicy,
@@ -28,7 +29,6 @@ from marlcert.policy import (
     greedy_joint_action,
     load_policy,
     new_policy,
-    q_total,
     save_policy,
     state_values,
     train,
@@ -143,7 +143,12 @@ def test_greedy_decentralized():
         assert before == after
 
 
-def test_q_total_vdn_sums_values():
+def _team_value(values, action):
+    """The oracle's exact team value of ``action``, rounded to a float."""
+    return float(oracles.team_value(values.per_agent, values.mixer_out, action))
+
+
+def test_vdn_team_value_sums_values():
     spec = _pair()
     policy = _random_policy(spec, "vdn", 11)
     state = reset(spec)
@@ -153,10 +158,13 @@ def test_q_total_vdn_sums_values():
         for n in range(2)
     )
     values = state_values(policy, spec, state)
-    assert q_total(values, action) == pytest.approx(expected, rel=0, abs=0)
+    assert values.weights.tolist() == [1.0, 1.0]
+    for n in range(2):
+        cf = counterfactual_values(values, action, n)
+        assert cf[action[n]] == pytest.approx(expected, rel=1e-15)
 
 
-def test_q_total_vdn_identical_agents():
+def test_vdn_identical_agents():
     spec = _pair()
     policy = _random_policy(spec, "vdn", 5)
     nets = (policy.agent_nets[0], policy.agent_nets[0])
@@ -165,12 +173,10 @@ def test_q_total_vdn_identical_agents():
     state = reset(spec)
     obs = observe(spec, state, 0)
     v = agent_values(policy, [obs, obs])[1, 3]
-    # build a fake state where both agents see identically: not needed, use
-    # the additivity identity instead
-    total = q_total(state_values(policy, spec, state), (3, 3))
+    cf = counterfactual_values(state_values(policy, spec, state), (3, 3), 0)
     v0 = _values(policy, spec, state)[0][3]
     v1 = _values(policy, spec, state)[1][3]
-    assert total == v0 + v1
+    assert cf[3] == pytest.approx(v0 + v1, rel=1e-15)
     assert v == v0
 
 
@@ -179,10 +185,10 @@ def test_vdn_additivity_exact():
     policy = _random_policy(spec, "vdn", 13)
     state = reset(spec)
     base = (1, 2)
-    joint_values = state_values(policy, spec, state)
+    cf = counterfactual_values(state_values(policy, spec, state), base, 1)
+    values = _values(policy, spec, state)[1]
     for alt in range(5):
-        lhs = q_total(joint_values, base) - q_total(joint_values, (base[0], alt))
-        values = _values(policy, spec, state)[1]
+        lhs = cf[base[1]] - cf[alt]
         assert lhs == pytest.approx(values[base[1]] - values[alt], abs=1e-12)
 
 
@@ -193,7 +199,9 @@ def test_qmix_monotone_in_agent_values():
         state = reset(spec)
         action = (0, 0)
         own = _values(policy, spec, state)[1]
-        cf = counterfactual_values(state_values(policy, spec, state), action, 1)
+        values = state_values(policy, spec, state)
+        assert np.all(values.weights >= 0)
+        cf = counterfactual_values(values, action, 1)
         order = np.argsort(own, kind="stable")
         diffs = np.diff(cf[order])
         assert np.all(diffs >= -1e-12)
@@ -208,7 +216,9 @@ def test_counterfactual_identity_slot():
         values = state_values(policy, spec, state)
         for n in range(2):
             cf = counterfactual_values(values, action, n)
-            assert cf[action[n]] == q_total(values, action)
+            assert cf[action[n]] == pytest.approx(
+                _team_value(values, action), rel=1e-14, abs=1e-14
+            )
 
 
 def test_counterfactual_matches_brute_force():
@@ -223,7 +233,7 @@ def test_counterfactual_matches_brute_force():
             for alt in range(5):
                 joint = list(action)
                 joint[n] = alt
-                want = q_total(values, tuple(joint))
+                want = _team_value(values, tuple(joint))
                 assert cf[alt] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -258,11 +268,15 @@ def test_checkpoint_round_trip(tmp_path):
         loaded = load_policy(path)
         assert loaded.mixer == mixer
         state = reset(spec)
-        action = (1, 3)
-        assert q_total(state_values(loaded, spec, state), action) == q_total(
-            state_values(policy, spec, state), action
-        )
-        assert np.array_equal(_values(loaded, spec, state), _values(policy, spec, state))
+        loaded_values = state_values(loaded, spec, state)
+        values = state_values(policy, spec, state)
+        assert np.array_equal(loaded_values.per_agent, values.per_agent)
+        assert np.array_equal(loaded_values.weights, values.weights)
+        for n in range(2):
+            assert np.array_equal(
+                counterfactual_values(loaded_values, (1, 3), n),
+                counterfactual_values(values, (1, 3), n),
+            )
 
 
 def test_stored_checkpoint_is_rewritten_byte_for_byte(tmp_path):
@@ -279,6 +293,21 @@ def test_stored_checkpoint_is_rewritten_byte_for_byte(tmp_path):
 def test_load_policy_missing(tmp_path):
     with pytest.raises(MissingArtifactError):
         load_policy(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 3.0])
+@pytest.mark.parametrize("name", ["episodes", "seed"])
+def test_train_config_counts_must_be_integers(name, value):
+    # a bool used to train, a float to fail in range() once training began
+    fields = {**dict(episodes=3, seed=4), name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        TrainConfig(**fields)
+
+
+def test_train_config_reads_numpy_integers_as_ints():
+    cfg = TrainConfig(episodes=np.int64(3), seed=np.int64(4))
+    assert (cfg.episodes, cfg.seed) == (3, 4)
+    assert cfg.init_seed() == TrainConfig(episodes=3, seed=4).init_seed()
 
 
 def test_train_zero_episodes_returns_init():

@@ -58,6 +58,22 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError):
             NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=-1)
 
+    @pytest.mark.parametrize("value", [True, 100.5, 100.0, "100"])
+    @pytest.mark.parametrize("name", ["samples", "seed"])
+    def test_counts_must_be_integers(self, name, value):
+        # checked before any noise is drawn: a float count used to reach
+        # the first tally's allocation, and a bool passed as an integer
+        fields = {**dict(sigma=0.1, samples=100, alpha=0.05, seed=0), name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            NoiseConfig(**fields)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        cfg = NoiseConfig(
+            sigma=0.1, samples=np.int64(100), alpha=0.05, seed=np.uint64(7)
+        )
+        assert (cfg.samples, cfg.seed) == (100, 7)
+        assert type(cfg.samples) is int and type(cfg.seed) is int
+
 
 class TestGaussianNoise:
     def test_deterministic(self):
