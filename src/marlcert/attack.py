@@ -23,9 +23,10 @@ the input gradient alone, and the rows are gathered only once one of
 them stops.  Restart 0 starts at the clean observation and depends on no
 seed, so each budget holds it once for all its seeds.  Each row's end
 point is still judged on its own by the CRN smoothed decision, set up
-once per batch with the count ``smoothing.sample_tally`` uses, given
-cuts at which it stops once the winner is settled, so its action is
-always the full tally's.  ``pgd_attack_state`` is the one-seed batch.
+once per batch with the count ``smoothing.sample_tally`` uses, as a
+vote: it counts the tally's first rows and stops once the winner is
+settled, so its action is always the full tally's.
+``pgd_attack_state`` is the one-seed batch.
 ``attacked_rollout`` applies the attack persistently along an episode,
 one episode per seed, all episodes stepping together.
 
@@ -55,7 +56,7 @@ import numpy as np
 from . import nn
 from .certify import RewardCertificate
 from .envs import OBS_LENGTH, EnvState, GridSpec, observe, reset, step
-from .errors import ConfigError, as_integer
+from .errors import ConfigError, allocate, as_integer
 from .policy import JointPolicy
 from .seeds import derive_seed
 from .smoothing import NoiseConfig, _counter
@@ -98,14 +99,9 @@ class AttackConfig:
             seeds = getattr(self, name)
             rows = 1 + self.restarts * seeds
             size = budgets * (8 * OBS_LENGTH * rows + _SEED_BYTES * seeds)
-            try:
-                np.empty(size, dtype=np.uint8)  # untouched pages cost no memory
-            except (MemoryError, ValueError) as exc:
-                raise ConfigError(
-                    f"{name}: {seeds} at restarts: {self.restarts} needs "
-                    f"{size / 2**30:.3g} GiB for one batch of PGD rows and its "
-                    "per-seed results, more than can be allocated"
-                ) from exc
+            field = f"{name}: {seeds} at restarts: {self.restarts}"
+            # a probe: its untouched pages cost no memory
+            allocate((size,), field, "one batch of PGD rows and its per-seed results", np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,20 +136,14 @@ class ValidationReport:
     rmin_violated: bool
 
 
-# rows after which a vote checks for a settled winner, in percent of M
-_VOTE_CUTS = (51, 60, 80, 100)
-
-
 def _voter(policy, state, agent, noise, base):
     """The smoothed decision at ``base + delta`` as a function of delta,
-    set up once.  Its count may stop at any of the ``_VOTE_CUTS`` once the
-    winner is settled, so it picks the full counts' lowest-index argmax."""
-    samples = noise.samples
-    cuts = sorted({max(samples // 2 + 1, samples * cut // 100) for cut in _VOTE_CUTS})
+    set up once: the lowest-index argmax of a vote, which counts the full
+    tally's first rows until its winner is settled."""
     count = _counter(policy.agent_nets[agent], noise, state.step_count, agent)
 
     def vote(delta=None) -> int:
-        return int(np.argmax(count(base if delta is None else base + delta, cuts)))
+        return int(np.argmax(count(base if delta is None else base + delta, vote=True)))
 
     return vote
 
@@ -248,13 +238,8 @@ def pgd_attack_batch(
     firsts = [0]
     for epsilon, seeds in budgets:
         firsts.append(firsts[-1] + (1 + own * len(seeds)) * (epsilon > 0.0))
-    try:
-        deltas = np.zeros((firsts[-1], base.size))
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(
-            f"restarts: {cfg.restarts} needs {8 * firsts[-1] * base.size / 2**30:.3g} "
-            "GiB for one batch of PGD rows, more than can be allocated"
-        ) from exc
+    deltas = allocate((firsts[-1], base.size), f"restarts: {cfg.restarts}", "one batch of PGD rows")
+    deltas[:] = 0.0
     for (epsilon, seeds), first in zip(budgets, firsts):
         for s, seed in enumerate(seeds if epsilon > 0.0 else ()):
             starts = deltas[first + 1 + s * own : first + 1 + (s + 1) * own]

@@ -1,8 +1,12 @@
 """Shared exception types, mapped to CLI exit codes in marlcert.cli, the
 number rule that both config readers (the run config and the grid
-config) apply, and the integer rule of the configs they build."""
+config) apply, the integer and real-number rules of the configs they
+build, and the one rule for an allocation a config sizes."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -43,3 +47,23 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(name: str, value) -> float:
+    """A Python or NumPy real ``value`` that a float holds, as a ``float``; else `ConfigError`."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def allocate(shape: tuple, field: str, purpose: str, dtype=np.float64) -> np.ndarray:
+    """``np.empty(shape, dtype)``; else a `ConfigError` naming ``field`` and the bytes asked for."""
+    try:
+        return np.empty(shape, dtype)
+    except (MemoryError, ValueError) as exc:
+        gib = math.prod(shape) * np.dtype(dtype).itemsize / 2**30
+        message = f"{field} needs {gib:.3g} GiB for {purpose}, more than can be allocated"
+        raise ConfigError(message) from exc

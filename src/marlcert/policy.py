@@ -68,7 +68,7 @@ from .envs import (
     step,
 )
 from .errors import CheckpointError, ConfigError, MissingArtifactError, NumericalError
-from .errors import as_integer
+from .errors import as_integer, as_real
 from .seeds import derive_seed
 
 AGENT_HIDDEN = 64
@@ -145,6 +145,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("episodes", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        for name in ("learning_rate", "gamma_train", "obs_noise"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if self.episodes < 0:
             raise ConfigError("episodes must be non-negative")
         if not 0 < self.learning_rate < float("inf"):

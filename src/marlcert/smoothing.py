@@ -16,15 +16,17 @@ inverse CDF, then scale by sigma, so noise at two sigmas differs by an exact
 factor.  A draw makes one block-sized array at most, its uniforms: the
 first dim of each row are clamped and packed to the front, mapped
 through the inverse CDF (`stats.std_normal_quantile_vec`) and scaled, all
-in place, one range of at most `_CHUNK_ROWS` rows at a time, the ranges
-the projection and the counts use, for each of which the inverse CDF
-allocates its two working vectors; noise bits follow numpy's SIMD log.  A
-caller that passes a buffer gets them drawn into it, so the draw makes
-none.
+in place, one range of `_row_ranges(0, M)` at a time, for each of which
+the inverse CDF allocates its two working vectors; noise bits follow
+numpy's SIMD log.  A caller that passes a buffer gets them drawn into it.
 
 `_counter` sets up a smoothed decision at its (seed, step, agent) address
-and returns the one count: a tally counts all M rows, an attack's vote
-stops at the first of its cuts after which the winner is settled.  At one
+and returns the one count.  Every count walks one row schedule,
+`_count_ranges`: the `_row_ranges` between consecutive `_VOTE_CUTS`.  A
+tally counts every range; an attack's vote stops at the first range end
+after which the leader's lead exceeds the rows left.  So a vote is a
+prefix of the tally, the same rows in the same batches and so the same
+bits on any BLAS, and its lowest-index argmax is the tally's.  At one
 address every smoothed decision, whatever the state or attack shift x,
 feeds the same noise block E through the agent's first layer, and
 W1 (x + E) = W1 x + W1 E.  So a count holds its block already projected,
@@ -42,20 +44,21 @@ then advances its rollouts by it.
 A slot also keeps the full tallies counted at its block, keyed by the
 observation's bytes: frontier states that differ only outside an agent's
 view give it the same observation, and its tally is counted once.  They
-go with the block, and each caller gets its own copy; an attack's vote,
-which stops at a cut, is always counted.
+go with the block, and each caller gets its own copy; a vote is always
+counted.
 
 A block is one float64 vector: room for M rows of max(4 ceil(dim / 4),
 hidden) doubles, then a chunk scratch of `_CHUNK_ROWS` rows of hidden.
 The noise is drawn into its front and projected there in place through
 the scratch: from the last chunk back when hidden >= dim, from the first
 forward when hidden < dim, so each write covers only noise rows already
-projected.  A count adds ``W1 x + b1`` to P a chunk of rows at a time in
-the scratch and runs the layers after the first there (`nn.forward_rest`
-applies the activations in place), so it allocates only each chunk's
-values and picks, and raises `NumericalError` at a non-finite value.
-The chunks are of near-equal size, so none is a small remainder that
-BLAS rounds another way, and sit well inside L2.
+projected; both walk `_row_ranges(0, M)`, as a projected row's bits
+depend on its chunk's row count.  A count adds ``W1 x + b1`` to P one
+range at a time in the scratch and runs the layers after the first there
+(`nn.forward_rest` applies the activations in place), so it allocates
+only each range's values and picks, and raises `NumericalError` at a
+non-finite value.  Ranges are of near-equal size, so none is a small
+remainder that BLAS rounds another way, and sit well inside L2.
 
 What the projection trades: a decision skips the M x dim x hidden
 product, but a block used once still pays it, a block keeps M x 64
@@ -75,7 +78,7 @@ import numpy as np
 
 from . import nn
 from .envs import N_ACTIONS, EnvState, GridSpec, observe
-from .errors import ConfigError, NumericalError, as_integer
+from .errors import ConfigError, NumericalError, allocate, as_integer, as_real
 from .policy import JointPolicy
 from .seeds import philox_key
 from .stats import goodman_bounds, std_normal_quantile, std_normal_quantile_vec
@@ -91,6 +94,8 @@ class NoiseConfig:
     def __post_init__(self):
         for name in ("samples", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        for name in ("sigma", "alpha"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if not 0.0 < self.sigma < float("inf"):
             raise ConfigError("sigma must be positive and finite")
         if self.samples < 2:
@@ -138,6 +143,16 @@ def _row_ranges(start, stop):
     return list(zip(bounds, bounds[1:]))
 
 
+# vote cuts in percent of M: the count's row ranges end at each, the first past M / 2
+_VOTE_CUTS = (51, 60, 80, 100)
+
+
+def _count_ranges(samples):
+    """The ranges every count at M = ``samples`` walks: `_row_ranges` between vote cuts."""
+    cuts = sorted({max(samples // 2 + 1, samples * cut // 100) for cut in _VOTE_CUTS})
+    return [part for start, stop in zip([0, *cuts], cuts) for part in _row_ranges(start, stop)]
+
+
 def _blocks_per_sample(dim: int) -> int:
     return (dim + 3) // 4  # Philox advances in blocks of four doubles
 
@@ -179,8 +194,8 @@ def gaussian_noise_block(
 
 
 # agent -> ((seed, step_index, samples, sigma, layer_dims, activation),
-# copy of the parameters, projected noise block, chunk scratch, full
-# tallies by observation bytes): the last block set up
+# copy of the parameters, projected noise block, chunk scratch, count
+# schedule, full tallies by observation bytes): the last block set up
 _projected_noise: dict = {}
 
 
@@ -188,16 +203,13 @@ _projected_noise: dict = {}
 @np.errstate(over="ignore", invalid="ignore")
 def _counter(net, cfg, step_index, agent):
     """The smoothed decision of ``net`` at one (step_index, agent) address,
-    set up once: ``count(x, cuts=None)``, the greedy-action counts of the
-    noisy copies of x.  Without cuts it is the full tally, counted once
-    per x at a block and kept in the slot, a copy to each caller.  A count
-    with cuts, an attack's vote, is always counted, up to the first of
-    the increasing ``cuts`` after which the leader's lead exceeds the rows
-    not yet counted, so their lowest-index argmax is the full tally's.
-    The agent's cached block is drawn again unless it has this address
-    and, by value, this net.  Raises ConfigError when a block cannot be
-    allocated; the count raises NumericalError at a non-finite action
-    value.
+    set up once: ``count(x, vote=False)``, the greedy-action counts of the
+    noisy copies of x over `_count_ranges`.  A tally is counted once per x
+    at a block and kept in the slot, a copy to each caller; a vote is
+    always counted, and stops once its leader is settled.  The agent's
+    cached block is drawn again unless it has this address and, by value,
+    this net.  Raises ConfigError when a block cannot be allocated; the
+    count raises NumericalError at a non-finite action value.
     """
     weights = net.weights[0]
     hidden, dim = weights.shape
@@ -205,14 +217,9 @@ def _counter(net, cfg, step_index, agent):
     slot = _projected_noise.pop(agent, None)  # a failed set-up leaves no slot
     if slot is None or slot[0] != key or not np.array_equal(slot[1], net.params):
         slot = None  # the old block is freed unless a count still holds it
-        size = cfg.samples * max(_blocks_per_sample(dim) * 4, hidden)
-        try:
-            storage = np.empty(size + _CHUNK_ROWS * hidden)  # the chunk scratch last
-        except (MemoryError, ValueError) as exc:
-            raise ConfigError(
-                f"samples: {cfg.samples} needs {8 * size / 2**30:.3g} GiB for one "
-                "block of smoothing noise, more than can be allocated"
-            ) from exc
+        size = cfg.samples * max(_blocks_per_sample(dim) * 4, hidden)  # the scratch follows
+        field = f"samples: {cfg.samples}"
+        storage = allocate((size + _CHUNK_ROWS * hidden,), field, "one block of smoothing noise")
         noise = gaussian_noise_block(
             dim, cfg.sigma, cfg.seed, step_index, agent, cfg.samples, storage
         )
@@ -222,38 +229,33 @@ def _counter(net, cfg, step_index, agent):
         for lo, hi in ranges[::-1] if hidden >= dim else ranges:
             part = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
             projected[lo:hi] = np.matmul(noise[lo:hi], weights.T, out=part)
-        slot = (key, net.params.copy(), projected, chunk, {})
+        slot = (key, net.params.copy(), projected, chunk, _count_ranges(cfg.samples), {})
     _projected_noise[agent] = slot
-    _, _, projected, chunk, tallies = slot
-
-    def count(x, cuts=None):
-        x = np.asarray(x, dtype=np.float64)
-        if cuts is not None:
-            return counted(x, cuts)
-        raw = x.tobytes()
-        if raw not in tallies:
-            tallies[raw] = counted(x, (cfg.samples,))
-        return tallies[raw].copy()
+    _, _, projected, chunk, schedule, tallies = slot
 
     @np.errstate(over="ignore", invalid="ignore")
-    def counted(x, cuts):
+    def count(x, vote=False):
+        x = np.asarray(x, dtype=np.float64)
+        raw = None if vote else x.tobytes()
+        if raw in tallies:  # never for a vote
+            return tallies[raw].copy()
         # first layer at x + noise: W1 (x + noise) + b1 = W1 noise + (W1 x + b1)
         shift = net.weights[0] @ x + net.biases[0]
         counts = np.zeros(N_ACTIONS, dtype=np.int64)
-        for start, stop in zip([0, *cuts], cuts):
-            for lo, hi in _row_ranges(start, stop):
-                first = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
-                np.add(projected[lo:hi], shift, out=first)
-                values = nn.forward_rest(net, first)
-                if not np.isfinite(values).all():
-                    raise NumericalError(
-                        f"non-finite smoothed action values at sigma {cfg.sigma:g}"
-                    )
-                picks = np.argmax(values, axis=1)  # lowest-index ties
-                counts += np.bincount(picks, minlength=N_ACTIONS)
-            *_, runner, top = np.sort(counts)
-            if top - runner > cfg.samples - stop:
-                break
+        for lo, hi in schedule:
+            first = chunk[: (hi - lo) * hidden].reshape(-1, hidden)
+            np.add(projected[lo:hi], shift, out=first)
+            values = nn.forward_rest(net, first)
+            if not np.isfinite(values).all():
+                raise NumericalError(f"non-finite smoothed action values at sigma {cfg.sigma:g}")
+            picks = np.argmax(values, axis=1)  # lowest-index ties
+            counts += np.bincount(picks, minlength=N_ACTIONS)
+            if vote:
+                *_, runner, top = np.sort(counts)
+                if top - runner > cfg.samples - hi:
+                    break
+        if not vote:
+            tallies[raw] = counts.copy()
         return counts
 
     return count

@@ -769,6 +769,16 @@ def _random_states(spec, n_agents, seed, count):
 
 
 _VOTE_SAMPLES = (2, 3, 7, 100, 1000, 1001)
+# the rows of each range a count walks at these M: ranges end at 51, 60,
+# 80 and 100 % of M, the first at least M // 2 + 1
+_SCHEDULES = {
+    2: [2],
+    3: [2, 1],
+    7: [4, 1, 2],
+    100: [51, 9, 20, 20],
+    1000: [510, 90, 200, 200],
+    1001: [510, 90, 200, 201],
+}
 
 
 def _vote_cases(name):
@@ -821,7 +831,8 @@ class TestSmoothedVote:
         del rows[:]
         counts = _full_counts(policy, spec, reset(spec), 1, noise)
         assert counts.tolist() == [0, samples, 0, 0, 0]
-        assert rows == [samples]
+        # the tally walks the vote's schedule: one range up to each cut
+        assert rows == _SCHEDULES[samples]
 
     @pytest.mark.parametrize("samples", [2, 100, 1000])
     def test_tied_vote_counts_every_row(self, monkeypatch, samples):
@@ -847,29 +858,32 @@ class TestSmoothedVote:
         for samples in (1000, 1001):
             for sigma in (0.06, 0.5):
                 noise = _noise(sigma=sigma, samples=samples)
-                cuts = [1, 333, samples // 2 + 1, 4 * samples // 5, samples]
                 for state in _random_states(spec, policy.n_agents, 3, 2):
                     for agent in range(policy.n_agents):
                         x, count = _counter(policy, spec, state, agent, noise)
                         del picks[:]
-                        chunked = count(x, cuts)
-                        chunked_picks = np.concatenate(picks)
-                        counted = cuts[len(picks) - 1]
+                        vote = count(x, vote=True)
+                        vote_sizes = [len(part) for part in picks]
+                        vote_picks = np.concatenate(picks)
                         del picks[:]
                         full = count(x)
-                        (full_picks,) = picks
-                        assert np.array_equal(chunked_picks, full_picks[:counted])
-                        assert np.array_equal(
-                            chunked, np.bincount(chunked_picks, minlength=5)
-                        )
-                        assert np.argmax(chunked) == np.argmax(full)
-                        # the count stops at the first cut whose leader is settled
-                        for cut in cuts[: len(cuts) - 1]:
-                            *_, runner, top = np.sort(np.bincount(full_picks[:cut], minlength=5))
-                            settled = top - runner > samples - cut
-                            assert settled == (cut == counted)
-                            if settled:
-                                break
+                        sizes = [len(part) for part in picks]
+                        full_picks = np.concatenate(picks)
+                        counted = len(vote_picks)
+                        # the vote walks the tally's first ranges
+                        assert vote_sizes == sizes[: len(vote_sizes)]
+                        assert np.array_equal(vote_picks, full_picks[:counted])
+                        assert np.array_equal(vote, np.bincount(vote_picks, minlength=5))
+                        assert np.argmax(vote) == np.argmax(full)
+
+                        # the vote stops at the first range end whose leader
+                        # is settled, else counts every row
+                        def settled(end):
+                            *_, runner, top = np.sort(np.bincount(full_picks[:end], minlength=5))
+                            return top - runner > samples - end
+
+                        ends = np.cumsum(sizes)[:-1].tolist()
+                        assert counted == next((e for e in ends if settled(e)), samples)
                         stopped += counted < samples
         assert stopped > 0
 

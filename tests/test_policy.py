@@ -304,6 +304,24 @@ def test_train_config_counts_must_be_integers(name, value):
         TrainConfig(**fields)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", None, 10**400])
+@pytest.mark.parametrize("name", ["learning_rate", "gamma_train", "obs_noise"])
+def test_train_config_rates_must_be_real_numbers(name, value):
+    # checked before the ranges: True used to train at 1, and a string or
+    # None to raise a bare TypeError
+    fields = {**dict(episodes=3, seed=4), name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+        TrainConfig(**fields)
+
+
+def test_train_config_reads_numpy_reals_as_floats():
+    cfg = TrainConfig(
+        episodes=3, seed=4, learning_rate=np.float32(0.5), gamma_train=np.float64(0.9), obs_noise=0
+    )
+    assert (cfg.learning_rate, cfg.gamma_train, cfg.obs_noise) == (0.5, 0.9, 0.0)
+    assert all(type(v) is float for v in (cfg.learning_rate, cfg.gamma_train, cfg.obs_noise))
+
+
 def test_train_config_reads_numpy_integers_as_ints():
     cfg = TrainConfig(episodes=np.int64(3), seed=np.int64(4))
     assert (cfg.episodes, cfg.seed) == (3, 4)

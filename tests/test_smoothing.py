@@ -1,6 +1,7 @@
 """Tests for Gaussian observation smoothing: noise streams, tallies, radii."""
 
 import dataclasses
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -73,6 +74,20 @@ class TestNoiseConfig:
         )
         assert (cfg.samples, cfg.seed) == (100, 7)
         assert type(cfg.samples) is int and type(cfg.seed) is int
+
+    @pytest.mark.parametrize("value", [True, "0.1", None, 10**400, 1j])
+    @pytest.mark.parametrize("name", ["sigma", "alpha"])
+    def test_sigma_and_alpha_must_be_real_numbers(self, name, value):
+        # checked before the ranges: sigma=True used to smooth at sigma 1,
+        # and a string or None to raise a bare TypeError
+        fields = {**dict(sigma=0.1, samples=100, alpha=0.05, seed=0), name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+            NoiseConfig(**fields)
+
+    def test_numpy_reals_are_read_as_floats(self):
+        cfg = NoiseConfig(sigma=np.float32(0.5), samples=100, alpha=np.float64(0.05), seed=0)
+        assert (cfg.sigma, cfg.alpha) == (0.5, 0.05)
+        assert type(cfg.sigma) is float and type(cfg.alpha) is float
 
 
 class TestGaussianNoise:
@@ -194,7 +209,8 @@ class TestNoiseBlockSlot:
             smoothing._counter(net, cfg, step_index, agent)
             noise = gaussian_noise_block(dim, sigma, seed, step_index, agent, m)
             assert set(smoothing._projected_noise) <= {0, 1, 2}
-            key, kept, projected, chunk, _ = smoothing._projected_noise[agent]
+            key, kept, projected, chunk, schedule, _ = smoothing._projected_noise[agent]
+            assert schedule == smoothing._count_ranges(m)
             assert np.array_equal(projected, noise @ net.weights[0].T)
             assert key == (seed, step_index, m, sigma, net.layer_dims, net.activation)
             assert np.array_equal(kept, net.params) and kept is not net.params
@@ -289,8 +305,8 @@ class TestActionCountsProjection:
 
 
 class TestTallyReuse:
-    """A full tally is counted once per observation at a block; votes with
-    cuts are always counted."""
+    """A full tally is counted once per observation at a block; votes are
+    always counted."""
 
     M = 400
 
@@ -334,9 +350,10 @@ class TestTallyReuse:
         full = count(x)
         assert full.max() == self.M
         del passes[:]
-        vote = count(x, (self.M // 2 + 1, self.M))
-        assert sum(passes) == self.M // 2 + 1  # counted up to its first cut
-        assert vote.sum() == self.M // 2 + 1 and np.argmax(vote) == np.argmax(full)
+        vote = count(x, vote=True)
+        cut = 204  # the first vote cut, 51 % of M
+        assert sum(passes) == cut  # counted up to its first cut
+        assert vote.sum() == cut and np.argmax(vote) == np.argmax(full)
         del passes[:]
         assert np.array_equal(count(x), full)  # the vote was not stored
         assert not passes
@@ -356,7 +373,7 @@ class TestTallyReuse:
         cfg = self._cfg()
         net = policy.agent_nets[0]
         before = _counts(policy, spec, state, 0, cfg)
-        assert len(smoothing._projected_noise[0][4]) == 1
+        assert len(smoothing._projected_noise[0][5]) == 1
         if change == "step":
             smoothing._counter(net, cfg, state.step_count + 1, 0)
         elif change == "sigma":
@@ -373,6 +390,68 @@ class TestTallyReuse:
             assert got[4] == self.M and not np.array_equal(got, before)
         else:
             assert np.array_equal(got, before)
+
+
+def _toy_net(seed, hidden, activation, scale=1.0):
+    """A random net on 47 inputs whose biases are not zero."""
+    rng = np.random.default_rng(seed)
+    net = nn.mlp_init((47, *hidden, N_ACTIONS), activation, rng)
+    for W, b in zip(net.weights, net.biases):
+        W *= scale
+        b[...] = rng.normal(0.0, 0.5, size=b.shape)
+    return net
+
+
+class TestVotePrefix:
+    """A vote counts the tally's own first rows: the same ranges, so the
+    same action-value bits whatever BLAS makes of a range's row count."""
+
+    @pytest.mark.parametrize(
+        "name, samples",
+        [("checkers-vdn", 1000), ("relu", 1001), ("tanh", 1001)],
+    )
+    def test_vote_values_are_the_tally_s_first_rows(self, monkeypatch, name, samples):
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
+        if name == "checkers-vdn":
+            policy, spec = load_policy(_CHECKERS_VDN), builtin_spec("checkers")
+        else:
+            nets = {
+                "relu": [_toy_net(5, (16,), "relu"), _toy_net(7, (16,), "relu")],
+                "tanh": [_toy_net(6, (16, 8), "tanh", 3.0), _toy_net(7, (16, 8), "tanh")],
+            }[name]
+            policy, spec = JointPolicy(tuple(nets), "vdn", None), _spec()
+        outputs = []
+        forward_rest = nn.forward_rest
+
+        def recording(net, Z):
+            values = forward_rest(net, Z)
+            outputs.append(values.copy())
+            return values
+
+        monkeypatch.setattr(nn, "forward_rest", recording)
+        states = [reset(spec)]
+        for _ in range(2):
+            states.append(step(spec, states[-1], (4,) * policy.n_agents).next_state)
+        stopped = 0
+        for sigma in (0.03, 0.06, 0.5):
+            cfg = NoiseConfig(sigma=sigma, samples=samples, alpha=0.05, seed=11)
+            for state in states:
+                for agent in range(policy.n_agents):
+                    x = observe(spec, state, agent)
+                    net = policy.agent_nets[agent]
+                    count = smoothing._counter(net, cfg, state.step_count, agent)
+                    del outputs[:]
+                    vote = count(x, vote=True)
+                    vote_values = np.concatenate(outputs)
+                    del outputs[:]
+                    count(x)
+                    tally_values = np.concatenate(outputs)
+                    rows = len(vote_values)
+                    assert np.array_equal(vote_values, tally_values[:rows])
+                    picks = np.argmax(vote_values, axis=1)
+                    assert np.array_equal(vote, np.bincount(picks, minlength=N_ACTIONS))
+                    stopped += rows < samples
+        assert stopped  # some votes are a proper prefix
 
 
 def _peak_bytes(call):
@@ -437,6 +516,20 @@ class TestScratch:
         peak = _peak_bytes(lambda: sample_tally(policy, spec, state, cfg))
         scratch = smoothing._CHUNK_ROWS * AGENT_HIDDEN
         assert peak < policy.n_agents * (m * width + scratch) * 8 + 1.5 * 2**20
+
+
+    def test_unallocatable_block_names_the_bytes_it_asks_for(self, monkeypatch):
+        # the noise rows and the chunk scratch after them: here the scratch
+        # alone is too large to allocate
+        monkeypatch.setattr(smoothing, "_CHUNK_ROWS", 2**60)
+        monkeypatch.setattr(smoothing, "_projected_noise", {})
+        net = nn.mlp_init((47, 64, N_ACTIONS), "relu", np.random.default_rng(0))
+        cfg = NoiseConfig(sigma=0.1, samples=100, alpha=0.05, seed=0)
+        gib = 8 * (100 * 64 + 2**60 * 64) / 2**30
+        message = f"samples: 100 needs {gib:.3g} GiB for one block of smoothing noise"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            smoothing._counter(net, cfg, 0, 0)
+        assert not smoothing._projected_noise
 
 
 class TestChunkedProjection:
