@@ -56,7 +56,7 @@ import numpy as np
 from . import nn
 from .certify import RewardCertificate
 from .envs import OBS_LENGTH, EnvState, GridSpec, observe, reset, step
-from .errors import ConfigError, allocate, as_integer
+from .errors import ConfigError, allocate, check_numbers
 from .policy import JointPolicy
 from .seeds import derive_seed
 from .smoothing import NoiseConfig, _counter
@@ -91,8 +91,8 @@ class AttackConfig:
     rollout_trials: int = 5
 
     def __post_init__(self):
+        check_numbers(self)
         for name in ("steps", "restarts", "trials", "rollout_trials"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         for name, budgets in ("trials", 2), ("rollout_trials", 1):

@@ -1,8 +1,9 @@
 """Batch front-end: train, certify, attack, and merge result tables.
 
 Every run is driven by one RunConfig, the flat schema of the YAML config
-file; the flags ``--seed``, ``--sigma``, ``--samples``, ``--alpha`` and
-``--out`` override the fields of the same name.  RunConfig builds the
+file, read by the number rule of `errors`; the flags ``--seed``,
+``--sigma``, ``--samples``, ``--alpha`` and ``--out`` override the
+fields of the same name.  RunConfig builds the
 library configs (noise, training, attack) once, so every setting is
 checked by the config that owns it, in every mode: the attack schedule
 checks its counts and that their PGD batches fit in memory.  ``run``
@@ -12,10 +13,11 @@ its results and names its artifacts, and ``run`` writes them into the
 output directory, ``result.json`` last:
 
 * ``result.json``: the full structured record, schema-versioned, with
-  the run's config echoed verbatim.  Replaying that echo reproduces the
-  record bit-for-bit (timings aside); one master seed derives every
-  noise, training, and attack stream by name.  The certificate, state,
-  validation and config sections are the library dataclasses
+  the run's config echoed verbatim.  Replaying that echo with the same
+  numpy, BLAS and CPU dispatch reproduces the record bit-for-bit (timings
+  aside); one master seed derives every noise, training, and attack
+  stream by name.  The certificate, state, validation and config
+  sections are the library dataclasses
   (``StateCertificate``, ``EnvState``, ``ValidationReport``,
   ``RunConfig``) keyed by field name; sets are written as sorted lists.
 * flat CSV exports next to it: a per-step radius series for the
@@ -47,19 +49,12 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-import yaml
-
 from . import __version__
 from .attack import AttackConfig, validate_certificates
 from .certify import certify_trajectory, crsc, tcrgr
 from .envs import OBS_LENGTH, builtin_spec, episode_reward, load_grid_config
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    MissingArtifactError,
-    NumericalError,
-    as_number,
-)
+from .errors import CheckpointError, ConfigError, MissingArtifactError, NumericalError
+from .errors import as_real, check_numbers, read_file, read_yaml
 from .policy import (
     MIXERS,
     TrainConfig,
@@ -117,12 +112,7 @@ class RunConfig:
     inputs: tuple = ()
 
     def __post_init__(self):
-        # coerce each number field by its annotation
-        kinds = {"float": float, "int": int}
-        for f in dataclasses.fields(self):
-            if f.type in kinds:
-                value = as_number(f.name, getattr(self, f.name), kinds[f.type])
-                object.__setattr__(self, f.name, value)
+        check_numbers(self)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("env", "out", "checkpoint"):
@@ -331,12 +321,10 @@ def _run_attack(cfg: RunConfig, spec, policy):
 def _run_report(cfg: RunConfig, *_):
     rows = []
     for path in cfg.inputs:
+        text = read_file(path, "result file")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except FileNotFoundError as exc:
-            raise MissingArtifactError(f"result file not found: {path}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            record = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad JSON, or too many digits or levels
             raise ConfigError(f"result file is not valid JSON: {path}") from exc
         if not isinstance(record, dict):
             raise ConfigError(f"result file {path} does not hold an object")
@@ -352,9 +340,7 @@ def _run_report(cfg: RunConfig, *_):
         for key in ("env", "mixer"):
             if not isinstance(results[key], str):
                 raise ConfigError(f"result file {path}: {key} is not a string")
-        sigma = results["sigma"]
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-            raise ConfigError(f"result file {path}: sigma is not a number")
+        as_real(f"result file {path}: sigma", results["sigma"])
         rows.append({key: results[key] for key in _TABLE_HEADER})
     rows.sort(key=lambda r: (r["env"], r["mixer"], r["sigma"]))
     table = [_TABLE_HEADER] + [[row[k] for k in _TABLE_HEADER] for row in rows]
@@ -415,13 +401,7 @@ def run(cfg: RunConfig) -> ResultRecord:
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh.read())
-    except FileNotFoundError as exc:
-        raise MissingArtifactError(f"config file not found: {path}") from exc
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+    doc = read_yaml(read_file(path, "config file"), "config file")
     if doc is None:
         return {}
     if not isinstance(doc, dict):

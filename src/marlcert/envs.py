@@ -18,8 +18,8 @@ Map characters: ``#`` wall, ``.`` or space floor, ``a`` apple, ``l`` lemon,
 (numbered contiguously from 1).  The ``goals`` key instead assigns one goal
 cell per agent; only the owning agent can consume it.  Rewards are shared by
 the team, are never negative, and sum to a finite total over the grid's
-items; reward and goal values follow the run config's number rule
-(`errors.as_number`).
+items.  The document follows the number rule of `errors`: ``step_cap``
+and goal coordinates are integers, rewards real numbers.
 
 Dynamics are fully deterministic.  All agents move simultaneously; moves into
 walls or off the grid become stays, and contested moves are cancelled by
@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import yaml
 
-from .errors import ConfigError, MissingArtifactError, as_number
+from .errors import ConfigError, as_integer, as_real, check_numbers, read_file, read_yaml
 
 ACTION_UP = 0
 ACTION_DOWN = 1
@@ -82,6 +81,7 @@ class GridSpec:
     reward_table: dict  # kind -> team reward on consumption
 
     def __post_init__(self):
+        check_numbers(self)
         _validate_spec(self)
 
     @property
@@ -157,18 +157,14 @@ def _validate_spec(spec: GridSpec) -> None:
 
 def parse_grid_config(text: str) -> GridSpec:
     """Parse a YAML grid description into a validated `GridSpec`."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML: {exc}") from exc
+    doc = read_yaml(text, "grid config")
     if not isinstance(doc, dict):
         raise ConfigError("grid config must be a mapping")
     unknown = set(doc) - {"map", "step_cap", "rewards", "goals"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if unknown:  # keys of any YAML type: sorted by their text
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=repr)}")
     if "map" not in doc or not isinstance(doc["map"], str):
         raise ConfigError("config needs a 'map' string")
-    step_cap = as_number("step_cap", doc.get("step_cap"), int)
 
     table = doc.get("rewards")
     if table is None:
@@ -177,7 +173,7 @@ def parse_grid_config(text: str) -> GridSpec:
         raise ConfigError("'rewards' must map item kinds to rewards")
     rewards = dict(_DEFAULT_REWARDS)
     for kind, value in table.items():
-        rewards[kind] = as_number(f"reward for {kind!r}", value, float)
+        rewards[kind] = as_real(f"reward for {kind!r}", value)
 
     rows = [line for line in doc["map"].splitlines() if line.strip()]
     if not rows:
@@ -218,7 +214,7 @@ def parse_grid_config(text: str) -> GridSpec:
         for entry in goals:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ConfigError("'goals' must be a list of [x, y] pairs")
-            parsed.append(tuple(as_number("a goal coordinate", v, int) for v in entry))
+            parsed.append(tuple(as_integer("a goal coordinate", v) for v in entry))
         for cell in parsed:
             if cell in items:
                 raise ConfigError(f"goal {cell} placed on top of an item")
@@ -232,20 +228,13 @@ def parse_grid_config(text: str) -> GridSpec:
         items=items,
         agent_starts=agent_starts,
         agent_goals=agent_goals,
-        step_cap=step_cap,
+        step_cap=doc.get("step_cap"),
         reward_table=rewards,
     )
 
 
 def load_grid_config(path) -> GridSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError as exc:
-        raise MissingArtifactError(f"grid config not found: {path}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"grid config is not UTF-8: {path}") from exc
-    return parse_grid_config(text)
+    return parse_grid_config(read_file(path, "grid config"))
 
 
 def builtin_spec(name: str) -> GridSpec:

@@ -1,12 +1,19 @@
-"""Shared exception types, mapped to CLI exit codes in marlcert.cli, the
-number rule that both config readers (the run config and the grid
-config) apply, the integer and real-number rules of the configs they
-build, and the one rule for an allocation a config sizes."""
+"""Shared exception types, mapped to CLI exit codes in marlcert.cli; the
+one rule for an allocation a config sizes; and the number rule of every
+config.  `read_yaml` reads both config files, the run config and the
+grid (JSON is YAML too); their numbers are the YAML 1.1 forms (``50``,
+``0.5``, ``1.0e+3``, ``.inf``, ``.nan``) and YAML 1.2's exponent floats
+(``1e3``, JSON's ``1e-05``), while a quoted number and the bare words
+``inf`` and ``nan`` are strings.  Each config checks each number once, by
+its field's annotation: an integer, or a real number a float holds."""
 
+import dataclasses
 import math
 import numbers
+import re
 
 import numpy as np
+import yaml
 
 
 class ConfigError(ValueError):
@@ -25,23 +32,6 @@ class CheckpointError(ValueError):
     """Corrupt, truncated, or incompatible checkpoint data (exit code 3)."""
 
 
-def as_number(name: str, value, kind: type):
-    """``value`` read as a ``kind`` (``int`` or ``float``).
-
-    Numeric strings are accepted, because YAML 1.1 reads exponent forms
-    like ``1e3`` as strings; booleans and every other type, and floats
-    where an integer is due, raise `ConfigError`.
-    """
-    noun = "an integer" if kind is int else "a number"
-    types = (int, str) if kind is int else (int, float, str)
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{name} must be {noun}")
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
-
-
 def as_integer(name: str, value) -> int:
     """A Python or NumPy integer ``value`` as an ``int``; else `ConfigError`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -57,6 +47,52 @@ def as_real(name: str, value) -> float:
     except OverflowError:
         pass
     raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def check_numbers(config) -> None:
+    """Check each ``int`` and ``float`` field of the dataclass ``config``,
+    whose module postpones annotations, and store the value read."""
+    rules = {"int": as_integer, "float": as_real}
+    for f in dataclasses.fields(config):
+        if f.type in rules:
+            value = rules[f.type](f.name, getattr(config, f.name))
+            object.__setattr__(config, f.name, value)
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, with YAML 1.2's exponent floats as numbers."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
+def read_file(path, what: str) -> str:
+    """The UTF-8 text of the file ``path``, a ``what``; else
+    `MissingArtifactError` if there is none, `ConfigError` if not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise MissingArtifactError(f"{what} not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not UTF-8: {path}") from exc
+
+
+def read_yaml(text: str, what: str):
+    """The YAML document ``text``, a ``what``, by the number rule; else a
+    one-line `ConfigError`, also for an integer of more digits than Python
+    converts, an impossible date, or nesting too deep."""
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        mark = getattr(exc, "problem_mark", None)  # PyYAML's text quotes the document
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        detail = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"{what} is not valid YAML: {detail}{where}") from exc
 
 
 def allocate(shape: tuple, field: str, purpose: str, dtype=np.float64) -> np.ndarray:

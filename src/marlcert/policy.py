@@ -68,7 +68,7 @@ from .envs import (
     step,
 )
 from .errors import CheckpointError, ConfigError, MissingArtifactError, NumericalError
-from .errors import as_integer, as_real
+from .errors import check_numbers
 from .seeds import derive_seed
 
 AGENT_HIDDEN = 64
@@ -143,10 +143,7 @@ class TrainConfig:
     obs_noise: float = 0.0  # Gaussian augmentation applied to TD batches
 
     def __post_init__(self):
-        for name in ("episodes", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        for name in ("learning_rate", "gamma_train", "obs_noise"):
-            object.__setattr__(self, name, as_real(name, getattr(self, name)))
+        check_numbers(self)
         if self.episodes < 0:
             raise ConfigError("episodes must be non-negative")
         if not 0 < self.learning_rate < float("inf"):
@@ -404,7 +401,7 @@ def load_policy(path) -> JointPolicy:
         raise MissingArtifactError(f"no policy checkpoint at {path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
         raise CheckpointError(f"corrupt policy manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise CheckpointError("not a policy checkpoint manifest")

@@ -78,7 +78,7 @@ import numpy as np
 
 from . import nn
 from .envs import N_ACTIONS, EnvState, GridSpec, observe
-from .errors import ConfigError, NumericalError, allocate, as_integer, as_real
+from .errors import ConfigError, NumericalError, allocate, check_numbers
 from .policy import JointPolicy
 from .seeds import philox_key
 from .stats import goodman_bounds, std_normal_quantile, std_normal_quantile_vec
@@ -92,10 +92,7 @@ class NoiseConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("samples", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        for name in ("sigma", "alpha"):
-            object.__setattr__(self, name, as_real(name, getattr(self, name)))
+        check_numbers(self)
         if not 0.0 < self.sigma < float("inf"):
             raise ConfigError("sigma must be positive and finite")
         if self.samples < 2:

@@ -482,7 +482,7 @@ class TestModes:
             mixer="qmix_mono",
             out=str(tmp_path / "o"),
             episodes=30,
-            learning_rate="1.0e+280",
+            learning_rate=1.0e280,
         )
         assert main(["train", "--config", path]) == 4
         assert not (tmp_path / "o").exists()
@@ -497,7 +497,7 @@ class TestModes:
             seed=2,
             episodes=40,
             gamma_train=0.7,
-            obs_noise="1e-1",  # coerced like learning_rate
+            obs_noise=1e-1,
         )
         assert main(["train", "--config", path]) == 0
         written = load_policy(tmp_path / "o" / "checkpoint")
@@ -1073,6 +1073,115 @@ class TestModes:
         err = capsys.readouterr().err
         assert f"trials: {2**52} at restarts: 5 needs " in err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+
+_GRID = (Path(marlcert.__file__).parent / "configs" / "checkers.yaml").read_text(encoding="utf-8")
+_PAST_FLOAT = "1" + "0" * 400  # an integer no float holds
+_PAST_DIGITS = "1" + "0" * 5000  # more digits than Python converts to an int
+_NET = (_CHECKERS_VDN / "agent_0.mlp").read_bytes()[:-4]  # a checkpoint's payload
+
+
+def _sealed(payload):
+    """A checkpoint file of ``payload`` under its checksum."""
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
+# (exit code, what replaces the valid input): a grid text, a config
+# text appended to a valid one or in its place, an agent_0.mlp file,
+# manifest keys or text, a removed network file, an env, or a report
+# input's record or text
+_REFUSED = {
+    "grid-invalid-yaml": (2, {"grid": "map: [\n"}),
+    "grid-not-a-mapping": (2, {"grid": "- 1\n"}),
+    "grid-unknown-key": (2, {"grid": _GRID + "wat: 1\n"}),
+    "grid-unknown-keys-of-mixed-types": (2, {"grid": _GRID + "1: 2\nzz: 3\n"}),
+    "grid-map-not-text": (2, {"grid": "map: 5\nstep_cap: 5\n"}),
+    "grid-map-empty": (2, {"grid": "map: ''\nstep_cap: 5\n"}),
+    "grid-goal-cells-and-goals": (2, {"grid": "map: |\n  1g\nstep_cap: 5\ngoals:\n  - [1, 0]\n"}),
+    "grid-goals-malformed": (2, {"grid": "map: |\n  1.\nstep_cap: 5\ngoals: [[1]]\n"}),
+    "grid-reward-past-float": (2, {"grid": _GRID.replace("apple: 10.0", f"apple: {_PAST_FLOAT}")}),
+    "grid-step-cap-past-digits": (2, {"grid": _GRID.replace("step_cap: 50", f"step_cap: {_PAST_DIGITS}")}),
+    "grid-missing": (3, {"env": "nothere.yaml"}),
+    "env-neither-file-nor-builtin": (3, {"env": "nothere"}),
+    "config-sigma-past-float": (2, {"config+": f"sigma: {_PAST_FLOAT}\n"}),
+    "config-seed-past-digits": (2, {"config+": f"seed: {_PAST_DIGITS}\n"}),
+    "config-missing": (3, {"config": None}),
+    "config-empty": (2, {"config": ""}),
+    "config-not-a-mapping": (2, {"config": "- a\n"}),
+    "checkpoint-too-short": (3, {"agent_0.mlp": _NET[:8]}),
+    "checkpoint-version": (3, {"agent_0.mlp": _sealed(_NET[:8] + struct.pack("<I", 2) + _NET[12:])}),
+    "checkpoint-activation": (3, {"agent_0.mlp": _sealed(_NET[:12] + b"\x09" + _NET[13:])}),
+    "checkpoint-layer-count": (3, {"agent_0.mlp": _sealed(_NET[:13] + struct.pack("<I", 65) + _NET[17:])}),
+    "checkpoint-truncated-header": (3, {"agent_0.mlp": _sealed(_NET[:13] + struct.pack("<I", 3) + _NET[17:25])}),
+    "checkpoint-parameter-block": (3, {"agent_0.mlp": _sealed(_NET[:-8])}),
+    "manifest-version": (3, {"manifest": {"version": 2}}),
+    "manifest-nested-too-deep": (3, {"manifest": "[" * 100_000 + "]" * 100_000}),
+    "manifest-network-missing": (3, {"remove": "agent_1.mlp"}),
+    "qmix-without-hypernet": (3, {"manifest": {"mixer": "qmix_mono"}}),
+    "agent-net-of-four-actions": (3, {"agent_0.mlp": nn.mlp_init((47, 64, 4), "relu", np.random.default_rng(0))}),
+    "report-without-table-fields": (2, {"report": {"mode": "train", "results": {}}}),
+    "report-nested-too-deep": (2, {"report": "[" * 100_000 + "]" * 100_000}),
+}
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_refused_input_exits_with_its_code(self, tmp_path, capsys, case):
+        # every input check the CLI reaches, on an otherwise valid run
+        code, given = _REFUSED[case]
+        checkpoint = tmp_path / "ckpt"
+        shutil.copytree(_CHECKERS_VDN, checkpoint)
+        net = given.get("agent_0.mlp")
+        if isinstance(net, nn.Mlp):
+            nn.checkpoint_save(net, checkpoint / "agent_0.mlp")
+        elif net is not None:
+            (checkpoint / "agent_0.mlp").write_bytes(net)
+        if "remove" in given:
+            (checkpoint / given["remove"]).unlink()
+        manifest = given.get("manifest", {})
+        if isinstance(manifest, dict):  # keys that replace the stored manifest's
+            stored = json.loads((checkpoint / "manifest.json").read_text(encoding="utf-8"))
+            manifest = json.dumps({**stored, **manifest})
+        (checkpoint / "manifest.json").write_text(manifest, encoding="utf-8")
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(given.get("grid", _GRID), encoding="utf-8")
+        report = given.get("report", {})
+        if not isinstance(report, str):
+            report = json.dumps(report)
+        (tmp_path / "r.json").write_text(report, encoding="utf-8")
+        fields = dict(
+            env=str(tmp_path / given.get("env", grid)),
+            checkpoint=str(checkpoint),
+            out=str(tmp_path / "o"),
+            samples=20,
+        )
+        config = tmp_path / "c.yaml"
+        text = given.get("config", yaml.safe_dump(fields) + given.get("config+", ""))
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
+        argv = ["report", str(tmp_path / "r.json")] if "report" in given else ["certify-state"]
+        if "config" in given:  # no out in the config to fall back on
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(config)]) == code
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        prefix = "config error:" if code == 2 else "file or checkpoint error:"
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("sigma", '"0.1"'), ("samples", "'20'"), ("seed", '"3"'), ("alpha", "nan"), ("sigma", "inf")],
+    )
+    def test_quoted_number_exits_2(self, tmp_path, capsys, field, text):
+        # a quoted number, and the bare words inf and nan, are YAML strings
+        config = tmp_path / "c.yaml"
+        fields = dict(env="checkers", checkpoint=str(_CHECKERS_VDN), out=str(tmp_path / "o"))
+        config.write_text(yaml.safe_dump(fields) + f"{field}: {text}\n", encoding="utf-8")
+        assert main(["certify-state", "--config", str(config)]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be ") and err.count("\n") == 1
 
 
 class TestFlags:

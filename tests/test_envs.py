@@ -377,7 +377,7 @@ class TestConfigGrammar:
             _toy("map: |\n  1.\nstep_cap: 0\n")
 
     def test_step_cap_follows_the_number_rule(self):
-        assert _toy('map: |\n  1.\nstep_cap: "50"\n').step_cap == 50
+        assert _toy("map: |\n  1.\nstep_cap: 50\n").step_cap == 50
         for bad in ("5.5", "true", '"5.5"', "[5]"):
             with pytest.raises(ConfigError):
                 _toy(f"map: |\n  1.\nstep_cap: {bad}\n")
@@ -412,7 +412,7 @@ class TestConfigGrammar:
             "rewards:\n  cherry: 1.0\n",
             "rewards:\n  apple: true\n",
             "rewards:\n  apple: .inf\n",
-            # YAML 1.1 reads 1.0e308 as a string; the two apples sum to inf
+            # each apple is finite, but the two sum to inf
             "rewards:\n  apple: 1.0e308\n",
             "goals:\n  - [a, 0]\n",
             "goals:\n  - [1.5, 0]\n",
@@ -438,10 +438,28 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError):
             _toy("map: |\n  1.aa\nstep_cap: 5\n" + extra)
 
-    def test_numeric_strings_read_as_numbers(self):
+    def test_exponent_floats_are_numbers(self):
         spec = _toy(
             "map: |\n  1.aa\nstep_cap: 5\nrewards:\n  apple: 1e3\n"
-            "goals:\n  - ['1', 0]\n"
+            "goals:\n  - [1, 0]\n"
         )
         assert spec.reward_table["apple"] == 1000.0
         assert spec.agent_goals == ((1, 0),)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'map: |\n  1.\nstep_cap: "5"\n',
+            "map: |\n  1a\nstep_cap: 5\nrewards:\n  apple: '1e3'\n",
+            "map: |\n  1.\nstep_cap: 5\ngoals:\n  - ['1', 0]\n",
+        ],
+        ids=["step-cap", "reward", "goal"],
+    )
+    def test_quoted_numbers_rejected(self, text):
+        # a quoted number is a YAML string, refused where a number is due
+        with pytest.raises(ConfigError, match="must be"):
+            _toy(text)
+
+    def test_unknown_keys_of_mixed_types_named(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['zz', 1\]"):
+            _toy("map: |\n  1.\nstep_cap: 5\n1: 2\nzz: 3\n")
